@@ -89,8 +89,12 @@ class Tracer:
         Keys: "time:<name>" (duration), "self:<name>" (self time),
         "calls:<name>" and "layer:<layer>" (self time of the layer; the
         layer of the op spans is the unattributed remainder). Checks that
-        the layers' self times add up to the op time.
+        every span lies inside an op span and that the layers' self times
+        add up to the op time.
         """
+        for name, parent in zip(self.names, self.parents):
+            if (parent < 0) != (name == "op"):
+                raise AssertionError(f"span {name} is recorded outside an op")
         sums: Dict[str, float] = defaultdict(float)
         spans = zip(self.names, self.starts, self.ends, self.self_times())
         for name, start, end, self_s in spans:

@@ -1,15 +1,33 @@
 #!/usr/bin/env python3
 """Seeded end-to-end and per-layer benchmark of the retroroute package.
 
-    python3 perfbench/run.py --workload plan-toy --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload plan-wire --seed 1 --seconds 35 --trace 0
 
 Run it from the root of a source checkout; it imports the package from
 `src/` and keeps its generated inputs and span dumps under `.perfbench_work/`.
 One closed-loop client runs one op at a time over the workload's 100 items.
 A run measures whole passes over the items: as many as fit in `--seconds`,
-and at least MIN_PASSES, each pass after the first in another seeded order.
-Each item's time is its fastest pass, so a burst of load from other tenants
-of the machine has to cover every pass of an item to move a figure.
+and at least MIN_PASSES. Every pass sets up a fresh session, so no state
+of the models, the client or the model process carries over from one
+repeat of an item to the next, and every pass after the first runs the
+items in another seeded order.
+
+Other tenants of the machine change its speed by up to 2x for minutes at a
+time, and CPU time grows with wall time, so neither can be compared across
+runs as it is. A fixed calibration kernel, benchmark code that shares
+nothing with the package, is timed before the first op of a pass and
+after every op. Each op and set-up time is scaled by the kernel's reference
+time over its mean time on both sides of it: times are reported at the
+speed at which the kernel takes CALIBRATION_REF_S. The benchmark, its
+threads and the `plan-wire` model process all run on one CPU, so that the
+kernel times the CPU that does the work. The protocol is closed-loop and
+blocking, so client and model process never need two CPUs at once, and a
+round-trip becomes a context switch on that CPU rather than a wake-up on
+the other one, whose cost the machine's other tenants change.
+
+An item's time is the median of its passes. `setup_s` is the median of the
+passes' set-ups and of as many more after the timed phase as it takes to
+have MIN_SETUPS.
 
 With `--trace 0` the last output line carries the end-to-end metrics; with
 `--trace 1` untraced and traced passes alternate, and the last line carries
@@ -21,6 +39,8 @@ perfbench/README.md.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import os
 import random
@@ -31,10 +51,22 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import chemgen
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".perfbench_work"
-MIN_PASSES = 2
+MIN_PASSES = 3
+MIN_SETUPS = 15
+SPAN_TOLERANCE = 0.02
+# The calibration kernel: generating a small chemistry (about 0.6 ms when
+# this machine is fast). Like the package it is pure Python over strings,
+# dicts and lists, so it slows with the machine much as the ops do.
+CALIBRATION_PARAMS = chemgen.ChemParams(
+    levels=2, width=8, alts=2, blocks=12,
+    plan_targets=4, dead_targets=1, eval_chunks=2, eval_chunk=4,
+)
+CALIBRATION_REF_S = 0.0006
 MODEL_OPS = ("retro", "score", "forward", "classify")
 FILTER_OUTCOMES = ("auto", "selective", "not_top1", "insufficient_gap", "model_error")
 
@@ -43,7 +75,7 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
         "--workload", required=True,
-        choices=("plan-toy", "plan-wire", "eval-toy", "export-graph"),
+        choices=("plan-wire", "eval-toy", "export-graph"),
     )
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
@@ -52,21 +84,30 @@ def parse_args(argv):
 
 
 class Run:
-    """Ops of one timed phase: latencies per item, outputs and counts."""
+    """Passes of one timed phase: set-ups, latencies per item, outputs and counts."""
 
-    def __init__(self, wl, session):
+    def __init__(self, wl, tracer):
         self.wl = wl
-        self.session = session
+        self.tracer = tracer
+        self.counts = Counter()
         self.latencies = [[] for _ in wl.items]  # per item, one per pass
+        self.scaled = [[] for _ in wl.items]  # the same at the reference speed
+        self.setup_times = []  # at the reference speed
+        self.kernel_times = []
+        self.stock_load_times = []
         self.attempted = 0
         self.failed = 0
         self.problems = []
         self.first = [None] * len(wl.items)
         self.passes = 0
         self.elapsed = 0.0
+        # ops of the traced passes, and the latencies measured around them
+        self.traced_ops = 0
+        self.traced_latency = 0.0
 
-    def one_pass(self, op) -> None:
-        wl, s = self.wl, self.session
+    def one_pass(self, op, traced: bool = False) -> None:
+        """Set up a fresh session, run every item once on it, close it."""
+        wl = self.wl
         clock = time.perf_counter
         # every pass after the first runs the items in another seeded order,
         # so that load bursts in step with the pass do not hit the same items
@@ -74,26 +115,67 @@ class Run:
         if self.passes:
             random.Random(self.passes).shuffle(order)
         start = clock()
-        for index in order:
-            item = wl.items[index]
-            self.attempted += 1
-            s.tracer.op = self.attempted
-            t0 = clock()
-            try:
-                text, info = op(s, item)
-            except Exception as exc:  # an op that raises is a failed op
-                self.failed += 1
-                self.problems.append(f"op {item!r} raised {type(exc).__name__}: {exc}")
-                continue
-            self.latencies[index].append(clock() - t0)
-            wl.tally(s.counts, item, info)
-            if self.first[index] is None:
-                self.first[index] = text
-            elif text != self.first[index]:
-                self.failed += 1
-                self.problems.append(f"op {item!r}: output differs from its first pass")
+        s = self.set_up()
+        try:
+            with wl.traced(s) if traced else contextlib.nullcontext():
+                for index in order:
+                    self._one_op(op, s, index, traced)
+        finally:
+            wl.close(s)
         self.elapsed += clock() - start
         self.passes += 1
+
+    def set_up(self):
+        """A fresh session; its set-up time is recorded."""
+        self._calibrate()
+        start = time.perf_counter()
+        s = self.wl.setup(self.tracer, self.counts)
+        self.setup_times.append(self._at_reference_speed(time.perf_counter() - start))
+        self.stock_load_times.append(s.stock_load_s)
+        return s
+
+    def _one_op(self, op, s, index: int, traced: bool) -> None:
+        wl = self.wl
+        item = wl.items[index]
+        self.attempted += 1
+        self.tracer.op = self.attempted
+        t0 = time.perf_counter()
+        try:
+            text, info = op(s, item)
+        except Exception as exc:  # an op that raises is a failed op
+            self.failed += 1
+            self.problems.append(f"op {item!r} raised {type(exc).__name__}: {exc}")
+            return
+        latency = time.perf_counter() - t0
+        self.latencies[index].append(latency)
+        self.scaled[index].append(self._at_reference_speed(latency))
+        if traced:
+            self.traced_ops += 1
+            self.traced_latency += latency
+        wl.tally(self.counts, item, info)
+        if self.first[index] is None:
+            self.first[index] = text
+        elif text != self.first[index]:
+            self.failed += 1
+            self.problems.append(f"op {item!r}: output differs from its first pass")
+
+    def _calibrate(self) -> None:
+        """Time the calibration kernel, with the collector off."""
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            chemgen.generate_chemistry(0, CALIBRATION_PARAMS)
+            self.kernel_times.append(time.perf_counter() - start)
+        finally:
+            if collecting:
+                gc.enable()
+
+    def _at_reference_speed(self, seconds: float) -> float:
+        """`seconds`, just measured, scaled by the kernel's times on both sides."""
+        self._calibrate()
+        before, after = self.kernel_times[-2:]
+        return seconds * 2.0 * CALIBRATION_REF_S / (before + after)
 
     def fits_another_pass(self, seconds: float, min_passes: int) -> bool:
         if self.passes < min_passes:
@@ -111,20 +193,6 @@ class Run:
             if problems:
                 self.failed += 1
                 self.problems += problems
-
-
-def set_up(wl):
-    """Set up `setup_repeats` times; keep the last session, return the times."""
-    times = []
-    session = None
-    for _ in range(wl.setup_repeats):
-        if session is not None:
-            wl.close(session)
-            session = None
-        start = time.perf_counter()
-        session = wl.setup()
-        times.append(time.perf_counter() - start)
-    return session, times
 
 
 END_TO_END = (
@@ -193,19 +261,20 @@ PER_LAYER = (
 )
 
 
-def end_to_end(wl, run, setup_s):
-    best = [
-        (min(times), wl.throughput_units(item))
-        for item, times in zip(wl.items, run.latencies)
+def end_to_end(wl, run):
+    """Each item's time is the median of its passes, at the reference speed."""
+    per_item = [
+        (statistics.median(times), wl.throughput_units(item))
+        for item, times in zip(wl.items, run.scaled)
         if times
     ]
-    best_ms = [1e3 * t for t, _ in best]
+    item_ms = [1e3 * t for t, _ in per_item]
     return {
-        "setup_s": setup_s,
-        "op_ms_p50": statistics.median(best_ms),
-        "op_ms_p90": statistics.quantiles(best_ms, n=10, method="inclusive")[8],
-        # one closed-loop client running every op at its best time
-        "items_per_s": sum(u for _, u in best) / sum(t for t, _ in best),
+        "setup_s": statistics.median(run.setup_times),
+        "op_ms_p50": statistics.median(item_ms),
+        "op_ms_p90": statistics.quantiles(item_ms, n=10, method="inclusive")[8],
+        # one closed-loop client running every op at its median time
+        "items_per_s": sum(u for _, u in per_item) / sum(t for t, _ in per_item),
         "peak_rss_mb": run.peak_rss_mb,
     }
 
@@ -215,7 +284,7 @@ def workload_table(wl, run, e2e):
     first = run.counts_first
     units = sum(wl.units(item) for item in wl.items)
     calls = sum(first[f"model.{op}_calls"] for op in MODEL_OPS)
-    op = {"plan-toy": "plan", "plan-wire": "plan", "eval-toy": "chunk"}.get(wl.name, "export")
+    op = {"plan-wire": "plan", "eval-toy": "chunk"}.get(wl.name, "export")
     table = {
         "setup_s": (e2e["setup_s"], "s"),
         f"{op}_ms_p50": (e2e["op_ms_p50"], "ms"),
@@ -232,6 +301,10 @@ def workload_table(wl, run, e2e):
         table["solved_frac"] = (first["solved"] / units, "ratio")
     table["peak_rss_mb"] = (e2e["peak_rss_mb"], "MB")
     table["failed_frac"] = (run.failed / run.attempted, "ratio")
+    # what the scaling started from
+    wall_ms = [1e3 * statistics.median(times) for times in run.latencies if times]
+    table[f"wall_{op}_ms_p50"] = (statistics.median(wall_ms), "ms")
+    table["calibration_ms"] = (1e3 * statistics.median(run.kernel_times), "ms")
     return table
 
 
@@ -285,7 +358,7 @@ def layer_metrics(wl, run, counts, breakdown, units, overhead):
     m["search.simplicity_ms"] = ms("time:search.simplicity")
     m["metrics.evaluate_target_self_ms"] = ms("self:metrics.evaluate_target")
     m["metrics.aggregate_ms"] = ms("self:metrics.evaluate")
-    m["stock.load_ms"] = 1e3 * run.session.stock_load_s
+    m["stock.load_ms"] = 1e3 * statistics.median(run.stock_load_times)
     m["stock.lookups"] = n("stock.lookups")
     m["cli.route_json_ms"] = ms("time:cli.route_json")
     for layer in ("toy", "wire", "smiles", "expand", "graph", "search", "metrics", "cli"):
@@ -300,40 +373,59 @@ def layer_metrics(wl, run, counts, breakdown, units, overhead):
     return m
 
 
-def measure(wl, session, seconds: float, trace: bool):
+def measure(wl, tracer, seconds: float, trace: bool):
     """The timed phase. Returns the run and, if traced, what the traced passes saw."""
-    run = Run(wl, session)
-    op = session.tracer.wrap("op", wl.op)
+    run = Run(wl, tracer)
+    op = tracer.wrap("op", wl.op)
     run.one_pass(op)
-    run.counts_first = Counter(session.counts)
+    run.counts_first = Counter(run.counts)
     if not trace:
         while run.fits_another_pass(seconds, MIN_PASSES):
             run.one_pass(op)
         run.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        # set up as often again as it takes to have MIN_SETUPS set-up times
+        while len(run.setup_times) < MIN_SETUPS:
+            wl.close(run.set_up())
         return run, None
 
     # alternate traced and untraced passes, so both see the same machine
     counts = Counter()
     traced_passes = 0
     while traced_passes == 0 or run.fits_another_pass(seconds, 0):
-        before = Counter(session.counts)
-        with wl.traced(session):
-            run.one_pass(op)
-        counts += session.counts - before
+        before = Counter(run.counts)
+        run.one_pass(op, traced=True)
+        counts += run.counts - before
         traced_passes += 1
         if run.fits_another_pass(seconds, 0):
             run.one_pass(op)
-    breakdown = session.tracer.breakdown()
-    session.tracer.write(wl.work / "spans.jsonl")
-    untraced = [min(times[0::2]) for times in run.latencies if len(times) > 1]
-    traced = [min(times[1::2]) for times in run.latencies if len(times) > 1]
+    breakdown = tracer.breakdown()
+    check_op_spans(breakdown, run.traced_ops, run.traced_latency)
+    tracer.write(wl.work / "spans.jsonl")
+    untraced = [statistics.median(times[0::2]) for times in run.scaled if len(times) > 1]
+    traced = [statistics.median(times[1::2]) for times in run.scaled if len(times) > 1]
     return run, {
         "counts": counts,
         "breakdown": breakdown,
         "units": traced_passes * sum(wl.units(item) for item in wl.items),
-        # median over items of the best traced time over the best untraced one
+        # median over items of the traced time over the untraced one
         "overhead": statistics.median(t / u for t, u in zip(traced, untraced)) - 1.0,
     }
+
+
+def check_op_spans(breakdown, ops: int, latency_s: float) -> None:
+    """The op spans must be the traced ops and last as long as they were measured.
+
+    The wrapper that records an op span runs inside the measured latency,
+    so the spans may fall short of it by that wrapper's cost, which must
+    stay below SPAN_TOLERANCE of it.
+    """
+    if breakdown.get("calls:op", 0) != ops:
+        raise AssertionError(f"{breakdown.get('calls:op', 0)} op spans for {ops} traced ops")
+    spans_s = breakdown["time:op"]
+    if not 0.0 <= latency_s - spans_s <= SPAN_TOLERANCE * latency_s:
+        raise AssertionError(
+            f"op spans last {spans_s:.6f} s, the traced ops measured {latency_s:.6f} s"
+        )
 
 
 def main(argv=None) -> int:
@@ -346,21 +438,18 @@ def main(argv=None) -> int:
     os.environ["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
     )
+    from instrument import Tracer
     from workloads import WORKLOADS
 
+    # One CPU for everything: the threads started from here and the model
+    # process inherit it (see the module docstring).
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     wl = WORKLOADS[args.workload](WORK / args.workload, args.seed)
-    session, setup_times = set_up(wl)
-    try:
-        run, traced = measure(wl, session, args.seconds, bool(args.trace))
-    finally:
-        wl.close(session)
+    run, traced = measure(wl, Tracer(), args.seconds, bool(args.trace))
     run.check_outputs()
 
     if traced is None:
-        # set up as often again after the timed phase, so the median spans the run
-        late_session, late_times = set_up(wl)
-        wl.close(late_session)
-        values = end_to_end(wl, run, statistics.median(setup_times + late_times))
+        values = end_to_end(wl, run)
         spec = END_TO_END
         table = workload_table(wl, run, values)
     else:

@@ -131,3 +131,24 @@ def test_benchmark_json_lists_the_emitted_metrics():
     spec = json.loads((Path(run.__file__).parent.parent / "BENCHMARK.json").read_text())
     for key, emitted in (("end_to_end", run.END_TO_END), ("per_layer", run.PER_LAYER)):
         assert [(m["name"], m["unit"]) for m in spec[key]] == list(emitted)
+
+
+def test_span_checks_reject_spans_that_do_not_match_the_ops():
+    from instrument import Tracer
+
+    tracer = Tracer()
+    tracer.enabled = True
+    inner = tracer.wrap("toy.retro", lambda: None)
+    op = tracer.wrap("op", inner)
+    op()
+    op()
+    breakdown = tracer.breakdown()
+    measured = breakdown["time:op"] * 1.001
+    run.check_op_spans(breakdown, 2, measured)
+    with pytest.raises(AssertionError):
+        run.check_op_spans(breakdown, 3, measured)
+    with pytest.raises(AssertionError):
+        run.check_op_spans(breakdown, 2, 2 * measured)
+    inner()  # a span recorded outside any op
+    with pytest.raises(AssertionError):
+        tracer.breakdown()

@@ -1,4 +1,4 @@
-"""The four benchmark workloads.
+"""The three benchmark workloads.
 
 Each workload generates its inputs from the seed, sets up the package the
 way the CLI does, runs one op per item and checks the op outputs against
@@ -65,13 +65,13 @@ class Session:
 class Workload:
     name = ""
     model_layer = ""  # "toy" or "wire": the layer the model calls belong to
-    setup_repeats = 5
 
     def __init__(self, work: Path, seed: int):
         self.work = work
         self.items: List[Any] = []
 
-    def setup(self) -> Session:
+    def setup(self, tracer: Tracer, counts: Counter) -> Session:
+        """A fresh session whose spans go to `tracer` and counts to `counts`."""
         raise NotImplementedError
 
     def op(self, s: Session, item) -> Tuple[str, Any]:
@@ -121,11 +121,17 @@ class Workload:
 # --- planning ---------------------------------------------------------------
 
 
-class PlanToy(Workload):
-    """Plan each target in-process and serialize its routes as `plan` does."""
+class PlanWire(Workload):
+    """Plan each target with the models behind `retroroute mock-serve`.
 
-    name = "plan-toy"
-    model_layer = "toy"
+    An op runs `beam_search` at the default `SearchConfig`, then
+    `route_to_json` on each pathway and `json.dumps` as `plan` writes it.
+    The same op on an in-process session of the toy oracle is the
+    reference the wire routes must equal byte for byte.
+    """
+
+    name = "plan-wire"
+    model_layer = "wire"
 
     def __init__(self, work: Path, seed: int):
         super().__init__(work, seed)
@@ -134,10 +140,16 @@ class PlanToy(Workload):
         self.items = self.chem.plan_targets
         self.stock_set = set(self.chem.stock)
         self.cfg = SearchConfig()
+        self.wire_manifest = work / "wire_manifest.json"
+        command = [
+            sys.executable, "-m", "retroroute.cli", "mock-serve",
+            str(self.paths["templates"]),
+        ]
+        self.wire_manifest.write_text(
+            json.dumps({"transport": "subprocess", "command": command}), "utf-8"
+        )
 
-    def _session(self, manifest_path: Path, layer: str) -> Session:
-        tracer = Tracer()
-        counts: Counter = Counter()
+    def _session(self, manifest_path: Path, layer: str, tracer: Tracer, counts: Counter):
         client = build_models(ModelManifest.load(manifest_path))
         normalizer = ToyNormalizer()
         start = time.perf_counter()
@@ -156,8 +168,12 @@ class PlanToy(Workload):
             route_json=tracer.wrap("cli.route_json", route_to_json),
         )
 
-    def setup(self) -> Session:
-        return self._session(self.paths["toy_manifest"], "toy")
+    def setup(self, tracer: Tracer, counts: Counter) -> Session:
+        s = self._session(self.wire_manifest, "wire", tracer, counts)
+        # the child starts on the first call; set-up ends with its first reply
+        s.client.retro_predict(self.chem.stock[0], 1)
+        s.client.transport = CountingTransport(s.client.transport, counts, tracer)
+        return s
 
     def op(self, s: Session, target: str):
         outcome = s.beam(
@@ -182,38 +198,12 @@ class PlanToy(Workload):
             target, routes, self.chem.truth, self.stock_set, self.chem.dead
         )
 
-
-class PlanWire(PlanToy):
-    """The same targets with the models behind `retroroute mock-serve`."""
-
-    name = "plan-wire"
-    model_layer = "wire"
-    setup_repeats = 3
-
-    def __init__(self, work: Path, seed: int):
-        super().__init__(work, seed)
-        self.wire_manifest = work / "wire_manifest.json"
-        command = [
-            sys.executable, "-m", "retroroute.cli", "mock-serve",
-            str(self.paths["templates"]),
-        ]
-        self.wire_manifest.write_text(
-            json.dumps({"transport": "subprocess", "command": command}), "utf-8"
-        )
-
-    def setup(self) -> Session:
-        s = self._session(self.wire_manifest, "wire")
-        # the child starts on the first call; set-up ends with its first reply
-        s.client.retro_predict(self.chem.stock[0], 1)
-        s.client.transport = CountingTransport(s.client.transport, s.counts, s.tracer)
-        return s
-
     def verify(self, texts: List[str]) -> List[List[str]]:
         """Routes over the wire must equal in-process routes byte for byte.
 
         Checked on the first VERIFY_TARGETS targets, to keep the run short.
         """
-        s = self._session(self.paths["toy_manifest"], "toy")
+        s = self._session(self.paths["toy_manifest"], "toy", Tracer(), Counter())
         problems = []
         for i, (target, text) in enumerate(zip(self.items, texts)):
             reference = self.op(s, target)[0] if i < VERIFY_TARGETS else text
@@ -238,9 +228,7 @@ class EvalToy(Workload):
         self.paths = self.chem.write(work)
         self.items = self.chem.eval_chunks
 
-    def setup(self) -> Session:
-        tracer = Tracer()
-        counts: Counter = Counter()
+    def setup(self, tracer: Tracer, counts: Counter) -> Session:
         client = build_models(ModelManifest.load(self.paths["toy_manifest"]))
         return Session(
             tracer=tracer,
@@ -284,11 +272,10 @@ class ExportGraph(Workload):
             self.sizes.append(len(snapshot["nodes"]))
         self.items = list(range(len(self.paths)))
 
-    def setup(self) -> Session:
-        tracer = Tracer()
+    def setup(self, tracer: Tracer, counts: Counter) -> Session:
         return Session(
             tracer=tracer,
-            counts=Counter(),
+            counts=counts,
             texts=[path.read_text(encoding="utf-8") for path in self.paths],
             load=tracer.wrap("graph.load", HyperGraph.loads),
             dot=tracer.wrap("graph.dot", HyperGraph.to_dot),
@@ -305,4 +292,4 @@ class ExportGraph(Workload):
         return self.sizes[index]
 
 
-WORKLOADS = {w.name: w for w in (PlanToy, PlanWire, EvalToy, ExportGraph)}
+WORKLOADS = {w.name: w for w in (PlanWire, EvalToy, ExportGraph)}
