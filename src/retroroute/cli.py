@@ -129,17 +129,20 @@ def cmd_plan(args: argparse.Namespace) -> int:
     normalizer = ToyNormalizer()
     stock = load_stocks(stock_paths, normalizer)
     scorer = HeavyTokenScorer()
-    cfg = SearchConfig(
-        n_beams=int(resolve("beams", args.beams, file_config)),
-        max_steps=int(resolve("max_steps", args.max_steps, file_config)),
-        expansion=ExpansionConfig(
-            retro_beams=int(resolve("retro_beams", args.retro_beams, file_config)),
-            auto_accept_likelihood=float(resolve("theta_hi", args.theta_hi, file_config)),
-            selectivity_gap=float(resolve("gap", args.gap, file_config)),
-            forward_topk=int(resolve("forward_topk", args.forward_topk, file_config)),
-            max_concurrency=int(resolve("concurrency", args.concurrency, file_config)),
-        ),
-    )
+    try:
+        cfg = SearchConfig(
+            n_beams=int(resolve("beams", args.beams, file_config)),
+            max_steps=int(resolve("max_steps", args.max_steps, file_config)),
+            expansion=ExpansionConfig(
+                retro_beams=int(resolve("retro_beams", args.retro_beams, file_config)),
+                auto_accept_likelihood=float(resolve("theta_hi", args.theta_hi, file_config)),
+                selectivity_gap=float(resolve("gap", args.gap, file_config)),
+                forward_topk=int(resolve("forward_topk", args.forward_topk, file_config)),
+                max_concurrency=int(resolve("concurrency", args.concurrency, file_config)),
+            ),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid configuration: {exc}") from exc
 
     trace: Optional[List[dict]] = [] if args.trace else None
     try:
@@ -216,14 +219,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     models = build_models(ModelManifest.load(manifest_path))
     normalizer = ToyNormalizer()
     targets = read_targets(args.test)
-    base_label = str(resolve("log_base", args.log_base, file_config))
-    log_base = None if base_label == "e" else float(base_label)
+    try:
+        base_label = str(resolve("log_base", args.log_base, file_config))
+        log_base = None if base_label == "e" else float(base_label)
+        beams = int(resolve("eval_beams", args.beams, file_config))
+        bins = int(resolve("bins", args.bins, file_config))
+    except ValueError as exc:
+        raise ConfigError(f"invalid configuration: {exc}") from exc
     report, records = evaluate(
         targets,
         models,
         normalizer,
-        beams=int(resolve("eval_beams", args.beams, file_config)),
-        bins=int(resolve("bins", args.bins, file_config)),
+        beams=beams,
+        bins=bins,
         log_base=log_base,
         include_unrecognized=args.include_unrecognized,
     )

@@ -34,6 +34,9 @@ _TOKEN_RE = re.compile(TOKEN_PATTERN)
 # Tokens that represent an atom (used by the simplicity surrogate).
 _ATOM_RE = re.compile(r"\[[^\]]+\]|Br|Cl|[NOSPFI]|B|C|[bcnosp]")
 
+# Same character set as str.isspace.
+_SPACE_RE = re.compile(r"\s")
+
 
 @dataclass(frozen=True)
 class Token:
@@ -62,28 +65,39 @@ class TokenStream:
         return "".join(t.text for t in self.tokens)
 
 
+def _scan(s: str) -> List[str]:
+    """Token texts of ``s``; raises UnparsableCharacter at the first gap.
+
+    The matches are contiguous exactly when their lengths add up to the
+    input's, so the match-by-match walk runs only to locate a rejection.
+    """
+    texts = _TOKEN_RE.findall(s)
+    if s and sum(map(len, texts)) == len(s):
+        return texts
+    pos = 0
+    for m in _TOKEN_RE.finditer(s):
+        if m.start() != pos:
+            break
+        pos = m.end()
+    raise UnparsableCharacter(s, pos)
+
+
 def tokenize(s: str) -> TokenStream:
     """Tokenize a molecule or reaction string.
 
     Raises UnparsableCharacter at the first byte outside the token grammar.
     """
-    if not s:
-        raise UnparsableCharacter(s, 0)
     tokens: List[Token] = []
     pos = 0
-    for m in _TOKEN_RE.finditer(s):
-        if m.start() != pos:
-            raise UnparsableCharacter(s, pos)
-        tokens.append(Token(m.group(0), m.start(), m.end()))
-        pos = m.end()
-    if pos != len(s):
-        raise UnparsableCharacter(s, pos)
+    for text in _scan(s):
+        tokens.append(Token(text, pos, pos + len(text)))
+        pos += len(text)
     return TokenStream(tuple(tokens))
 
 
 def atom_count(s: str) -> int:
     """Number of atom tokens in a molecule string."""
-    return sum(1 for t in tokenize(s) if _ATOM_RE.fullmatch(t.text))
+    return sum(1 for text in _scan(s) if _ATOM_RE.fullmatch(text))
 
 
 # --- fragment-group annotation ---------------------------------------------
@@ -187,20 +201,14 @@ class ToyNormalizer(Normalizer):
     """Sort-based normal form for the synthetic chemistry used in tests.
 
     Validates the token grammar, sorts ``~``-tied members inside each unit,
-    then sorts the units themselves. Idempotent by construction. The
-    ``profile`` label distinguishes plain canonicalization from the
-    tautomer-standardizing profile used when preparing model inputs; the toy
-    grammar has no tautomers, so both profiles share the behavior.
+    then sorts the units themselves. Idempotent by construction.
     """
 
-    def __init__(self, profile: str = "canonical"):
-        self.profile = profile
-
     def normalize(self, s: str) -> str:
-        if not s or any(ch.isspace() for ch in s):
+        if not s or _SPACE_RE.search(s):
             raise NotCanonicalizable(f"empty or whitespace-bearing input: {s!r}")
         try:
-            tokenize(s)
+            _scan(s)
         except UnparsableCharacter as exc:
             raise NotCanonicalizable(str(exc)) from exc
         units = []
@@ -214,7 +222,7 @@ class ToyNormalizer(Normalizer):
         return ".".join(sorted(units))
 
     def __repr__(self) -> str:
-        return f"ToyNormalizer(profile={self.profile!r})"
+        return "ToyNormalizer()"
 
 
 class ExternalNormalizer(Normalizer):

@@ -82,6 +82,18 @@ class ToyOracle(ChemModels):
     ):
         self.normalizer = normalizer or ToyNormalizer()
         self.templates = [self._normalized(t) for t in templates]
+        # Candidate indexes, each list in template-file order: lookups must
+        # visit templates in that order so that likelihood sums and
+        # classification ties come out exactly as in a full scan.
+        self._by_product: Dict[str, List[int]] = {}
+        self._by_first_reactant: Dict[str, List[int]] = {}
+        self._reactantless: List[int] = []
+        for i, t in enumerate(self.templates):
+            self._by_product.setdefault(t.product, []).append(i)
+            if t.reactants:
+                self._by_first_reactant.setdefault(t.reactants[0], []).append(i)
+            else:
+                self._reactantless.append(i)
 
     def _normalized(self, t: Template) -> Template:
         norm = self.normalizer.normalize
@@ -103,7 +115,14 @@ class ToyOracle(ChemModels):
 
     def _applicable(self, molecules: Sequence[str]) -> List[Template]:
         pool = set(molecules)
-        return [t for t in self.templates if set(t.reactants) <= pool]
+        candidates = list(self._reactantless)
+        for m in pool:
+            candidates.extend(self._by_first_reactant.get(m, ()))
+        templates = self.templates
+        return [
+            templates[i] for i in sorted(candidates)
+            if pool.issuperset(templates[i].reactants)
+        ]
 
     def _outcomes(self, precursors: PrecursorSet) -> List[Tuple[str, float]]:
         applicable = self._applicable(precursors.molecules)
@@ -139,9 +158,8 @@ class ToyOracle(ChemModels):
     def retro_predict(self, target: str, beams: int) -> List[RetroPrediction]:
         target = self.normalizer.normalize(target)
         suggestions = []
-        for t in self.templates:
-            if t.product != target:
-                continue
+        for i in self._by_product.get(target, ()):
+            t = self.templates[i]
             candidate = PrecursorSet(
                 molecules=t.precursors, reagents=frozenset(t.reagents)
             )
@@ -163,22 +181,11 @@ class ToyOracle(ChemModels):
         except (MalformedReaction, NotCanonicalizable) as exc:
             raise MalformedModelResponse(f"cannot classify {rxn!r}: {exc}") from exc
         pool = set(lhs)
-        products = set(rhs)
+        candidates = sorted(i for p in set(rhs) for i in self._by_product.get(p, ()))
         best: Optional[Template] = None
-        for t in self.templates:
-            if t.product in products and set(t.reactants) <= pool:
+        for i in candidates:
+            t = self.templates[i]
+            if pool.issuperset(t.reactants):
                 if best is None or t.weight > best.weight:
                     best = t
         return best.reaction_class if best is not None else UNRECOGNIZED
-
-    def reagent_molecules(self, precursors: PrecursorSet, product: str) -> frozenset:
-        """Molecules not contributing atoms to the product under the matched template."""
-        try:
-            product = self.normalizer.normalize(product)
-        except NotCanonicalizable:
-            return frozenset()
-        pool = set(precursors.molecules)
-        for t in self.templates:
-            if t.product == product and set(t.reactants) <= pool:
-                return frozenset(pool - set(t.reactants))
-        return frozenset()

@@ -2,8 +2,10 @@
 
 Deliberately naive: the expansion reference re-applies the filtering rules
 one by one with clustering as a plain group-by afterwards,
-and the route reference enumerates every pathway without any beam pruning.
-They share nothing with the engine's expansion/search code paths.
+the route reference enumerates every pathway without any beam pruning,
+and the template reference answers every model call with a full scan of
+the raw template entries. They share nothing with the engine's
+expansion/search code paths or with the toy oracle.
 """
 
 from dataclasses import dataclass
@@ -184,3 +186,54 @@ def reference_enumerate(
     for p in sorted(results, key=lambda p: (-p.score, len(p.arcs), tuple(sorted(p.arcs)))):
         unique.setdefault(frozenset(p.arcs), p)
     return list(unique.values())
+
+
+class ReferenceTemplateOracle:
+    """Full-scan toy chemistry over raw ``{lhs, rhs, weight, class[, reagents]}``
+    entries whose molecules are already in normal form.
+
+    Every call visits all entries in file order, so likelihood sums and
+    classification ties follow the file as written.
+    """
+
+    def __init__(self, entries):
+        self.entries = list(entries)
+
+    def outcomes(self, molecules) -> List[Tuple[str, float]]:
+        pool = set(molecules)
+        applicable = [e for e in self.entries if all(m in pool for m in e["lhs"])]
+        total = sum(e["weight"] for e in applicable)
+        likelihoods: Dict[str, float] = {}
+        for e in applicable:
+            likelihoods[e["rhs"]] = likelihoods.get(e["rhs"], 0.0) + e["weight"] / total
+        return sorted(likelihoods.items(), key=lambda kv: (-kv[1], kv[0]))
+
+    def forward(self, molecules, topk: int) -> List[Tuple[str, float]]:
+        return self.outcomes(molecules)[:topk]
+
+    def score(self, molecules, product: str) -> float:
+        return dict(self.outcomes(molecules)).get(product, 0.0)
+
+    def retro(self, target: str, beams: int) -> List[Tuple[Tuple[str, ...], FrozenSet[str], float]]:
+        """(molecules, reagents, confidence) per suggestion, best first."""
+        suggestions = []
+        for e in self.entries:
+            if e["rhs"] != target:
+                continue
+            molecules: List[str] = []
+            for m in list(e["lhs"]) + list(e.get("reagents", ())):
+                if m not in molecules:
+                    molecules.append(m)
+            reagents = frozenset(e.get("reagents", ()))
+            suggestions.append((tuple(molecules), reagents, self.score(molecules, target)))
+        suggestions.sort(key=lambda s: (-s[2], ".".join(sorted(s[0]))))
+        return suggestions[:beams]
+
+    def classify(self, lhs, rhs) -> Optional[str]:
+        """Class code of the heaviest matching entry (first one on ties)."""
+        best = None
+        for e in self.entries:
+            if e["rhs"] in rhs and all(m in lhs for m in e["lhs"]):
+                if best is None or e["weight"] > best["weight"]:
+                    best = e
+        return best["class"] if best is not None else None

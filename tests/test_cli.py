@@ -166,3 +166,20 @@ class TestConfigPrecedence:
                      "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "r.json")])
         assert code == EXIT_CONFIG
+
+
+class TestBadConfigValues:
+    def assert_config_error(self, code, capsys):
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_gap_not_below_theta_hi(self, plan_args, capsys):
+        self.assert_config_error(main(plan_args("CNOS", "--gap", "0.9")), capsys)
+
+    def test_zero_beams(self, plan_args, capsys):
+        self.assert_config_error(main(plan_args("CNOS", "--beams", "0")), capsys)
+
+    def test_non_numeric_env_value(self, plan_args, monkeypatch, capsys):
+        monkeypatch.setenv("RETROROUTE_BEAMS", "abc")
+        self.assert_config_error(main(plan_args()), capsys)

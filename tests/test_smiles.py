@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from retroroute.errors import (
     UnparsableCharacter,
 )
 from retroroute.smiles import (
+    TOKEN_PATTERN,
     ToyNormalizer,
     atom_count,
     bind_fragments,
@@ -70,6 +72,56 @@ SMILES_ALPHABET = ["C", "N", "O", "S", "Cl", "Br", "c", "n", "[NH3+]", "[13C]",
 def test_tokenize_join_roundtrip(parts):
     s = "".join(parts)
     assert tokenize(s).join() == s
+
+
+@pytest.mark.parametrize("s, atoms", [
+    ("CCO", 3), ("c1ccccc1", 6), ("[Na+].[Cl-]", 2), ("ClBr", 2), ("C~O", 2),
+    ("C%12C", 2), ("CC(=O)Oc1ccccc1C(=O)O", 13), ("C(=O)O", 3), ("O~C", 2),
+    ("O.C~N.C", 4), ("[NH3+][13C]Br", 3), ("CNOS", 4),
+])
+def test_atom_count_on_fixtures(s, atoms):
+    assert atom_count(s) == atoms
+
+
+def first_gap(s):
+    """Where a left-to-right walk over whole tokens gets stuck, or None."""
+    token = re.compile(TOKEN_PATTERN)
+    pos = 0
+    while pos < len(s):
+        m = token.match(s, pos)
+        if m is None:
+            return pos
+        pos = m.end()
+    return None
+
+
+JUNK = ["!", "x", "%", "[", "]", " ", "\t"]
+
+
+@given(st.lists(st.sampled_from(SMILES_ALPHABET + JUNK), min_size=1, max_size=20))
+def test_normalize_accepts_what_tokenize_accepts(parts):
+    """normalize rejects a string outside the token grammar at the position
+    tokenize reports; otherwise it rejects only on its own rules
+    (whitespace, empty fragments)."""
+    s = "".join(parts)
+    gap = first_gap(s)
+    has_space = any(ch.isspace() for ch in s)
+    if gap is not None:
+        with pytest.raises(UnparsableCharacter) as tokenized:
+            tokenize(s)
+        assert tokenized.value.position == gap
+        with pytest.raises(NotCanonicalizable) as normalized:
+            ToyNormalizer().normalize(s)
+        if not has_space:
+            assert str(normalized.value) == str(tokenized.value)
+        return
+    assert tokenize(s).join() == s
+    fragments = [m for unit in s.split(".") for m in unit.split("~")]
+    if has_space or not all(fragments):
+        with pytest.raises(NotCanonicalizable):
+            ToyNormalizer().normalize(s)
+    else:
+        ToyNormalizer().normalize(s)
 
 
 class TestFragmentGroups:

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from retroroute.errors import MalformedModelResponse
-from retroroute.models import PrecursorSet, ReactionClass
+from retroroute.models import UNRECOGNIZED, PrecursorSet, ReactionClass
 from retroroute.toy import Template, ToyOracle
 
 from conftest import TOY_TEMPLATES, make_templates
+from reference import ReferenceTemplateOracle
 
 
 def ps(*molecules, reagents=()):
@@ -97,16 +99,68 @@ class TestConsistency:
         assert pred.precursors.reagents == {"O"}
         assert pred.precursors.reactants == ("C", "N")
 
-    def test_reagent_molecules_helper(self):
-        oracle = ToyOracle(make_templates([
-            {"lhs": ["C", "N"], "rhs": "CN", "weight": 1.0, "class": "1.1.1",
-             "reagents": ["O"]},
-        ]))
-        assert oracle.reagent_molecules(PrecursorSet(("C", "N", "O")), "CN") == {"O"}
-
 
 def test_precursor_set_dedups_and_orders():
     p = PrecursorSet(("C", "N", "C"))
     assert p.molecules == ("C", "N")
     assert p.key() == "C.N"
     assert p.joined() == "C.N"
+
+
+# Molecules already in normal form, few enough that random template sets
+# share products and reactants.
+MOLECULES = ["C", "N", "O", "S", "CN", "CO", "NO"]
+molecule_lists = st.lists(st.sampled_from(MOLECULES), max_size=3)
+template_entries = st.lists(
+    st.fixed_dictionaries(
+        {
+            "lhs": molecule_lists,  # may be empty: a reactant-less template
+            "rhs": st.sampled_from(MOLECULES),
+            "weight": st.one_of(
+                st.sampled_from([0.5, 1.0, 2.0]),  # equal weights tie
+                st.floats(min_value=0.01, max_value=10.0),
+            ),
+            "class": st.sampled_from(["1.1.1", "2.1.1", "3.2.1", "11.4.2"]),
+            "reagents": molecule_lists,
+        }
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=template_entries,
+    pool=molecule_lists,
+    product=st.sampled_from(MOLECULES),
+    products=st.lists(st.sampled_from(MOLECULES), max_size=2),
+    n=st.integers(min_value=1, max_value=15),
+)
+def test_indexed_lookups_equal_full_scan(entries, pool, product, products, n):
+    oracle = ToyOracle(make_templates(entries))
+    reference = ReferenceTemplateOracle(entries)
+    precursors = PrecursorSet(tuple(pool))
+
+    forward = oracle.forward_predict(precursors, topk=n)
+    assert [(f.product, f.likelihood) for f in forward] == reference.forward(
+        precursors.molecules, n
+    )
+    assert [f.rank for f in forward] == list(range(1, len(forward) + 1))
+    assert oracle.score_reaction(precursors, product) == reference.score(
+        precursors.molecules, product
+    )
+
+    retro = oracle.retro_predict(product, beams=n)
+    assert [
+        (r.precursors.molecules, r.precursors.reagents, r.model_confidence)
+        for r in retro
+    ] == reference.retro(product, n)
+
+    # the random reaction, and each template's own reaction plus the pool
+    reactions = [(pool, products)] + [
+        (e["lhs"] + e["reagents"] + pool, [e["rhs"]] + products) for e in entries
+    ]
+    for lhs, rhs in reactions:
+        cls = oracle.classify(".".join(lhs) + ">>" + ".".join(rhs))
+        expected = reference.classify(set(lhs), set(rhs))
+        assert cls == (ReactionClass.parse(expected) if expected else UNRECOGNIZED)
