@@ -53,9 +53,6 @@ class HyperGraph:
         self.index: Dict[str, int] = {}
         self.arcs_by_product: Dict[int, List[int]] = {}
         self.root: Optional[int] = None
-        # per-node bitmask of nodes reachable in the product -> precursor
-        # direction (everything the node's synthesis can depend on)
-        self._descendants: Dict[int, int] = {}
         self._next_node = 0
         self._next_arc = 0
 
@@ -71,7 +68,6 @@ class HyperGraph:
         self.nodes[node_id] = MoleculeNode(id=node_id, smiles=smiles, **attrs)
         self.index[smiles] = node_id
         self.arcs_by_product[node_id] = []
-        self._descendants[node_id] = 0
         if self.root is None:
             self.root = node_id
         return node_id
@@ -82,13 +78,23 @@ class HyperGraph:
     # --- arcs ---------------------------------------------------------------
 
     def would_create_cycle(self, product: int, precursors: Iterable[int]) -> bool:
-        """True iff some precursor's synthesis already depends on the product."""
-        product_bit = 1 << product
-        for p in precursors:
-            if p == product:
+        """True iff some precursor's synthesis already depends on the product.
+
+        Depth-first walk in the product -> precursor direction from the
+        precursors; each node is visited once, so the cost is bounded by the
+        subgraph the precursors can reach (nothing, for unexpanded ones).
+        """
+        stack = list(precursors)
+        seen = set(stack)
+        while stack:
+            node_id = stack.pop()
+            if node_id == product:
                 return True
-            if self._descendants[p] & product_bit:
-                return True
+            for arc_id in self.arcs_by_product[node_id]:
+                for p in self.arcs[arc_id].precursors:
+                    if p not in seen:
+                        seen.add(p)
+                        stack.append(p)
         return False
 
     def attach_arc(
@@ -125,24 +131,7 @@ class HyperGraph:
         )
         self.arcs[arc_id] = arc
         self.arcs_by_product[product].append(arc_id)
-        self._propagate_descendants(product, precursors)
         return arc_id
-
-    def _propagate_descendants(self, product: int, precursors: Tuple[int, ...]) -> None:
-        added = 0
-        for p in precursors:
-            added |= self._descendants[p] | (1 << p)
-        # every node that can already reach the product gains the new mask
-        if not added & ~self._descendants[product]:
-            return
-        product_bit = 1 << product
-        self._descendants[product] |= added
-        for node_id, mask in self._descendants.items():
-            if mask & product_bit:
-                self._descendants[node_id] = mask | added
-
-    def arcs_of(self, product: int) -> List[int]:
-        return list(self.arcs_by_product.get(product, ()))
 
     # --- route extraction ---------------------------------------------------
 
@@ -181,32 +170,6 @@ class HyperGraph:
         if len(ordered) != len(selected):
             raise NotATree("disconnected")
         return RouteTree(root=self.root, arcs=tuple(ordered), leaves=frozenset(leaves))
-
-    # --- consistency helpers (used by debug/test mode) ----------------------
-
-    def recompute_descendants(self) -> Dict[int, int]:
-        """From-scratch reachability, for validating the incremental bitsets."""
-        masks = {n: 0 for n in self.nodes}
-        changed = True
-        while changed:
-            changed = False
-            for arc in self.arcs.values():
-                add = 0
-                for p in arc.precursors:
-                    add |= masks[p] | (1 << p)
-                if add & ~masks[arc.product]:
-                    masks[arc.product] |= add
-                    changed = True
-                    for n, m in masks.items():
-                        if m & (1 << arc.product) and add & ~m:
-                            masks[n] = m | add
-        return masks
-
-    def is_acyclic(self) -> bool:
-        for node_id, mask in self.recompute_descendants().items():
-            if mask & (1 << node_id):
-                return False
-        return True
 
     # --- serialization ------------------------------------------------------
 

@@ -190,11 +190,13 @@ class SubprocessTransport:
     def __init__(self, command: Sequence[str]):
         self.command = list(command)
         self._proc: Optional[subprocess.Popen] = None
-        self._pending: Dict[str, "queue.Queue[str]"] = {}
+        # waiters of the running child's reader; None once that reader has
+        # reached EOF, so that nothing registers for replies that never come
+        self._pending: Optional[Dict[str, "queue.Queue[Optional[str]]"]] = None
         self._lock = threading.Lock()
         self._reader: Optional[threading.Thread] = None
 
-    def _ensure(self) -> subprocess.Popen:
+    def _ensure(self) -> None:
         with self._lock:
             if self._proc is None or self._proc.poll() is not None:
                 try:
@@ -207,13 +209,14 @@ class SubprocessTransport:
                     )
                 except OSError as exc:
                     raise ModelUnavailable(f"cannot start {self.command}: {exc}") from exc
-                self._reader = threading.Thread(target=self._read_loop, daemon=True)
+                self._pending = {}
+                self._reader = threading.Thread(
+                    target=self._read_loop, args=(self._proc, self._pending), daemon=True
+                )
                 self._reader.start()
-            return self._proc
 
-    def _read_loop(self) -> None:
-        proc = self._proc
-        assert proc is not None and proc.stdout is not None
+    def _read_loop(self, proc: subprocess.Popen, pending: Dict[str, queue.Queue]) -> None:
+        assert proc.stdout is not None
         for line in proc.stdout:
             line = line.strip()
             if not line:
@@ -224,29 +227,43 @@ class SubprocessTransport:
                 logger.warning("dropping malformed response line: %r", line)
                 continue
             with self._lock:
-                waiter = self._pending.pop(msg["id"], None)
+                waiter = pending.pop(msg["id"], None)
             if waiter is not None:
                 waiter.put(line)
+        # EOF: the child is gone; wake every waiter with None (no reply)
+        with self._lock:
+            waiters = list(pending.values())
+            pending.clear()
+            if self._pending is pending:
+                self._pending = None
+        for waiter in waiters:
+            waiter.put(None)
 
     def call(self, line: str, req_id: str, timeout: float) -> str:
-        proc = self._ensure()
-        waiter: "queue.Queue[str]" = queue.Queue(maxsize=1)
+        self._ensure()
+        waiter: "queue.Queue[Optional[str]]" = queue.Queue(maxsize=1)
         with self._lock:
-            self._pending[req_id] = waiter
+            proc, pending = self._proc, self._pending
+            if proc is None or pending is None:
+                raise ModelUnavailable(f"model process {self.command} closed its output")
+            pending[req_id] = waiter
         try:
             assert proc.stdin is not None
             proc.stdin.write(line + "\n")
             proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             with self._lock:
-                self._pending.pop(req_id, None)
+                pending.pop(req_id, None)
             raise ModelUnavailable(f"model process died: {exc}") from exc
         try:
-            return waiter.get(timeout=timeout)
+            reply = waiter.get(timeout=timeout)
         except queue.Empty:
             with self._lock:
-                self._pending.pop(req_id, None)
+                pending.pop(req_id, None)
             raise ModelTimeout(f"no response within {timeout}s for {req_id}")
+        if reply is None:
+            raise ModelUnavailable(f"model process closed its output before answering {req_id}")
+        return reply
 
     def close(self) -> None:
         with self._lock:

@@ -3,9 +3,10 @@
 Deliberately naive: the expansion reference re-applies the filtering rules
 one by one with clustering as a plain group-by afterwards,
 the route reference enumerates every pathway without any beam pruning,
-and the template reference answers every model call with a full scan of
-the raw template entries. They share nothing with the engine's
-expansion/search code paths or with the toy oracle.
+the template reference answers every model call with a full scan of
+the raw template entries, and the dependency closure works on raw
+(product, precursors) pairs. They share nothing with the engine's
+expansion/search code paths, the toy oracle or the hypergraph.
 """
 
 from dataclasses import dataclass
@@ -237,3 +238,49 @@ class ReferenceTemplateOracle:
                 if best is None or e["weight"] > best["weight"]:
                     best = e
         return best["class"] if best is not None else None
+
+
+# --- dependency closure over raw (product, precursors) pairs -----------------
+#
+# The adjacency maps a product to every molecule any of its arcs consumes.
+# Tests grow it one accepted arc at a time with `reference_add_arc`.
+
+
+def reference_add_arc(adjacency: Dict[int, Set[int]], product: int, precursors) -> None:
+    adjacency.setdefault(product, set()).update(precursors)
+
+
+def reference_requires(adjacency: Dict[int, Set[int]], node: int) -> Set[int]:
+    """Every molecule the synthesis of `node` can depend on (breadth-first)."""
+    found: Set[int] = set()
+    layer = set(adjacency.get(node, ()))
+    while layer:
+        found |= layer
+        layer = {p for n in layer for p in adjacency.get(n, ())} - found
+    return found
+
+
+def reference_closes_cycle(adjacency: Dict[int, Set[int]], product: int, precursors) -> bool:
+    """True iff the arc product <- precursors would make a molecule require itself."""
+    return any(p == product or product in reference_requires(adjacency, p) for p in precursors)
+
+
+def reference_is_acyclic(adjacency: Dict[int, Set[int]]) -> bool:
+    """Kahn's algorithm: acyclic iff every molecule can be peeled off."""
+    nodes = set(adjacency)
+    for precursors in adjacency.values():
+        nodes |= precursors
+    consumers: Dict[int, int] = {n: 0 for n in nodes}
+    for precursors in adjacency.values():
+        for p in precursors:
+            consumers[p] += 1
+    ready = [n for n, count in consumers.items() if count == 0]
+    peeled = 0
+    while ready:
+        n = ready.pop()
+        peeled += 1
+        for p in adjacency.get(n, ()):
+            consumers[p] -= 1
+            if consumers[p] == 0:
+                ready.append(p)
+    return peeled == len(nodes)

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,6 +6,13 @@ import pytest
 from retroroute.errors import CycleRejected, NotATree
 from retroroute.graph import HyperGraph
 from retroroute.models import ReactionClass
+
+from reference import (
+    reference_add_arc,
+    reference_closes_cycle,
+    reference_is_acyclic,
+    reference_requires,
+)
 
 CLS = ReactionClass.parse("1.1.1")
 
@@ -18,6 +26,14 @@ def arc(g, product, precursors, likelihood=1.0, score=1.0, reagents=()):
         reaction_class=CLS,
         arc_score=score,
     )
+
+
+def raw_adjacency(g):
+    """The oracle's view of a graph: its arcs as raw (product, precursors) pairs."""
+    adjacency = {}
+    for a in g.arcs.values():
+        reference_add_arc(adjacency, a.product, a.precursors)
+    return adjacency
 
 
 class TestNodes:
@@ -48,7 +64,7 @@ class TestCycles:
         g = HyperGraph()
         c, a, b = (g.get_or_insert_node(s) for s in ("CO", "C", "O"))
         arc(g, c, [a, b])
-        assert g.is_acyclic()
+        assert reference_is_acyclic(raw_adjacency(g))
 
     def test_two_cycle_rejected(self):
         g = HyperGraph()
@@ -57,7 +73,7 @@ class TestCycles:
         arc(g, c, [a])
         with pytest.raises(CycleRejected):
             arc(g, a, [c])
-        assert g.is_acyclic()
+        assert raw_adjacency(g) == {c: {a}}
 
     def test_self_loop_rejected(self):
         g = HyperGraph()
@@ -71,38 +87,41 @@ class TestCycles:
         a = g.get_or_insert_node("C")
         o = g.get_or_insert_node("O")
         arc(g, c, [a])
-        before = dict(g._descendants)
+        before = g.dumps()
         assert g.would_create_cycle(a, [c])
         assert not g.would_create_cycle(c, [o])
-        assert g._descendants == before
+        assert g.dumps() == before
 
     def test_randomized_against_reachability_oracle(self):
         rng = random.Random(11)
         for trial in range(5):
             g = HyperGraph()
             nodes = [g.get_or_insert_node(f"[M{i}]") for i in range(30)]
+            adjacency = {}
             for _ in range(250):
                 product = rng.choice(nodes)
                 k = rng.randint(1, 3)
                 precursors = rng.sample([n for n in nodes if n != product], k)
                 if rng.random() < 0.2:
                     # adversarial back-arc: aim at a node the product depends on
-                    deps = [n for n in nodes if g._descendants[product] >> n & 1]
+                    required = reference_requires(adjacency, product)
+                    deps = [n for n in nodes if n in required]
                     if deps:
                         product, precursors = rng.choice(deps), [product]
-                expected_masks = g.recompute_descendants()
-                expected_cycle = any(
-                    p == product or expected_masks[p] >> product & 1
-                    for p in precursors
-                )
+                expected_cycle = reference_closes_cycle(adjacency, product, precursors)
                 assert g.would_create_cycle(product, precursors) == expected_cycle
                 if expected_cycle:
                     with pytest.raises(CycleRejected):
                         arc(g, product, precursors)
                 else:
                     arc(g, product, precursors)
-                assert g._descendants == g.recompute_descendants()
-            assert g.is_acyclic()
+                    reference_add_arc(adjacency, product, precursors)
+            for m in nodes:
+                required = reference_requires(adjacency, m)
+                for n in nodes:
+                    assert g.would_create_cycle(n, [m]) == (n == m or n in required)
+            assert raw_adjacency(g) == adjacency
+            assert reference_is_acyclic(adjacency)
 
 
 class TestExtractRoute:
@@ -157,7 +176,40 @@ class TestSerialization:
         assert g2.root == g.root
         assert set(g2.nodes) == set(g.nodes)
         assert set(g2.arcs) == set(g.arcs)
-        assert g2._descendants == g._descendants
+        for n in g.nodes:
+            for m in g.nodes:
+                assert g2.would_create_cycle(n, [m]) == g.would_create_cycle(n, [m])
+
+    def test_load_rejects_two_cycle(self):
+        snapshot = self.snapshot(["CO", "C"], [(0, [1]), (1, [0])])
+        with pytest.raises(CycleRejected):
+            HyperGraph.loads(snapshot)
+
+    def test_load_rejects_long_cycle_through_shared_node(self):
+        # 0 <- {1, 2}, 1 <- {3}, 2 <- {3}, 3 <- {4}, 4 <- {5}, then 5 <- {0}
+        snapshot = self.snapshot(
+            ["A", "B", "C", "D", "E", "F"],
+            [(0, [1, 2]), (1, [3]), (2, [3]), (3, [4]), (4, [5]), (5, [0])],
+        )
+        with pytest.raises(CycleRejected):
+            HyperGraph.loads(snapshot)
+        # the same snapshot without the closing arc loads
+        acyclic = json.loads(snapshot)
+        acyclic["arcs"].pop()
+        assert len(HyperGraph.from_json(acyclic).arcs) == 5
+
+    @staticmethod
+    def snapshot(smiles, arcs):
+        """Snapshot text written by hand, so the engine's own check cannot shape it."""
+        return json.dumps({
+            "root": 0,
+            "nodes": [{"id": i, "smiles": s} for i, s in enumerate(smiles)],
+            "arcs": [
+                {"id": i, "product": product, "precursors": precursors,
+                 "likelihood": 1.0, "class": "1.1.1", "score": 1.0}
+                for i, (product, precursors) in enumerate(arcs)
+            ],
+        })
 
     def test_dot_export_shapes(self):
         g, ids, arcs = TestExtractRoute().build_chain()

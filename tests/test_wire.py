@@ -2,6 +2,7 @@ import io
 import json
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -159,6 +160,35 @@ class TestSubprocessClient:
         )
         with pytest.raises(ModelUnavailable):
             client.retro_predict("CN", 5)
+
+    def test_child_exit_is_unavailable_not_timeout(self):
+        # the child reads one request and exits without answering
+        client = WireClient(
+            SubprocessTransport([sys.executable, "-c", "import sys; sys.stdin.readline()"]),
+            timeout=2, retries=1, backoff=0.1,
+        )
+        start = time.monotonic()
+        try:
+            with pytest.raises(ModelUnavailable):
+                client.retro_predict("CN", 5)
+        finally:
+            client.close()
+        assert time.monotonic() - start < 1.0
+
+    def test_call_after_reader_exit_does_not_wait(self):
+        # the child closes its output but stays alive, so it is not restarted
+        transport = SubprocessTransport(
+            [sys.executable, "-c", "import os, time; os.close(1); time.sleep(30)"]
+        )
+        try:
+            for i in range(3):
+                start = time.monotonic()
+                with pytest.raises(ModelUnavailable):
+                    transport.call(encode_request(str(i), "classify", ["C.N>>CN"], {}),
+                                   str(i), timeout=2)
+                assert time.monotonic() - start < 1.0
+        finally:
+            transport.close()
 
 
 def test_http_transport(toy_oracle):
