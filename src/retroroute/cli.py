@@ -24,7 +24,6 @@ from typing import Any, Dict, List, Optional, Sequence
 from .errors import ConfigError, EmptyEvaluation, IoError, NotCanonicalizable, RetroRouteError
 from .expand import ExpansionConfig
 from .graph import HyperGraph
-from .metrics import evaluate
 from .models import ModelManifest
 from .search import (
     HeavyTokenScorer,
@@ -212,6 +211,9 @@ def read_targets(path: str) -> List[str]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    # imported here so that `plan` and the model child never load numpy
+    from .metrics import evaluate
+
     file_config = load_config_file(args.config)
     manifest_path = args.models or file_config.get("models")
     if not manifest_path:

@@ -94,6 +94,13 @@ class ExternalScorer(ComplexityScorer):
             except (OSError, ValueError) as exc:
                 raise ScorerUnavailable(f"external scorer failed: {exc}") from exc
 
+    def close(self) -> None:
+        with self._lock:
+            if self._proc is not None and self._proc.poll() is None:
+                self._proc.terminate()
+                self._proc.wait(timeout=5)
+            self._proc = None
+
 
 def simplicity(smiles: str, scorer: ComplexityScorer) -> float:
     """Map complexity in [1, 5] to simplicity in [0, 1] (1 = simplest)."""

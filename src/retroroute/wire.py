@@ -7,17 +7,17 @@ local subprocess (stdin/stdout) or HTTP POST.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
-import queue
+import math
+import os
+import select
 import subprocess
 import threading
 import time
-import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Sequence
-
-import requests
 
 from .errors import (
     MalformedModelResponse,
@@ -39,6 +39,9 @@ from .models import (
 logger = logging.getLogger(__name__)
 
 OPS = ("retro", "forward", "score", "classify")
+
+# largest HTTP request body serve_http reads; a longer one is refused unread
+MAX_REQUEST_BYTES = 8 * 1024 * 1024
 
 
 # --- message encoding -------------------------------------------------------
@@ -152,7 +155,16 @@ def serve_http(models: ChemModels, host: str, port: int) -> ThreadingHTTPServer:
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):  # noqa: N802 (http.server API)
-            length = int(self.headers.get("Content-Length", 0))
+            try:
+                length = int(self.headers.get("Content-Length", ""))
+            except ValueError:
+                length = -1
+            if length < 0:
+                self.send_error(400, "a non-negative integer Content-Length is required")
+                return
+            if length > MAX_REQUEST_BYTES:
+                self.send_error(413, f"request body over {MAX_REQUEST_BYTES} bytes")
+                return
             body = self.rfile.read(length).decode("utf-8")
             lines = []
             for raw in body.splitlines():
@@ -180,45 +192,34 @@ def serve_http(models: ChemModels, host: str, port: int) -> ThreadingHTTPServer:
 
 # --- transports -------------------------------------------------------------
 
-class SubprocessTransport:
-    """Speaks the protocol to a child process over stdin/stdout.
+class _Child:
+    """One model process and what has been read from its output so far."""
 
-    A background thread reads replies and matches them to requests by id,
-    so out-of-order completion by the service is permitted.
-    """
+    def __init__(self, command: List[str]):
+        self.proc = subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        self.fd = self.proc.stdout.fileno()
+        self.poller = select.poll()
+        self.poller.register(self.fd, select.POLLIN)
+        self.buf = b""
+        # id -> reply line, or None until it arrives; only waiting callers have an entry
+        self.replies: Dict[str, Optional[str]] = {}
+        self.reading = False
+        self.eof = False
 
-    def __init__(self, command: Sequence[str]):
-        self.command = list(command)
-        self._proc: Optional[subprocess.Popen] = None
-        # waiters of the running child's reader; None once that reader has
-        # reached EOF, so that nothing registers for replies that never come
-        self._pending: Optional[Dict[str, "queue.Queue[Optional[str]]"]] = None
-        self._lock = threading.Lock()
-        self._reader: Optional[threading.Thread] = None
+    def read(self, timeout: float) -> Optional[bytes]:
+        """Wait up to `timeout` seconds for output: None if none came, b"" at EOF."""
+        if not self.poller.poll(math.ceil(timeout * 1000)):
+            return None
+        try:
+            return os.read(self.fd, 65536)
+        except OSError:
+            return b""
 
-    def _ensure(self) -> None:
-        with self._lock:
-            if self._proc is None or self._proc.poll() is not None:
-                try:
-                    self._proc = subprocess.Popen(
-                        self.command,
-                        stdin=subprocess.PIPE,
-                        stdout=subprocess.PIPE,
-                        text=True,
-                        bufsize=1,
-                    )
-                except OSError as exc:
-                    raise ModelUnavailable(f"cannot start {self.command}: {exc}") from exc
-                self._pending = {}
-                self._reader = threading.Thread(
-                    target=self._read_loop, args=(self._proc, self._pending), daemon=True
-                )
-                self._reader.start()
-
-    def _read_loop(self, proc: subprocess.Popen, pending: Dict[str, queue.Queue]) -> None:
-        assert proc.stdout is not None
-        for line in proc.stdout:
-            line = line.strip()
+    def file(self, data: bytes) -> None:
+        """Keep each complete reply line in `data` for the caller waiting on its id."""
+        *lines, self.buf = (self.buf + data).split(b"\n")
+        for raw in lines:
+            line = raw.strip().decode("utf-8", "replace")
             if not line:
                 continue
             try:
@@ -226,64 +227,102 @@ class SubprocessTransport:
             except MalformedModelResponse:
                 logger.warning("dropping malformed response line: %r", line)
                 continue
-            with self._lock:
-                waiter = pending.pop(msg["id"], None)
-            if waiter is not None:
-                waiter.put(line)
-        # EOF: the child is gone; wake every waiter with None (no reply)
-        with self._lock:
-            waiters = list(pending.values())
-            pending.clear()
-            if self._pending is pending:
-                self._pending = None
-        for waiter in waiters:
-            waiter.put(None)
+            req_id = msg["id"]
+            if isinstance(req_id, str) and req_id in self.replies:
+                self.replies[req_id] = line
+
+
+class SubprocessTransport:
+    """Speaks the protocol to a child process over stdin/stdout.
+
+    The thread that sends a request reads its own reply. One caller at a
+    time holds the reader role: it reads what the child has written, keeps a
+    reply for the other caller that waits on its id, drops a reply nobody
+    waits for (a late one to a timed-out call), and gives the role up.
+    Replies are matched by id, so the service may answer out of order.
+    """
+
+    def __init__(self, command: Sequence[str]):
+        self.command = list(command)
+        self._child: Optional[_Child] = None
+        self._cond = threading.Condition()
+        self._write_lock = threading.Lock()
 
     def call(self, line: str, req_id: str, timeout: float) -> str:
-        self._ensure()
-        waiter: "queue.Queue[Optional[str]]" = queue.Queue(maxsize=1)
-        with self._lock:
-            proc, pending = self._proc, self._pending
-            if proc is None or pending is None:
+        deadline = time.monotonic() + timeout
+        with self._cond:
+            child = self._child
+            if child is None or child.proc.poll() is not None:
+                try:
+                    child = self._child = _Child(self.command)
+                except OSError as exc:
+                    raise ModelUnavailable(f"cannot start {self.command}: {exc}") from exc
+            if child.eof:
                 raise ModelUnavailable(f"model process {self.command} closed its output")
-            pending[req_id] = waiter
+            child.replies[req_id] = None
         try:
-            assert proc.stdin is not None
-            proc.stdin.write(line + "\n")
-            proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            with self._lock:
-                pending.pop(req_id, None)
+            with self._write_lock:
+                child.proc.stdin.write(line.encode("utf-8") + b"\n")
+                child.proc.stdin.flush()
+        except OSError as exc:
+            with self._cond:
+                del child.replies[req_id]
             raise ModelUnavailable(f"model process died: {exc}") from exc
-        try:
-            reply = waiter.get(timeout=timeout)
-        except queue.Empty:
-            with self._lock:
-                pending.pop(req_id, None)
-            raise ModelTimeout(f"no response within {timeout}s for {req_id}")
-        if reply is None:
-            raise ModelUnavailable(f"model process closed its output before answering {req_id}")
-        return reply
+        with self._cond:
+            while True:
+                reply = child.replies[req_id]
+                if reply is not None:
+                    del child.replies[req_id]
+                    return reply
+                if child.eof:
+                    del child.replies[req_id]
+                    raise ModelUnavailable(
+                        f"model process closed its output before answering {req_id}"
+                    )
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    del child.replies[req_id]
+                    raise ModelTimeout(f"no response within {timeout}s for {req_id}")
+                if child.reading:
+                    self._cond.wait(remaining)
+                    continue
+                child.reading = True
+                self._cond.release()
+                try:
+                    data = child.read(remaining)
+                finally:
+                    self._cond.acquire()
+                    child.reading = False
+                    self._cond.notify_all()
+                if data == b"":
+                    child.eof = True
+                elif data:
+                    child.file(data)
 
     def close(self) -> None:
-        with self._lock:
-            if self._proc is not None and self._proc.poll() is None:
-                self._proc.terminate()
+        with self._cond:
+            child, self._child = self._child, None
+            if child is not None and child.proc.poll() is None:
+                child.proc.terminate()
                 try:
-                    self._proc.wait(timeout=5)
+                    child.proc.wait(timeout=5)
                 except subprocess.TimeoutExpired:
-                    self._proc.kill()
-            self._proc = None
+                    child.proc.kill()
 
 
 class HttpTransport:
     """POSTs one request line at a time to a model endpoint."""
 
-    def __init__(self, endpoint: str, session: Optional[requests.Session] = None):
+    def __init__(self, endpoint: str, session: Optional["requests.Session"] = None):
+        # imported here so that the subprocess child, which serves stdio, never loads it
+        import requests
+
         self.endpoint = endpoint
         self.session = session or requests.Session()
 
     def call(self, line: str, req_id: str, timeout: float) -> str:
+        import requests
+
         try:
             resp = self.session.post(self.endpoint, data=line + "\n", timeout=timeout)
         except requests.Timeout as exc:
@@ -330,11 +369,12 @@ class WireClient(ChemModels):
         self.retries = retries
         self.backoff = backoff
         self._slots = threading.BoundedSemaphore(max_in_flight)
+        self._ids = itertools.count()
 
     def _call(self, op: str, inputs: List[Any], params: Dict[str, Any]) -> Any:
         last_error: Optional[ModelError] = None
         for attempt in range(self.retries + 1):
-            req_id = uuid.uuid4().hex
+            req_id = str(next(self._ids))
             line = encode_request(req_id, op, inputs, params)
             try:
                 with self._slots:

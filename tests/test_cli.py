@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import retroroute
 
 from retroroute.cli import (
     EXIT_CONFIG,
@@ -183,3 +188,17 @@ class TestBadConfigValues:
     def test_non_numeric_env_value(self, plan_args, monkeypatch, capsys):
         monkeypatch.setenv("RETROROUTE_BEAMS", "abc")
         self.assert_config_error(main(plan_args()), capsys)
+
+
+def test_cli_import_loads_neither_numpy_nor_requests():
+    # the mock-serve model child imports the CLI and uses neither
+    src = os.path.dirname(os.path.dirname(retroroute.__file__))
+    code = (
+        "import retroroute.cli, sys\n"
+        "sys.exit(sorted({'numpy', 'requests'} & set(sys.modules)) or 0)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

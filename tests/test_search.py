@@ -79,6 +79,9 @@ def test_external_scorer_line_protocol():
     assert scorer.sc("C") == 2.0
     assert scorer.sc("CC") == 3.0
     assert 0.0 <= simplicity("CCO", scorer) <= 1.0
+    child = scorer._proc
+    scorer.close()
+    assert child.returncode is not None
 
 
 def test_external_scorer_unavailable():

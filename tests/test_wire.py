@@ -1,5 +1,7 @@
+import http.client
 import io
 import json
+import logging
 import sys
 import threading
 import time
@@ -7,10 +9,11 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from retroroute.errors import MalformedModelResponse, ModelUnavailable
+from retroroute.errors import MalformedModelResponse, ModelTimeout, ModelUnavailable
 from retroroute.models import ModelManifest, PrecursorSet, TokenSubstitution
 from retroroute.toy import ToyOracle
 from retroroute.wire import (
+    MAX_REQUEST_BYTES,
     HttpTransport,
     SubprocessTransport,
     WireClient,
@@ -190,6 +193,84 @@ class TestSubprocessClient:
         finally:
             transport.close()
 
+    def test_replies_out_of_order_reach_their_callers(self):
+        # the child answers only once it holds both requests, last one first
+        transport = SubprocessTransport(fake_child(
+            "a = sys.stdin.readline(); b = sys.stdin.readline()\n"
+            "reply(b); reply(a)\n"
+            "sys.stdin.read()\n"
+        ))
+        replies = {}
+
+        def work(req_id):
+            replies[req_id] = transport.call(
+                encode_request(req_id, "classify", [req_id], {}), req_id, timeout=10
+            )
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in ("a", "b")]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=15)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            transport.close()
+        for req_id in ("a", "b"):
+            msg = decode_response(replies[req_id])
+            assert (msg["id"], msg["result"]) == (req_id, [req_id])
+
+    def test_late_reply_is_dropped(self):
+        # the first request is answered after its caller has given up
+        transport = SubprocessTransport(fake_child(
+            "first = sys.stdin.readline(); time.sleep(0.5); reply(first)\n"
+            "for line in sys.stdin:\n"
+            "    reply(line)\n"
+        ))
+        try:
+            with pytest.raises(ModelTimeout):
+                transport.call(encode_request("1", "classify", ["x"], {}), "1", timeout=0.1)
+            reply = transport.call(encode_request("2", "classify", ["y"], {}), "2", timeout=10)
+            assert transport._child.replies == {}  # the late reply was not kept
+        finally:
+            transport.close()
+        assert decode_response(reply)["id"] == "2"
+
+    def test_malformed_reply_line_is_skipped(self, caplog):
+        transport = SubprocessTransport(fake_child(
+            "for line in sys.stdin:\n"
+            "    sys.stdout.write('not json\\n'); reply(line)\n"
+        ))
+        try:
+            with caplog.at_level(logging.WARNING, logger="retroroute.wire"):
+                reply = transport.call(encode_request("1", "classify", ["x"], {}), "1", timeout=10)
+        finally:
+            transport.close()
+        assert decode_response(reply)["id"] == "1"
+        assert "dropping malformed response line" in caplog.text
+
+    def test_call_starts_no_thread(self):
+        transport = SubprocessTransport(fake_child("for line in sys.stdin:\n    reply(line)\n"))
+        before = threading.active_count()
+        try:
+            for i in range(3):
+                transport.call(encode_request(str(i), "classify", ["x"], {}), str(i), timeout=10)
+                assert threading.active_count() == before
+        finally:
+            transport.close()
+
+
+def fake_child(body):
+    """A model child running `body`; `reply(line)` answers a request line with its inputs."""
+    prelude = (
+        "import json, sys, time\n"
+        "def reply(line):\n"
+        "    msg = json.loads(line)\n"
+        "    sys.stdout.write(json.dumps({'id': msg['id'], 'ok': True, 'result': msg['inputs']}) + '\\n')\n"
+        "    sys.stdout.flush()\n"
+    )
+    return [sys.executable, "-c", prelude + body]
+
 
 def test_http_transport(toy_oracle):
     server = serve_http(toy_oracle, "127.0.0.1", 0)
@@ -203,6 +284,28 @@ def test_http_transport(toy_oracle):
         assert client.classify("C.N>>CN").code == "1.1.1"
         client.close()
     finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize(
+    "length, status",
+    [(None, 400), ("-1", 400), ("12x", 400), (str(MAX_REQUEST_BYTES + 1), 413)],
+)
+def test_http_rejects_bad_content_length_unread(toy_oracle, length, status):
+    server = serve_http(toy_oracle, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    conn = http.client.HTTPConnection("127.0.0.1", server.server_port, timeout=10)
+    try:
+        # no body is sent: the server must answer from the headers alone
+        conn.putrequest("POST", "/")
+        if length is not None:
+            conn.putheader("Content-Length", length)
+        conn.endheaders()
+        assert conn.getresponse().status == status
+    finally:
+        conn.close()
         server.shutdown()
         server.server_close()
 
