@@ -61,13 +61,6 @@ class CycleRejected(RetroRouteError):
     """Attaching the arc would create a directed cycle."""
 
 
-class NotATree(RetroRouteError):
-    def __init__(self, reason: str):
-        # reason in {"disconnected", "multi-parent", "cycle"}
-        self.reason = reason
-        super().__init__(f"selected arcs do not form a rooted hyper-tree: {reason}")
-
-
 class DegenerateProduct(RetroRouteError):
     """Product simplicity is invalid for arc scoring."""
 

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import CycleRejected, ModelError, NotCanonicalizable, ScorerUnavailable
 from .graph import HyperGraph
 from .models import (
     ChemModels,
-    DEFAULT_FORWARD_TOPK,
-    DEFAULT_RETRO_BEAMS,
     PrecursorSet,
     ReactionClass,
     UNRECOGNIZED,
@@ -33,10 +31,10 @@ SELECTIVITY_GAP = 0.2
 
 @dataclass(frozen=True)
 class ExpansionConfig:
-    retro_beams: int = DEFAULT_RETRO_BEAMS
+    retro_beams: int = 15
     auto_accept_likelihood: float = AUTO_ACCEPT_LIKELIHOOD
     selectivity_gap: float = SELECTIVITY_GAP
-    forward_topk: int = DEFAULT_FORWARD_TOPK
+    forward_topk: int = 3
     max_concurrency: int = 1
 
     def __post_init__(self):

@@ -2,17 +2,17 @@
 
 Nodes are deduplicated on their canonical string; arcs connect one product
 node to a non-empty precursor set. Attaching an arc that would let a
-molecule transitively require itself is rejected, which keeps every
-selectable route a loop-free hyper-tree.
+molecule transitively require itself is rejected, so every selectable
+route is loop-free (an intermediate may still feed several steps).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .errors import CycleRejected, NotATree
+from .errors import CycleRejected
 from .models import ReactionClass
 
 
@@ -133,44 +133,6 @@ class HyperGraph:
         self.arcs_by_product[product].append(arc_id)
         return arc_id
 
-    # --- route extraction ---------------------------------------------------
-
-    def extract_route(self, arc_ids: Iterable[int]) -> "RouteTree":
-        """Validate a selected arc set as a hyper-tree rooted at the graph root.
-
-        Raises NotATree("multi-parent" | "disconnected" | "cycle").
-        """
-        if self.root is None:
-            raise NotATree("disconnected")
-        selected = [self.arcs[a] for a in arc_ids]
-        by_product: Dict[int, ReactionArc] = {}
-        for arc in selected:
-            if arc.product in by_product:
-                raise NotATree("multi-parent")
-            by_product[arc.product] = arc
-        # walk from the root; every selected arc must be reached exactly once
-        ordered: List[int] = []
-        leaves: Set[int] = set()
-        visiting: Set[int] = set()
-
-        def visit(node_id: int) -> None:
-            if node_id in visiting:
-                raise NotATree("cycle")
-            arc = by_product.get(node_id)
-            if arc is None:
-                leaves.add(node_id)
-                return
-            visiting.add(node_id)
-            ordered.append(arc.id)
-            for p in arc.precursors:
-                visit(p)
-            visiting.remove(node_id)
-
-        visit(self.root)
-        if len(ordered) != len(selected):
-            raise NotATree("disconnected")
-        return RouteTree(root=self.root, arcs=tuple(ordered), leaves=frozenset(leaves))
-
     # --- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -272,11 +234,3 @@ class HyperGraph:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-
-@dataclass(frozen=True)
-class RouteTree:
-    """A validated rooted hyper-tree (result of extract_route)."""
-
-    root: int
-    arcs: Tuple[int, ...]  # pre-order from the root
-    leaves: FrozenSet[int]

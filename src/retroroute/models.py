@@ -8,15 +8,12 @@ oracle (`retroroute.toy`) and the wire-protocol clients (`retroroute.wire`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConfigError, IoError
 from .smiles import split_units
-
-DEFAULT_RETRO_BEAMS = 15
-DEFAULT_FORWARD_TOPK = 3
 
 
 @dataclass(frozen=True)
@@ -153,24 +150,18 @@ class TokenSubstitution:
 
 @dataclass
 class ModelManifest:
-    """How to reach the models and what capacities they expose."""
+    """How to reach the models."""
 
     transport: str  # "toy" | "subprocess" | "http"
     templates_path: Optional[str] = None
     command: Optional[Sequence[str]] = None
     endpoint: Optional[str] = None
-    retro_capacity: int = DEFAULT_RETRO_BEAMS
-    forward_capacity: int = DEFAULT_FORWARD_TOPK
     token_dict_path: Optional[str] = None
     timeout: float = 60.0
     retries: int = 2
     max_in_flight: int = 8
 
     def __post_init__(self):
-        if self.forward_capacity < 2:
-            raise ConfigError("forward beam capacity must be >= 2")
-        if self.retro_capacity < 1:
-            raise ConfigError("retro beam capacity must be >= 1")
         if self.transport not in ("toy", "subprocess", "http"):
             raise ConfigError(f"unknown transport {self.transport!r}")
         if self.transport == "toy" and not self.templates_path:

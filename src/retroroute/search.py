@@ -10,9 +10,6 @@ terminated pathways until none remain open.
 from __future__ import annotations
 
 import logging
-import math
-import subprocess
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -29,6 +26,8 @@ logger = logging.getLogger(__name__)
 SC_MIN = 1.0
 SC_MAX = 5.0
 PRODUCT_SIMPLICITY_FLOOR = 0.01
+# atom-token count at which the surrogate complexity reaches SC_MAX
+SATURATING_ATOMS = 40
 
 OPEN = "open"
 SOLVED = "solved"
@@ -54,52 +53,12 @@ class HeavyTokenScorer(ComplexityScorer):
     a trained scorer can be plugged in through the same interface.
     """
 
-    def __init__(self, t_max: int = 40):
-        if t_max < 1:
-            raise ValueError("t_max must be >= 1")
-        self.t_max = t_max
-
     def sc(self, smiles: str) -> float:
         try:
             n = atom_count(smiles)
         except Exception as exc:
             raise ScorerUnavailable(f"cannot score {smiles!r}: {exc}") from exc
-        return min(SC_MAX, max(SC_MIN, 1.0 + 4.0 * n / self.t_max))
-
-
-class ExternalScorer(ComplexityScorer):
-    """Line-protocol scorer: molecule in, complexity value out."""
-
-    def __init__(self, command: Sequence[str]):
-        self.command = list(command)
-        self._lock = threading.Lock()
-        self._proc: Optional[subprocess.Popen] = None
-
-    def sc(self, smiles: str) -> float:
-        with self._lock:
-            try:
-                if self._proc is None or self._proc.poll() is not None:
-                    self._proc = subprocess.Popen(
-                        self.command,
-                        stdin=subprocess.PIPE,
-                        stdout=subprocess.PIPE,
-                        text=True,
-                        bufsize=1,
-                    )
-                assert self._proc.stdin is not None and self._proc.stdout is not None
-                self._proc.stdin.write(smiles + "\n")
-                self._proc.stdin.flush()
-                reply = self._proc.stdout.readline().strip()
-                return float(reply)
-            except (OSError, ValueError) as exc:
-                raise ScorerUnavailable(f"external scorer failed: {exc}") from exc
-
-    def close(self) -> None:
-        with self._lock:
-            if self._proc is not None and self._proc.poll() is None:
-                self._proc.terminate()
-                self._proc.wait(timeout=5)
-            self._proc = None
+        return min(SC_MAX, max(SC_MIN, 1.0 + 4.0 * n / SATURATING_ATOMS))
 
 
 def simplicity(smiles: str, scorer: ComplexityScorer) -> float:

@@ -9,8 +9,6 @@ that downstream splitting keeps them as a single unit.
 from __future__ import annotations
 
 import re
-import subprocess
-import threading
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
@@ -223,51 +221,3 @@ class ToyNormalizer(Normalizer):
 
     def __repr__(self) -> str:
         return "ToyNormalizer()"
-
-
-class ExternalNormalizer(Normalizer):
-    """Normalizer backed by a user-supplied canonicalization command.
-
-    The command is spawned once and spoken to line-by-line: one molecule in,
-    one canonical form out. An empty or missing reply marks the molecule as
-    not canonicalizable. Access to the child process is serialized.
-    """
-
-    def __init__(self, command: Sequence[str]):
-        self.command = list(command)
-        self._lock = threading.Lock()
-        self._proc: subprocess.Popen | None = None
-
-    def _ensure(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
-            self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
-            )
-        return self._proc
-
-    def normalize(self, s: str) -> str:
-        if not s or any(ch.isspace() for ch in s):
-            raise NotCanonicalizable(f"empty or whitespace-bearing input: {s!r}")
-        with self._lock:
-            proc = self._ensure()
-            try:
-                assert proc.stdin is not None and proc.stdout is not None
-                proc.stdin.write(s + "\n")
-                proc.stdin.flush()
-                reply = proc.stdout.readline().strip()
-            except (BrokenPipeError, OSError) as exc:
-                raise NotCanonicalizable(f"normalizer process failed: {exc}") from exc
-        if not reply:
-            raise NotCanonicalizable(f"external normalizer rejected {s!r}")
-        return reply
-
-    def close(self) -> None:
-        with self._lock:
-            if self._proc is not None and self._proc.poll() is None:
-                self._proc.terminate()
-                self._proc.wait(timeout=5)
-            self._proc = None

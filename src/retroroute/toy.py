@@ -10,7 +10,7 @@ expansion filter controllable from a fixture file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -23,7 +23,7 @@ from .models import (
     RetroPrediction,
     UNRECOGNIZED,
 )
-from .smiles import Normalizer, ToyNormalizer, split_reaction
+from .smiles import ToyNormalizer, split_reaction
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,8 @@ def load_templates(path: str | Path) -> List[Template]:
 class ToyOracle(ChemModels):
     """All three model roles served consistently from one template set."""
 
-    def __init__(
-        self,
-        templates: Sequence[Template],
-        normalizer: Optional[Normalizer] = None,
-    ):
-        self.normalizer = normalizer or ToyNormalizer()
+    def __init__(self, templates: Sequence[Template]):
+        self.normalizer = ToyNormalizer()
         self.templates = [self._normalized(t) for t in templates]
         # Candidate indexes, each list in template-file order: lookups must
         # visit templates in that order so that likelihood sums and
@@ -106,10 +102,8 @@ class ToyOracle(ChemModels):
         )
 
     @classmethod
-    def from_file(
-        cls, path: str | Path, normalizer: Optional[Normalizer] = None
-    ) -> "ToyOracle":
-        return cls(load_templates(path), normalizer)
+    def from_file(cls, path: str | Path) -> "ToyOracle":
+        return cls(load_templates(path))
 
     # --- forward role -------------------------------------------------------
 

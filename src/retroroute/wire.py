@@ -16,7 +16,6 @@ import select
 import subprocess
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Sequence
 
 from .errors import (
@@ -134,24 +133,28 @@ def handle_request(models: ChemModels, msg: Dict[str, Any]) -> str:
     return encode_response(msg["id"], ok=True, result=result)
 
 
+def answer_line(models: ChemModels, line: str) -> str:
+    """Response to one request line; an undecodable line is answered with id "?"."""
+    try:
+        msg = decode_request(line)
+    except MalformedModelResponse as exc:
+        return encode_response("?", ok=False, error=str(exc))
+    return handle_request(models, msg)
+
+
 def serve_stdio(models: ChemModels, in_stream, out_stream) -> None:
     """Serve the protocol line-by-line until EOF."""
     for line in in_stream:
         line = line.strip()
-        if not line:
-            continue
-        try:
-            msg = decode_request(line)
-        except MalformedModelResponse as exc:
-            out_stream.write(encode_response("?", ok=False, error=str(exc)) + "\n")
+        if line:
+            out_stream.write(answer_line(models, line) + "\n")
             out_stream.flush()
-            continue
-        out_stream.write(handle_request(models, msg) + "\n")
-        out_stream.flush()
 
 
-def serve_http(models: ChemModels, host: str, port: int) -> ThreadingHTTPServer:
+def serve_http(models: ChemModels, host: str, port: int) -> "ThreadingHTTPServer":
     """Serve the protocol over HTTP POST; body = one request line per line."""
+    # imported here so that the stdio model child never loads it
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):  # noqa: N802 (http.server API)
@@ -166,16 +169,7 @@ def serve_http(models: ChemModels, host: str, port: int) -> ThreadingHTTPServer:
                 self.send_error(413, f"request body over {MAX_REQUEST_BYTES} bytes")
                 return
             body = self.rfile.read(length).decode("utf-8")
-            lines = []
-            for raw in body.splitlines():
-                if not raw.strip():
-                    continue
-                try:
-                    msg = decode_request(raw)
-                except MalformedModelResponse as exc:
-                    lines.append(encode_response("?", ok=False, error=str(exc)))
-                    continue
-                lines.append(handle_request(models, msg))
+            lines = [answer_line(models, raw) for raw in body.splitlines() if raw.strip()]
             payload = ("\n".join(lines) + "\n").encode("utf-8")
             self.send_response(200)
             self.send_header("Content-Type", "application/x-ndjson")
@@ -231,6 +225,20 @@ class _Child:
             if isinstance(req_id, str) and req_id in self.replies:
                 self.replies[req_id] = line
 
+    def close(self) -> None:
+        """Stop the process and close its pipes; no caller may still use them."""
+        self.proc.terminate()
+        try:
+            self.proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            try:
+                pipe.close()
+            except OSError:  # a request the dead child never read
+                pass
+
 
 class SubprocessTransport:
     """Speaks the protocol to a child process over stdin/stdout.
@@ -253,6 +261,8 @@ class SubprocessTransport:
         with self._cond:
             child = self._child
             if child is None or child.proc.poll() is not None:
+                if child is not None:
+                    self._retire(child)
                 try:
                     child = self._child = _Child(self.command)
                 except OSError as exc:
@@ -266,48 +276,65 @@ class SubprocessTransport:
                 child.proc.stdin.flush()
         except OSError as exc:
             with self._cond:
-                del child.replies[req_id]
+                self._leave(child, req_id)
             raise ModelUnavailable(f"model process died: {exc}") from exc
         with self._cond:
-            while True:
-                reply = child.replies[req_id]
-                if reply is not None:
-                    del child.replies[req_id]
-                    return reply
-                if child.eof:
-                    del child.replies[req_id]
-                    raise ModelUnavailable(
-                        f"model process closed its output before answering {req_id}"
-                    )
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    del child.replies[req_id]
-                    raise ModelTimeout(f"no response within {timeout}s for {req_id}")
-                if child.reading:
-                    self._cond.wait(remaining)
-                    continue
-                child.reading = True
-                self._cond.release()
-                try:
-                    data = child.read(remaining)
-                finally:
-                    self._cond.acquire()
-                    child.reading = False
-                    self._cond.notify_all()
-                if data == b"":
-                    child.eof = True
-                elif data:
-                    child.file(data)
+            try:
+                return self._await(child, req_id, deadline, timeout)
+            finally:
+                self._leave(child, req_id)
+
+    def _await(self, child: _Child, req_id: str, deadline: float, timeout: float) -> str:
+        """Wait, holding the condition, for the reply to `req_id`."""
+        while True:
+            reply = child.replies[req_id]
+            if reply is not None:
+                return reply
+            if child.eof:
+                raise ModelUnavailable(
+                    f"model process closed its output before answering {req_id}"
+                )
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise ModelTimeout(f"no response within {timeout}s for {req_id}")
+            if child.reading:
+                self._cond.wait(remaining)
+                continue
+            child.reading = True
+            self._cond.release()
+            try:
+                data = child.read(remaining)
+            finally:
+                self._cond.acquire()
+                child.reading = False
+                self._cond.notify_all()
+            if data == b"":
+                child.eof = True
+            elif data:
+                child.file(data)
+
+    def _leave(self, child: _Child, req_id: str) -> None:
+        del child.replies[req_id]
+        if child is not self._child:
+            self._retire(child)
+
+    @staticmethod
+    def _retire(child: _Child) -> None:
+        """Stop a replaced child; close it unless a caller is registered on it.
+
+        Closing under a caller could hand its descriptors to the next child's
+        pipes, so the last caller to leave closes it instead.
+        """
+        if child.replies:
+            child.proc.terminate()
+        else:
+            child.close()
 
     def close(self) -> None:
         with self._cond:
             child, self._child = self._child, None
-            if child is not None and child.proc.poll() is None:
-                child.proc.terminate()
-                try:
-                    child.proc.wait(timeout=5)
-                except subprocess.TimeoutExpired:
-                    child.proc.kill()
+            if child is not None:
+                self._retire(child)
 
 
 class HttpTransport:

@@ -191,11 +191,11 @@ class TestBadConfigValues:
 
 
 def test_cli_import_loads_neither_numpy_nor_requests():
-    # the mock-serve model child imports the CLI and uses neither
+    # the stdio model child (mock-serve) imports the CLI and uses none of these
     src = os.path.dirname(os.path.dirname(retroroute.__file__))
     code = (
         "import retroroute.cli, sys\n"
-        "sys.exit(sorted({'numpy', 'requests'} & set(sys.modules)) or 0)\n"
+        "sys.exit(sorted({'numpy', 'requests', 'http.server'} & set(sys.modules)) or 0)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from retroroute.errors import CycleRejected, NotATree
+from retroroute.errors import CycleRejected
 from retroroute.graph import HyperGraph
 from retroroute.models import ReactionClass
 
@@ -26,6 +26,16 @@ def arc(g, product, precursors, likelihood=1.0, score=1.0, reagents=()):
         reaction_class=CLS,
         arc_score=score,
     )
+
+
+def build_chain():
+    # CNOS <- {CN,OS}, CN <- {C,N}, OS <- {O}
+    g = HyperGraph()
+    ids = {s: g.get_or_insert_node(s) for s in ("CNOS", "CN", "OS", "C", "N", "O")}
+    a1 = arc(g, ids["CNOS"], [ids["CN"], ids["OS"]])
+    a2 = arc(g, ids["CN"], [ids["C"], ids["N"]])
+    a3 = arc(g, ids["OS"], [ids["O"]])
+    return g, ids, (a1, a2, a3)
 
 
 def raw_adjacency(g):
@@ -124,53 +134,9 @@ class TestCycles:
             assert reference_is_acyclic(adjacency)
 
 
-class TestExtractRoute:
-    def build_chain(self):
-        # H <- {F,G}, F <- {A,B}, G <- {C}
-        g = HyperGraph()
-        ids = {s: g.get_or_insert_node(s) for s in ("CNOS", "CN", "OS", "C", "N", "O")}
-        a1 = arc(g, ids["CNOS"], [ids["CN"], ids["OS"]])
-        a2 = arc(g, ids["CN"], [ids["C"], ids["N"]])
-        a3 = arc(g, ids["OS"], [ids["O"]])
-        return g, ids, (a1, a2, a3)
-
-    def test_valid_tree(self):
-        g, ids, arcs = self.build_chain()
-        route = g.extract_route(arcs)
-        assert route.root == ids["CNOS"]
-        assert route.leaves == {ids["C"], ids["N"], ids["O"]}
-        assert set(route.arcs) == set(arcs)
-
-    def test_zero_step_route(self):
-        g = HyperGraph()
-        g.get_or_insert_node("C", in_stock=True)
-        route = g.extract_route(())
-        assert route.arcs == ()
-        assert route.leaves == {g.root}
-
-    def test_multi_parent(self):
-        g, ids, arcs = self.build_chain()
-        other = arc(g, ids["CN"], [ids["O"]])
-        with pytest.raises(NotATree) as exc:
-            g.extract_route(arcs + (other,))
-        assert exc.value.reason == "multi-parent"
-
-    def test_disconnected(self):
-        g, ids, (a1, a2, a3) = self.build_chain()
-        floating = arc(g, ids["OS"], [ids["N"]])
-        with pytest.raises(NotATree) as exc:
-            g.extract_route((a2,))
-        assert exc.value.reason == "disconnected"
-
-    def test_fixed_point(self):
-        g, ids, arcs = self.build_chain()
-        route = g.extract_route(arcs)
-        assert g.extract_route(route.arcs) == route
-
-
 class TestSerialization:
     def test_roundtrip_identical_ids(self):
-        g, _, _ = TestExtractRoute().build_chain()
+        g, _, _ = build_chain()
         g2 = HyperGraph.loads(g.dumps())
         assert g2.dumps() == g.dumps()
         assert g2.root == g.root
@@ -212,7 +178,7 @@ class TestSerialization:
         })
 
     def test_dot_export_shapes(self):
-        g, ids, arcs = TestExtractRoute().build_chain()
+        g, ids, arcs = build_chain()
         g.nodes[ids["C"]].in_stock = True
         dot = g.to_dot()
         assert dot.startswith("digraph")

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from retroroute.errors import MalformedModelResponse, ModelTimeout, ModelUnavailable
 from retroroute.models import ModelManifest, PrecursorSet, TokenSubstitution
+from retroroute import wire
 from retroroute.toy import ToyOracle
 from retroroute.wire import (
     MAX_REQUEST_BYTES,
@@ -96,6 +97,7 @@ def test_serve_stdio_golden(toy_oracle):
         encode_request("b", "forward", [["C", "N"]], {"topk": 3}),
         encode_request("c", "score", [["C", "N"], "CN"], {}),
         encode_request("d", "classify", ["CNO.S>>CNOS"], {}),
+        "not json",
     ]
     out = io.StringIO()
     serve_stdio(toy_oracle, io.StringIO("\n".join(requests) + "\n"), out)
@@ -109,6 +111,8 @@ def test_serve_stdio_golden(toy_oracle):
         {"id": "c", "ok": True, "result": [1.0]},
         {"id": "d", "ok": True,
          "result": {"superclass": 3, "category": 2, "named_reaction": 1, "label": ""}},
+        {"id": "?", "ok": False, "result": None,
+         "error": "bad request line: Expecting value: line 1 column 1 (char 0)"},
     ]
     assert [json.loads(l) for l in lines] == golden
 
@@ -249,6 +253,102 @@ class TestSubprocessClient:
         assert decode_response(reply)["id"] == "1"
         assert "dropping malformed response line" in caplog.text
 
+    def test_closed_and_replaced_children_release_their_pipes(self):
+        # each child answers one request, then exits and is replaced
+        transport = SubprocessTransport(fake_child("reply(sys.stdin.readline())\n"))
+        children = []
+        try:
+            for i in range(2):
+                transport.call(encode_request(str(i), "classify", ["x"], {}), str(i), timeout=10)
+                children.append(transport._child)
+                children[-1].proc.wait(timeout=10)
+        finally:
+            transport.close()
+        assert children[0] is not children[1]
+        for child in children:
+            assert child.proc.stdin.closed and child.proc.stdout.closed
+            assert child.proc.returncode is not None
+
+    def test_child_replaced_under_a_waiting_caller_is_closed_when_it_leaves(self, tmp_path):
+        # the first child exits at once, but a grandchild keeps its stdout open,
+        # so the first caller still waits on it when the next call replaces it
+        marker = tmp_path / "started"
+        transport = SubprocessTransport(fake_child(
+            f"import os\nmarker = {str(marker)!r}\n"
+            "if not os.path.exists(marker):\n"
+            "    open(marker, 'w').close(); sys.stdin.readline()\n"
+            "    if os.fork() == 0:\n"
+            "        time.sleep(4)\n"
+            "    os._exit(0)\n"
+            "for line in sys.stdin:\n"
+            "    reply(line)\n"
+        ))
+        errors = []
+
+        def wait_on_first_child():
+            try:
+                transport.call(encode_request("1", "classify", ["x"], {}), "1", timeout=2)
+            except ModelTimeout as exc:
+                errors.append(exc)
+
+        waiter = threading.Thread(target=wait_on_first_child)
+        try:
+            waiter.start()
+            while transport._child is None or not transport._child.replies:
+                time.sleep(0.01)
+            first = transport._child
+            first.proc.wait(timeout=10)
+            transport.call(encode_request("2", "classify", ["y"], {}), "2", timeout=10)
+            assert transport._child is not first and first.replies
+            assert not first.proc.stdout.closed  # its caller still reads it
+            waiter.join(timeout=10)
+            assert not waiter.is_alive() and len(errors) == 1
+            assert first.proc.stdin.closed and first.proc.stdout.closed
+        finally:
+            transport.close()
+
+    def test_children_dying_under_concurrent_callers_are_all_closed(self, monkeypatch):
+        # each child answers one request and exits, while other callers may
+        # still be registered on it; every child must end up closed
+        children = []
+
+        class Recorded(wire._Child):
+            def __init__(self, command):
+                super().__init__(command)
+                children.append(self)
+
+        monkeypatch.setattr(wire, "_Child", Recorded)
+        transport = SubprocessTransport(fake_child("reply(sys.stdin.readline())\n"))
+        outcomes = []
+
+        def work(t):
+            for i in range(5):
+                req_id = f"{t}.{i}"
+                try:
+                    transport.call(encode_request(req_id, "classify", [req_id], {}),
+                                   req_id, timeout=10)
+                    outcomes.append("ok")
+                except ModelUnavailable:
+                    outcomes.append("unavailable")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            transport.close()
+        assert len(outcomes) == 20 and "ok" in outcomes
+        for child in children:
+            assert child.replies == {}
+            assert child.proc.stdin.closed and child.proc.stdout.closed
+            assert child.proc.returncode is not None
+
     def test_call_starts_no_thread(self):
         transport = SubprocessTransport(fake_child("for line in sys.stdin:\n    reply(line)\n"))
         before = threading.active_count()
@@ -283,6 +383,17 @@ def test_http_transport(toy_oracle):
         assert client.retro_predict("CNOS", 5) == toy_oracle.retro_predict("CNOS", 5)
         assert client.classify("C.N>>CN").code == "1.1.1"
         client.close()
+        # a malformed line is answered with id "?" and does not spoil the good one
+        conn = http.client.HTTPConnection("127.0.0.1", server.server_port, timeout=10)
+        try:
+            conn.request("POST", "/", body=encode_request("g", "score", [["C", "N"], "CN"], {})
+                         + "\nnot json\n")
+            lines = conn.getresponse().read().decode("utf-8").splitlines()
+        finally:
+            conn.close()
+        assert [json.loads(l)["id"] for l in lines] == ["g", "?"]
+        assert json.loads(lines[0])["result"] == [1.0]
+        assert json.loads(lines[1])["ok"] is False
     finally:
         server.shutdown()
         server.server_close()
