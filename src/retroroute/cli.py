@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from .errors import ConfigError, EmptyEvaluation, IoError, NotCanonicalizable, RetroRouteError
 from .expand import ExpansionConfig
 from .graph import HyperGraph
+from .metrics import evaluate
 from .models import ModelManifest
 from .search import (
     HeavyTokenScorer,
@@ -124,7 +125,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if not stock_paths:
         raise ConfigError("at least one stock file is required (--stock)")
     manifest = ModelManifest.load(manifest_path)
-    models = build_models(manifest)
     normalizer = ToyNormalizer()
     stock = load_stocks(stock_paths, normalizer)
     scorer = HeavyTokenScorer()
@@ -144,6 +144,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
     trace: Optional[List[dict]] = [] if args.trace else None
+    models = build_models(manifest)
     try:
         outcome = beam_search(
             args.target, cfg, models, stock, normalizer=normalizer, scorer=scorer,
@@ -151,6 +152,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         )
     except NotCanonicalizable as exc:
         raise ConfigError(f"target is not canonicalizable: {exc}") from exc
+    finally:
+        models.close()
 
     payload = {
         "metadata": {
@@ -211,14 +214,11 @@ def read_targets(path: str) -> List[str]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    # imported here so that `plan` and the model child never load numpy
-    from .metrics import evaluate
-
     file_config = load_config_file(args.config)
     manifest_path = args.models or file_config.get("models")
     if not manifest_path:
         raise ConfigError("a model manifest is required (--models)")
-    models = build_models(ModelManifest.load(manifest_path))
+    manifest = ModelManifest.load(manifest_path)
     normalizer = ToyNormalizer()
     targets = read_targets(args.test)
     try:
@@ -226,17 +226,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
         log_base = None if base_label == "e" else float(base_label)
         beams = int(resolve("eval_beams", args.beams, file_config))
         bins = int(resolve("bins", args.bins, file_config))
+        if bins < 1:
+            raise ValueError(f"bins must be at least 1, got {bins}")
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-    report, records = evaluate(
-        targets,
-        models,
-        normalizer,
-        beams=beams,
-        bins=bins,
-        log_base=log_base,
-        include_unrecognized=args.include_unrecognized,
-    )
+    models = build_models(manifest)
+    try:
+        report, records = evaluate(
+            targets, models, normalizer, beams=beams, bins=bins, log_base=log_base,
+            include_unrecognized=args.include_unrecognized,
+        )
+    finally:
+        models.close()
 
     Path(args.report).write_text(
         json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n", "utf-8"

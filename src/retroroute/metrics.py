@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .errors import AllEmpty, EmptyEvaluation, ModelError, NotCanonicalizable
 from .models import ChemModels, PrecursorSet, ReactionClass, UNRECOGNIZED
@@ -70,10 +69,10 @@ class ClassLikelihoodDistribution:
     counts: Tuple[int, ...]
     count: int
 
-    def probabilities(self) -> np.ndarray:
+    def probabilities(self) -> List[float]:
         if self.count == 0:
             raise AllEmpty(f"superclass {self.superclass} has no samples")
-        return np.asarray(self.counts, dtype=float) / self.count
+        return [c / self.count for c in self.counts]
 
 
 @dataclass
@@ -241,11 +240,26 @@ def invalid_rate(records: Sequence[EvalRecord]) -> float:
     return 100.0 * sum(1 for s in counted if not s.syntactically_valid) / len(counted)
 
 
+def histogram_edges(bins: int) -> List[float]:
+    """`bins` equal bins over [0.5, 1.0], the edges `np.linspace` would give."""
+    step = (1.0 - LIKELIHOOD_THRESHOLD) / bins
+    return [i * step + LIKELIHOOD_THRESHOLD for i in range(bins)] + [1.0]
+
+
+def histogram_counts(values: Sequence[float], edges: Sequence[float]) -> List[int]:
+    """Counts per bin as `np.histogram` gives them: the last bin is closed."""
+    counts = [0] * (len(edges) - 1)
+    for v in values:
+        if edges[0] <= v <= edges[-1]:
+            counts[min(bisect_right(edges, v), len(counts)) - 1] += 1
+    return counts
+
+
 def build_distributions(
     records: Sequence[EvalRecord], bins: int = DEFAULT_BINS
 ) -> List[ClassLikelihoodDistribution]:
     """Per-superclass histograms of valid-suggestion likelihoods above 0.5."""
-    edges = np.linspace(LIKELIHOOD_THRESHOLD, 1.0, bins + 1)
+    edges = histogram_edges(bins)
     samples: Dict[int, List[float]] = {i: [] for i in range(N_SUPERCLASSES)}
     for s in _counted(records):
         if (
@@ -255,23 +269,14 @@ def build_distributions(
             and s.reaction_class is not None
         ):
             samples[s.reaction_class.superclass].append(s.forward_likelihood)
-    distributions = []
-    for superclass in range(N_SUPERCLASSES):
-        values = samples[superclass]
-        counts, _ = np.histogram(values, bins=edges)
-        distributions.append(
-            ClassLikelihoodDistribution(
-                superclass=superclass,
-                counts=tuple(int(c) for c in counts),
-                count=len(values),
-            )
-        )
-    return distributions
+    return [
+        ClassLikelihoodDistribution(c, tuple(histogram_counts(values, edges)), len(values))
+        for c, values in samples.items()
+    ]
 
 
-def _entropy(p: np.ndarray, base: Optional[float]) -> float:
-    nonzero = p[p > 0]
-    h = float(-(nonzero * np.log(nonzero)).sum())
+def _entropy(p: Sequence[float], base: Optional[float]) -> float:
+    h = -math.fsum(x * math.log(x) for x in p if x > 0)
     if base is not None:
         h /= math.log(base)
     return h
@@ -298,7 +303,7 @@ def jsd(
     if not participating:
         raise AllEmpty("every class likelihood distribution is empty")
     probs = [d.probabilities() for d in participating]
-    mixture = np.mean(probs, axis=0)
+    mixture = [sum(column) / len(probs) for column in zip(*probs)]
     value = _entropy(mixture, base) - sum(_entropy(p, base) for p in probs) / len(probs)
     value = max(value, 0.0)
     inverse = math.inf if value == 0.0 else 1.0 / value

@@ -107,6 +107,9 @@ class ChemModels:
     def classify(self, rxn: str) -> ReactionClass:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the models hold; an in-process model holds nothing."""
+
 
 class TokenSubstitution:
     """Bidirectional token <-> molecule dictionary.

@@ -19,6 +19,7 @@ import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from .errors import (
+    ConfigError,
     MalformedModelResponse,
     ModelError,
     ModelTimeout,
@@ -338,36 +339,58 @@ class SubprocessTransport:
 
 
 class HttpTransport:
-    """POSTs one request line at a time to a model endpoint."""
+    """POSTs one request line at a time; a connection is reused after a full 200 reply."""
 
-    def __init__(self, endpoint: str, session: Optional["requests.Session"] = None):
-        # imported here so that the subprocess child, which serves stdio, never loads it
-        import requests
+    def __init__(self, endpoint: str):
+        # imported here so that the stdio model child never loads them
+        import http.client
+        from urllib.parse import urlsplit, urlunsplit
 
+        classes = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+        parts = urlsplit(endpoint)
+        if parts.scheme not in classes or not parts.netloc:
+            raise ConfigError(f"endpoint {endpoint!r} is not an http:// or https:// URL")
         self.endpoint = endpoint
-        self.session = session or requests.Session()
+        self._connect = lambda: classes[parts.scheme](parts.netloc)
+        self._path = urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        self._idle: List[Any] = []
+        self._lock = threading.Lock()
 
     def call(self, line: str, req_id: str, timeout: float) -> str:
-        import requests
+        import http.client
 
+        with self._lock:
+            conn = self._idle.pop() if self._idle else self._connect()
+        conn.timeout = timeout
+        if conn.sock is not None:
+            poller = select.poll()
+            poller.register(conn.sock, select.POLLIN)
+            if poller.poll(0):  # closed by the server while idle: the request reconnects
+                conn.close()
+            else:
+                conn.sock.settimeout(timeout)
         try:
-            resp = self.session.post(self.endpoint, data=line + "\n", timeout=timeout)
-        except requests.Timeout as exc:
-            raise ModelTimeout(str(exc)) from exc
-        except requests.RequestException as exc:
-            raise ModelUnavailable(str(exc)) from exc
-        if resp.status_code != 200:
-            raise ModelUnavailable(f"HTTP {resp.status_code} from {self.endpoint}")
-        for raw in resp.text.splitlines():
-            if not raw.strip():
-                continue
-            msg = decode_response(raw)
-            if msg["id"] == req_id:
+            conn.request("POST", self._path, body=(line + "\n").encode("utf-8"))
+            resp = conn.getresponse()
+            body = resp.read()
+        except (OSError, http.client.HTTPException) as exc:  # a socket timeout is an OSError
+            conn.close()
+            error = ModelTimeout if isinstance(exc, TimeoutError) else ModelUnavailable
+            raise error(f"{self.endpoint}: {exc!r}") from exc
+        if resp.status != 200:
+            conn.close()
+            raise ModelUnavailable(f"HTTP {resp.status} from {self.endpoint}")
+        with self._lock:
+            self._idle.append(conn)
+        for raw in body.decode("utf-8", "replace").splitlines():
+            if raw.strip() and decode_response(raw)["id"] == req_id:
                 return raw
         raise MalformedModelResponse(f"no response with id {req_id} in reply")
 
     def close(self) -> None:
-        self.session.close()
+        with self._lock:
+            while self._idle:
+                self._idle.pop().close()
 
 
 # --- client -----------------------------------------------------------------
@@ -490,9 +513,7 @@ class WireClient(ChemModels):
             raise MalformedModelResponse(f"bad classify result: {result!r}") from exc
 
     def close(self) -> None:
-        close = getattr(self.transport, "close", None)
-        if close is not None:
-            close()
+        self.transport.close()
 
 
 def build_models(manifest: ModelManifest) -> ChemModels:

@@ -292,7 +292,7 @@ def test_criterion_6_metrics_match_independent_recomputation():
     value, inverse, participating = jsd(dists)
     probs = [d.probabilities() for d in dists
              if d.count > 0 and d.superclass != 0]
-    mixture = sum(probs) / len(probs)
+    mixture = np.asarray(probs).sum(axis=0) / len(probs)
     brute = 0.0
     for p in probs:
         for pi, mi in zip(p, mixture):

@@ -189,16 +189,73 @@ class TestBadConfigValues:
         monkeypatch.setenv("RETROROUTE_BEAMS", "abc")
         self.assert_config_error(main(plan_args()), capsys)
 
+    @pytest.mark.parametrize("bins", ["0", "-1"])
+    def test_bins_below_one(self, bins, toy_manifest, tmp_path, capsys):
+        targets = tmp_path / "targets.txt"
+        targets.write_text("CN\n", "utf-8")
+        code = main(["eval", "--test", str(targets), "--models", str(toy_manifest),
+                     "--report", str(tmp_path / "m.json"), "--bins", bins])
+        self.assert_config_error(code, capsys)
+
+
+SRC = os.path.dirname(os.path.dirname(retroroute.__file__))
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports the package from this checkout."""
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, timeout=120,
+    )
+
 
 def test_cli_import_loads_neither_numpy_nor_requests():
     # the stdio model child (mock-serve) imports the CLI and uses none of these
-    src = os.path.dirname(os.path.dirname(retroroute.__file__))
     code = (
-        "import retroroute.cli, sys\n"
-        "sys.exit(sorted({'numpy', 'requests', 'http.server'} & set(sys.modules)) or 0)\n"
+        "import retroroute.cli, retroroute.metrics, retroroute.wire, sys\n"
+        "banned = {'numpy', 'requests', 'http.client', 'http.server'}\n"
+        "sys.exit(sorted(banned & set(sys.modules)) or 0)\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, timeout=60,
-    )
+    result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.fixture
+def cli_runs(templates_file, stock_file, tmp_path):
+    """`plan` and `eval` argument lists over the toy fixtures and a given manifest."""
+    targets = tmp_path / "targets.txt"
+    targets.write_text("CN\nCNO\nCNOS\nOS\n", "utf-8")
+
+    def _runs(manifest):
+        return [
+            ["plan", "CNOS", "--models", str(manifest), "--stock", str(stock_file),
+             "--out", str(tmp_path / "routes.json")],
+            ["eval", "--test", str(targets), "--models", str(manifest),
+             "--report", str(tmp_path / "metrics.json")],
+        ]
+
+    return _runs
+
+
+def test_plan_and_eval_run_without_numpy_or_requests(cli_runs, toy_manifest):
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = sys.modules['requests'] = None\n"
+        "from retroroute.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    for args in cli_runs(toy_manifest):
+        result = run_python("-c", code, *args)
+        assert result.returncode == EXIT_OK, result.stderr
+
+
+def test_plan_and_eval_close_their_model_child(cli_runs, templates_file, tmp_path):
+    manifest = tmp_path / "subprocess.json"
+    command = [sys.executable, "-m", "retroroute.cli", "mock-serve", str(templates_file)]
+    manifest.write_text(
+        json.dumps({"transport": "subprocess", "command": command, "timeout": 30}), "utf-8"
+    )
+    for args in cli_runs(manifest):
+        result = run_python("-X", "dev", "-m", "retroroute.cli", *args)
+        assert result.returncode == EXIT_OK, result.stderr
+        assert "ResourceWarning" not in result.stderr, result.stderr

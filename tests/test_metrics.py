@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from retroroute.errors import AllEmpty, EmptyEvaluation
 from retroroute.metrics import (
@@ -14,6 +15,8 @@ from retroroute.metrics import (
     coverage,
     evaluate,
     evaluate_target,
+    histogram_counts,
+    histogram_edges,
     invalid_rate,
     jsd,
     round_trip,
@@ -163,7 +166,26 @@ class TestDistributions:
         records = [rec("A", *(sug(cls="3.1.1", likelihood=0.6 + 0.01 * i)
                               for i in range(10)))]
         d = build_distributions(records)[3]
-        assert d.probabilities().sum() == pytest.approx(1.0)
+        assert sum(d.probabilities()) == pytest.approx(1.0)
+
+    def test_edges_equal_linspace_bit_for_bit(self):
+        for bins in range(1, 201):
+            expected = np.linspace(0.5, 1.0, bins + 1).tolist()
+            assert [e.hex() for e in histogram_edges(bins)] == [e.hex() for e in expected]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 200), st.data())
+    def test_counts_equal_numpy_histogram(self, bins, data):
+        edges = histogram_edges(bins)  # equal to numpy's, as the test above shows
+        near_edges = st.sampled_from(edges).flatmap(
+            lambda e: st.sampled_from([e, math.nextafter(e, 0.0), math.nextafter(e, 2.0)])
+        )
+        drawn = data.draw(st.lists(st.floats(0.4, 1.2) | near_edges, max_size=50))
+        # every edge, exactly 1.0, and values on both sides of the range
+        values = drawn + edges + [1.0, 0.4, math.nextafter(0.5, 0.0),
+                                  math.nextafter(1.0, 2.0), 1.2]
+        expected, _ = np.histogram(values, bins=np.linspace(0.5, 1.0, bins + 1))
+        assert histogram_counts(values, edges) == expected.tolist()
 
     def test_empty_distribution_refuses_probabilities(self):
         d = ClassLikelihoodDistribution(superclass=4, counts=(0,) * 50, count=0)
@@ -221,6 +243,34 @@ class TestJsd:
             shuffled = dists[:]
             rng.shuffle(shuffled)
             assert jsd(shuffled)[0] == pytest.approx(value, abs=1e-12)
+
+
+def numpy_jsd(dists, base=None):
+    """The divergence as numpy computes it: an independent oracle for `jsd`."""
+    probs = np.array([np.asarray(d.counts, dtype=float) / d.count for d in dists])
+
+    def entropy(p):
+        p = p[p > 0]
+        h = float(-(p * np.log(p)).sum())
+        return h / math.log(base) if base is not None else h
+
+    value = entropy(probs.mean(axis=0)) - np.mean([entropy(p) for p in probs])
+    return max(value, 0.0)
+
+
+def test_jsd_matches_numpy_on_random_histograms():
+    rng = random.Random(11)
+    for _ in range(300):
+        bins = rng.randint(1, 50)
+        dists = [
+            dist(c, [rng.choice((0, 0, rng.randint(1, 40))) for _ in range(bins)])
+            for c in range(1, rng.randint(2, 12))
+        ]
+        dists = [d for d in dists if d.count > 0]
+        if not dists:
+            continue
+        base = rng.choice((None, 2.0, 10.0))
+        assert abs(jsd(dists, base=base)[0] - numpy_jsd(dists, base)) <= 1e-12
 
 
 class TestEvaluateOrchestration:

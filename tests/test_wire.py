@@ -1,15 +1,23 @@
+import contextlib
 import http.client
 import io
 import json
 import logging
+import socket
 import sys
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, strategies as st
 
-from retroroute.errors import MalformedModelResponse, ModelTimeout, ModelUnavailable
+from retroroute.errors import (
+    ConfigError,
+    MalformedModelResponse,
+    ModelTimeout,
+    ModelUnavailable,
+)
 from retroroute.models import ModelManifest, PrecursorSet, TokenSubstitution
 from retroroute import wire
 from retroroute.toy import ToyOracle
@@ -419,6 +427,134 @@ def test_http_rejects_bad_content_length_unread(toy_oracle, length, status):
         conn.close()
         server.shutdown()
         server.server_close()
+
+
+def echo_handler(status, protocol_version="HTTP/1.0"):
+    """A handler answering each request line with its inputs and `status`; counts connections."""
+
+    class Handler(BaseHTTPRequestHandler):
+        connections = []
+
+        def setup(self):
+            super().setup()
+            self.connections.append(self.client_address)
+
+        def do_POST(self):  # noqa: N802 (http.server API)
+            msg = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            payload = (encode_response(msg["id"], True, msg["inputs"]) + "\n").encode("utf-8")
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, fmt, *args):
+            pass
+
+    Handler.protocol_version = protocol_version
+    return Handler
+
+
+@contextlib.contextmanager
+def http_server(handler):
+    """The URL of a local server running `handler`, shut down on exit."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+class TestHttpTransport:
+    def call(self, transport, timeout=10):
+        return transport.call(encode_request("7", "classify", ["x"], {}), "7", timeout)
+
+    def test_keep_alive_connection_is_reused(self):
+        handler = echo_handler(200, "HTTP/1.1")
+        with http_server(handler) as url:
+            transport = HttpTransport(url)
+            try:
+                for _ in range(3):
+                    assert json.loads(self.call(transport))["result"] == ["x"]
+            finally:
+                transport.close()
+        assert len(handler.connections) == 1
+
+    def test_concurrent_callers_never_share_a_connection(self):
+        # a connection used by two callers at once would fail a call or cross replies
+        handler = echo_handler(200, "HTTP/1.1")
+        errors, interval = [], sys.getswitchinterval()
+
+        def work(t):
+            try:
+                for i in range(20):
+                    req_id = f"{t}-{i}"
+                    line = encode_request(req_id, "classify", [req_id], {})
+                    assert json.loads(transport.call(line, req_id, 10))["result"] == [req_id]
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        sys.setswitchinterval(1e-6)
+        try:
+            with http_server(handler) as url:
+                transport = HttpTransport(url)
+                threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                transport.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(handler.connections) <= 8
+
+    def test_connection_the_server_closed_while_idle_is_replaced(self):
+        handler = echo_handler(200, "HTTP/1.1")
+        handler.timeout = 0.2  # the server drops a connection idle this long
+        with http_server(handler) as url:
+            transport = HttpTransport(url)
+            try:
+                self.call(transport)
+                time.sleep(0.6)
+                assert json.loads(self.call(transport))["result"] == ["x"]
+            finally:
+                transport.close()
+        assert len(handler.connections) == 2
+
+    def test_status_500_is_unavailable(self):
+        with http_server(echo_handler(500)) as url:
+            transport = HttpTransport(url)
+            with pytest.raises(ModelUnavailable, match="HTTP 500"):
+                self.call(transport)
+            transport.close()
+
+    def test_silent_server_times_out(self):
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)  # the connection is queued, never accepted or answered
+            transport = HttpTransport(f"http://127.0.0.1:{listener.getsockname()[1]}/")
+            start = time.monotonic()
+            with pytest.raises(ModelTimeout):
+                self.call(transport, timeout=0.3)
+            assert time.monotonic() - start < 0.3 + 1.0
+            transport.close()
+
+    def test_closed_port_is_unavailable(self):
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+        transport = HttpTransport(f"http://127.0.0.1:{port}/")
+        with pytest.raises(ModelUnavailable):
+            self.call(transport)
+        transport.close()
+
+    @pytest.mark.parametrize("endpoint", ["ftp://127.0.0.1/", "127.0.0.1:8000", "http://"])
+    def test_endpoint_that_is_not_an_http_url_is_a_config_error(self, endpoint):
+        with pytest.raises(ConfigError):
+            build_models(ModelManifest(transport="http", endpoint=endpoint))
 
 
 class TestTokenSubstitution:
