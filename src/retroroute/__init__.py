@@ -1,55 +1,3 @@
 """Hypergraph beam-search retrosynthesis planner and model evaluation harness."""
 
-from .expand import ExpansionConfig, expand_node, filter_candidate, cluster_candidates
-from .graph import HyperGraph
-from .models import (
-    ChemModels,
-    ForwardPrediction,
-    ModelManifest,
-    PrecursorSet,
-    ReactionClass,
-    RetroPrediction,
-)
-from .search import (
-    HeavyTokenScorer,
-    Pathway,
-    SearchConfig,
-    SearchOutcome,
-    arc_score,
-    beam_search,
-    simplicity,
-)
-from .smiles import ToyNormalizer, tokenize
-from .stock import StockSet, load_stock, load_stocks
-from .toy import Template, ToyOracle, load_templates
-
-__all__ = [
-    "ChemModels",
-    "ExpansionConfig",
-    "ForwardPrediction",
-    "HeavyTokenScorer",
-    "HyperGraph",
-    "ModelManifest",
-    "Pathway",
-    "PrecursorSet",
-    "ReactionClass",
-    "RetroPrediction",
-    "SearchConfig",
-    "SearchOutcome",
-    "StockSet",
-    "Template",
-    "ToyNormalizer",
-    "ToyOracle",
-    "arc_score",
-    "beam_search",
-    "cluster_candidates",
-    "expand_node",
-    "filter_candidate",
-    "load_stock",
-    "load_stocks",
-    "load_templates",
-    "simplicity",
-    "tokenize",
-]
-
 __version__ = "0.1.0"

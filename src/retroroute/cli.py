@@ -19,24 +19,17 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from .errors import ConfigError, EmptyEvaluation, IoError, NotCanonicalizable, RetroRouteError
-from .expand import ExpansionConfig
-from .graph import HyperGraph
-from .metrics import evaluate
 from .models import ModelManifest
-from .search import (
-    HeavyTokenScorer,
-    Pathway,
-    SearchConfig,
-    SOLVED,
-    beam_search,
-)
 from .smiles import ToyNormalizer
-from .stock import load_stocks
 from .toy import ToyOracle, load_templates
 from .wire import build_models, serve_http, serve_stdio
+
+if TYPE_CHECKING:
+    from .graph import HyperGraph
+    from .search import Pathway
 
 logger = logging.getLogger(__name__)
 
@@ -117,6 +110,11 @@ def route_to_json(graph: HyperGraph, p: Pathway) -> dict:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    # imported here so that the mock-serve model child never loads them
+    from .expand import ExpansionConfig
+    from .search import SOLVED, HeavyTokenScorer, SearchConfig, beam_search
+    from .stock import load_stocks
+
     file_config = load_config_file(args.config)
     stock_paths = args.stock or file_config.get("stock") or []
     manifest_path = args.models or file_config.get("models")
@@ -214,6 +212,9 @@ def read_targets(path: str) -> List[str]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    # imported here so that the mock-serve model child never loads it
+    from .metrics import evaluate
+
     file_config = load_config_file(args.config)
     manifest_path = args.models or file_config.get("models")
     if not manifest_path:
@@ -284,6 +285,9 @@ def cmd_mock_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    # imported here so that the mock-serve model child never loads it
+    from .graph import HyperGraph
+
     try:
         graph = HyperGraph.loads(Path(args.graph).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:

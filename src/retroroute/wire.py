@@ -16,6 +16,7 @@ import select
 import subprocess
 import threading
 import time
+from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence
 
 from .errors import (
@@ -42,6 +43,9 @@ OPS = ("retro", "forward", "score", "classify")
 
 # largest HTTP request body serve_http reads; a longer one is refused unread
 MAX_REQUEST_BYTES = 8 * 1024 * 1024
+
+# most successful replies a WireClient keeps (about 320 bytes each); the oldest goes first
+MEMO_ENTRIES = 1 << 15
 
 
 # --- message encoding -------------------------------------------------------
@@ -158,6 +162,8 @@ def serve_http(models: ChemModels, host: str, port: int) -> "ThreadingHTTPServer
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
     class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"  # keep-alive: a client reuses its connection
+
         def do_POST(self):  # noqa: N802 (http.server API)
             try:
                 length = int(self.headers.get("Content-Length", ""))
@@ -402,6 +408,11 @@ class WireClient(ChemModels):
     are encoded before the retro call and suggested precursors are expanded
     back before any forward-model use. Failed calls are retried with
     exponential backoff; concurrent in-flight requests are capped.
+
+    The models are taken to be deterministic, so the reply line to each
+    distinct (op, inputs, params) request is kept, up to `MEMO_ENTRIES`, and
+    a repeated request is answered from it without a round-trip. Failed
+    requests are never kept.
     """
 
     def __init__(
@@ -420,8 +431,15 @@ class WireClient(ChemModels):
         self.backoff = backoff
         self._slots = threading.BoundedSemaphore(max_in_flight)
         self._ids = itertools.count()
+        self._memo: OrderedDict[str, str] = OrderedDict()
+        self._memo_lock = threading.Lock()
 
     def _call(self, op: str, inputs: List[Any], params: Dict[str, Any]) -> Any:
+        key = json.dumps([op, inputs, params], separators=(",", ":"), sort_keys=True)
+        with self._memo_lock:
+            reply = self._memo.get(key)
+        if reply is not None:
+            return decode_response(reply).get("result")
         last_error: Optional[ModelError] = None
         for attempt in range(self.retries + 1):
             req_id = str(next(self._ids))
@@ -438,6 +456,10 @@ class WireClient(ChemModels):
                     raise MalformedModelResponse(
                         f"model error for op {op!r}: {msg.get('error')}"
                     )
+                with self._memo_lock:
+                    self._memo[key] = reply
+                    while len(self._memo) > MEMO_ENTRIES:
+                        self._memo.popitem(last=False)
                 return msg.get("result")
             except (ModelUnavailable, ModelTimeout) as exc:
                 last_error = exc

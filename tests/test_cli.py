@@ -212,9 +212,12 @@ def run_python(*args):
 def test_cli_import_loads_neither_numpy_nor_requests():
     # the stdio model child (mock-serve) imports the CLI and uses none of these
     code = (
-        "import retroroute.cli, retroroute.metrics, retroroute.wire, sys\n"
+        "import retroroute.cli, sys\n"
+        "planner = {f'retroroute.{m}' for m in ('expand', 'graph', 'search', 'stock', 'metrics')}\n"
+        "loaded = sorted(planner & set(sys.modules))\n"
+        "import retroroute.metrics, retroroute.wire\n"
         "banned = {'numpy', 'requests', 'http.client', 'http.server'}\n"
-        "sys.exit(sorted(banned & set(sys.modules)) or 0)\n"
+        "sys.exit(loaded + sorted(banned & set(sys.modules)) or 0)\n"
     )
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr

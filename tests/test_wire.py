@@ -3,6 +3,7 @@ import http.client
 import io
 import json
 import logging
+import random
 import socket
 import sys
 import threading
@@ -18,8 +19,11 @@ from retroroute.errors import (
     ModelTimeout,
     ModelUnavailable,
 )
+from retroroute.cli import route_to_json
+from retroroute.expand import ExpansionConfig
 from retroroute.models import ModelManifest, PrecursorSet, TokenSubstitution
 from retroroute import wire
+from retroroute.search import SearchConfig, beam_search
 from retroroute.toy import ToyOracle
 from retroroute.wire import (
     MAX_REQUEST_BYTES,
@@ -36,7 +40,7 @@ from retroroute.wire import (
     serve_stdio,
 )
 
-from conftest import TOY_TEMPLATES, make_templates
+from conftest import TOY_TEMPLATES, make_stock, make_templates, random_chemistry
 
 
 json_scalars = st.one_of(st.text(max_size=10), st.integers(), st.floats(allow_nan=False))
@@ -380,6 +384,150 @@ def fake_child(body):
     return [sys.executable, "-c", prelude + body]
 
 
+def recorded(transport):
+    """`transport`, keeping the (op, inputs, params) of each request it sends in `.sent`."""
+    call, transport.sent = transport.call, []
+
+    def record(line, req_id, timeout):
+        msg = decode_request(line)
+        transport.sent.append(json.dumps([msg["op"], msg["inputs"], msg["params"]]))
+        return call(line, req_id, timeout)
+
+    transport.call = record
+    return transport
+
+
+class TestMemo:
+    def client(self, command, **kwargs):
+        return WireClient(recorded(SubprocessTransport(command)), timeout=20, **kwargs)
+
+    def test_identical_requests_make_one_round_trip(self, templates_file, toy_oracle):
+        client = self.client(mock_serve_command(templates_file))
+        cno_s, cn_o = PrecursorSet(("CNO", "S")), PrecursorSet(("CN", "O"))
+        with_reagent = PrecursorSet(("CN", "O", "S"), frozenset({"S"}))
+        no_reagent = PrecursorSet(("CN", "O", "S"))
+        calls = [
+            ("retro_predict", "CNOS", 5), ("retro_predict", "CNOS", 6),
+            ("forward_predict", cn_o, 3), ("forward_predict", cn_o, 2),
+            ("forward_predict", with_reagent, 3), ("forward_predict", no_reagent, 3),
+            ("score_reaction", cno_s, "CNOS"), ("score_reaction", with_reagent, "CNO"),
+            ("score_reaction", no_reagent, "CNO"),
+            ("classify", "C.N>>CN"),
+        ]
+        try:
+            for method, *args in calls:
+                first = getattr(client, method)(*args)
+                again = getattr(client, method)(*args)
+                assert first == again == getattr(toy_oracle, method)(*args)
+                if isinstance(first, list):
+                    assert first is not again and first[0] is not again[0]
+            assert len(client.transport.sent) == len(set(client.transport.sent)) == len(calls)
+        finally:
+            client.close()
+
+    def test_model_error_reply_is_not_kept(self, templates_file):
+        client = self.client(mock_serve_command(templates_file))
+        try:
+            for _ in range(2):
+                with pytest.raises(MalformedModelResponse, match="model error"):
+                    client.classify("C.N")
+        finally:
+            client.close()
+        assert len(client.transport.sent) == 2
+
+    @pytest.mark.parametrize("body, error", [
+        ("sys.stdin.read()\n", ModelTimeout),  # never answers
+        ("sys.stdin.readline()\n", ModelUnavailable),  # exits without answering
+    ])
+    def test_failed_request_is_not_kept(self, body, error):
+        client = WireClient(recorded(SubprocessTransport(fake_child(body))),
+                            timeout=0.2, retries=0)
+        try:
+            for _ in range(2):
+                with pytest.raises(error):
+                    client.classify("C.N>>CN")
+        finally:
+            client.close()
+        assert len(client.transport.sent) == 2
+
+    def test_bound_drops_the_oldest_reply_first(self, templates_file, monkeypatch):
+        monkeypatch.setattr(wire, "MEMO_ENTRIES", 3)
+        client = self.client(mock_serve_command(templates_file))
+        reactions = ["C.N>>CN", "CN.O>>CNO", "CNO.S>>CNOS", "O.S>>OS", "P.F>>CN"]
+        try:
+            for rxn in reactions:
+                client.classify(rxn)
+                assert len(client._memo) <= 3
+            client.classify(reactions[-1])
+            assert len(client.transport.sent) == 5
+            client.classify(reactions[0])  # dropped, so asked again
+            assert len(client.transport.sent) == 6
+            assert len(client._memo) == 3
+        finally:
+            client.close()
+
+    def test_concurrent_callers_keep_the_bound(self, templates_file, toy_oracle, monkeypatch):
+        monkeypatch.setattr(wire, "MEMO_ENTRIES", 4)
+        client = self.client(mock_serve_command(templates_file))
+        reactions = [f"{a}.{b}>>{a}{b}" for a in "CNOS" for b in "CNOS" if a != b]
+        errors, sizes, interval = [], [], sys.getswitchinterval()
+
+        def work(t):
+            try:
+                for i in range(30):
+                    rxn = reactions[(t + i) % len(reactions)]
+                    assert client.classify(rxn) == toy_oracle.classify(rxn)
+                    with client._memo_lock:
+                        sizes.append(len(client._memo))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            client.close()
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and len(sizes) == 240 and max(sizes) == 4
+
+    @pytest.mark.parametrize("concurrency", [1, 8])
+    def test_planning_through_the_memo_matches_a_fresh_oracle(self, tmp_path, concurrency):
+        # the toy chemistry, and a random one whose templates carry reagents
+        molecules, templates = random_chemistry(random.Random(14), n_molecules=10,
+                                                n_templates=14)
+        chemistries = [
+            (TOY_TEMPLATES, ["C", "N", "O", "S"], ["CNOS", "CNO", "CNP", "OS", "CN"]),
+            ([{"lhs": list(t.reactants), "rhs": t.product, "weight": t.weight,
+               "class": t.reaction_class.code, "reagents": list(t.reagents)}
+              for t in templates], molecules[:4], molecules[4:]),
+        ]
+        cfg = SearchConfig(n_beams=5, max_steps=4,
+                           expansion=ExpansionConfig(max_concurrency=concurrency))
+        for i, (entries, stock_molecules, targets) in enumerate(chemistries):
+            assert any(e.get("reagents") for e in entries) == (i == 1)
+            path = tmp_path / f"templates{i}.json"
+            path.write_text(json.dumps(entries), "utf-8")
+            stock = make_stock(stock_molecules)
+            client = self.client(mock_serve_command(path), max_in_flight=concurrency)
+            try:
+                for target in targets:
+                    got = beam_search(target, cfg, client, stock)
+                    want = beam_search(target, cfg, ToyOracle(make_templates(entries)), stock)
+                    assert got.graph.dumps() == want.graph.dumps()
+                    assert json.dumps([route_to_json(got.graph, p) for p in got.pathways]) \
+                        == json.dumps([route_to_json(want.graph, p) for p in want.pathways])
+            finally:
+                client.close()
+            sent = client.transport.sent
+            if concurrency == 1:
+                assert len(sent) == len(set(sent))
+
+
 def test_http_transport(toy_oracle):
     server = serve_http(toy_oracle, "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -405,6 +553,27 @@ def test_http_transport(toy_oracle):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_serve_http_keeps_the_connection_alive(toy_oracle):
+    server = serve_http(toy_oracle, "127.0.0.1", 0)
+    connections, process_request = [], server.process_request
+
+    def counted(request, client_address):
+        connections.append(client_address)
+        process_request(request, client_address)
+
+    server.process_request = counted
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    client = WireClient(HttpTransport(f"http://127.0.0.1:{server.server_port}/"), timeout=10)
+    try:
+        for rxn in ["C.N>>CN", "CN.O>>CNO", "CNO.S>>CNOS", "O.S>>OS", "P.F>>CN"]:
+            assert client.classify(rxn) == toy_oracle.classify(rxn)
+    finally:
+        client.close()
+        server.shutdown()
+        server.server_close()
+    assert len(connections) == 1
 
 
 @pytest.mark.parametrize(
