@@ -47,7 +47,6 @@ DEFAULTS: Dict[str, Any] = {
     "theta_hi": 0.6,
     "gap": 0.2,
     "forward_topk": 3,
-    "concurrency": 1,
     "eval_beams": 10,
     "bins": 50,
     "log_base": "e",
@@ -80,6 +79,9 @@ def load_config_file(path: Optional[str]) -> Dict[str, Any]:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a flat JSON object")
+    unknown = set(data) - set(DEFAULTS) - {"stock", "models"}
+    if unknown:
+        raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
     return data
 
 
@@ -135,7 +137,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 auto_accept_likelihood=float(resolve("theta_hi", args.theta_hi, file_config)),
                 selectivity_gap=float(resolve("gap", args.gap, file_config)),
                 forward_topk=int(resolve("forward_topk", args.forward_topk, file_config)),
-                max_concurrency=int(resolve("concurrency", args.concurrency, file_config)),
             ),
         )
     except ValueError as exc:
@@ -319,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--theta-hi", type=float, dest="theta_hi")
     plan.add_argument("--gap", type=float)
     plan.add_argument("--forward-topk", type=int, dest="forward_topk")
-    plan.add_argument("--concurrency", type=int)
     plan.add_argument("--config")
     plan.add_argument("--out", default="routes.json")
     plan.add_argument("--graph-out", dest="graph_out")

@@ -9,7 +9,6 @@ arc per cluster representative.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -35,7 +34,6 @@ class ExpansionConfig:
     auto_accept_likelihood: float = AUTO_ACCEPT_LIKELIHOOD
     selectivity_gap: float = SELECTIVITY_GAP
     forward_topk: int = 3
-    max_concurrency: int = 1
 
     def __post_init__(self):
         if not 0 < self.selectivity_gap < self.auto_accept_likelihood <= 1:
@@ -224,19 +222,7 @@ def expand_node(
         seen_keys.add(candidate.key())
         candidates.append(candidate)
 
-    if cfg.max_concurrency > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.max_concurrency) as pool:
-            verdicts = list(
-                pool.map(
-                    lambda c: filter_candidate(node.smiles, c, cfg, models, normalizer),
-                    candidates,
-                )
-            )
-    else:
-        verdicts = [
-            filter_candidate(node.smiles, c, cfg, models, normalizer)
-            for c in candidates
-        ]
+    verdicts = [filter_candidate(node.smiles, c, cfg, models, normalizer) for c in candidates]
     accepted = [v for v in verdicts if v.accepted]
     clusters = cluster_candidates(accepted, models.classify, node.smiles)
     cluster_of = {

@@ -162,7 +162,6 @@ class ModelManifest:
     token_dict_path: Optional[str] = None
     timeout: float = 60.0
     retries: int = 2
-    max_in_flight: int = 8
 
     def __post_init__(self):
         if self.transport not in ("toy", "subprocess", "http"):

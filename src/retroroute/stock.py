@@ -29,9 +29,6 @@ class StockSet:
         """Exact membership; the caller must pass a normalized string."""
         return m in self.entries
 
-    def __contains__(self, m: str) -> bool:
-        return self.contains(m)
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -163,6 +163,9 @@ def serve_http(models: ChemModels, host: str, port: int) -> "ThreadingHTTPServer
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"  # keep-alive: a client reuses its connection
+        # headers and body go out as two writes; with Nagle's algorithm on, the
+        # client's delayed ACK holds every reply about 40 ms
+        disable_nagle_algorithm = True
 
         def do_POST(self):  # noqa: N802 (http.server API)
             try:
@@ -194,7 +197,7 @@ def serve_http(models: ChemModels, host: str, port: int) -> "ThreadingHTTPServer
 # --- transports -------------------------------------------------------------
 
 class _Child:
-    """One model process and what has been read from its output so far."""
+    """One model process and the partial reply line read from it so far."""
 
     def __init__(self, command: List[str]):
         self.proc = subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
@@ -202,9 +205,6 @@ class _Child:
         self.poller = select.poll()
         self.poller.register(self.fd, select.POLLIN)
         self.buf = b""
-        # id -> reply line, or None until it arrives; only waiting callers have an entry
-        self.replies: Dict[str, Optional[str]] = {}
-        self.reading = False
         self.eof = False
 
     def read(self, timeout: float) -> Optional[bytes]:
@@ -216,24 +216,36 @@ class _Child:
         except OSError:
             return b""
 
-    def file(self, data: bytes) -> None:
-        """Keep each complete reply line in `data` for the caller waiting on its id."""
-        *lines, self.buf = (self.buf + data).split(b"\n")
-        for raw in lines:
-            line = raw.strip().decode("utf-8", "replace")
-            if not line:
-                continue
-            try:
-                msg = decode_response(line)
-            except MalformedModelResponse:
-                logger.warning("dropping malformed response line: %r", line)
-                continue
-            req_id = msg["id"]
-            if isinstance(req_id, str) and req_id in self.replies:
-                self.replies[req_id] = line
+    def reply_to(self, req_id: str, deadline: float, timeout: float) -> str:
+        """Read until the reply line to `req_id`, dropping every other line."""
+        while True:
+            if self.eof:
+                raise ModelUnavailable(
+                    f"model process closed its output before answering {req_id}"
+                )
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise ModelTimeout(f"no response within {timeout}s for {req_id}")
+            data = self.read(remaining)
+            if data == b"":
+                self.eof = True
+            elif data:
+                *lines, self.buf = (self.buf + data).split(b"\n")
+                for raw in lines:
+                    line = raw.strip().decode("utf-8", "replace")
+                    if not line:
+                        continue
+                    try:
+                        msg = decode_response(line)
+                    except MalformedModelResponse:
+                        logger.warning("dropping malformed response line: %r", line)
+                        continue
+                    if msg["id"] == req_id:
+                        # lines after it can only answer older requests: dropped too
+                        return line
 
     def close(self) -> None:
-        """Stop the process and close its pipes; no caller may still use them."""
+        """Stop the process and close its pipes."""
         self.proc.terminate()
         try:
             self.proc.wait(timeout=5)
@@ -250,102 +262,43 @@ class _Child:
 class SubprocessTransport:
     """Speaks the protocol to a child process over stdin/stdout.
 
-    The thread that sends a request reads its own reply. One caller at a
-    time holds the reader role: it reads what the child has written, keeps a
-    reply for the other caller that waits on its id, drops a reply nobody
-    waits for (a late one to a timed-out call), and gives the role up.
-    Replies are matched by id, so the service may answer out of order.
+    One request is in flight at a time: the caller writes its line, then
+    reads the child's output until the reply with its id. A line with
+    another id (a late reply to a timed-out call) is dropped. A child that
+    has exited is closed and replaced on the next call. Calls must not
+    overlap; `WireClient` makes them one at a time.
     """
 
     def __init__(self, command: Sequence[str]):
         self.command = list(command)
         self._child: Optional[_Child] = None
-        self._cond = threading.Condition()
-        self._write_lock = threading.Lock()
 
     def call(self, line: str, req_id: str, timeout: float) -> str:
         deadline = time.monotonic() + timeout
-        with self._cond:
-            child = self._child
-            if child is None or child.proc.poll() is not None:
-                if child is not None:
-                    self._retire(child)
-                try:
-                    child = self._child = _Child(self.command)
-                except OSError as exc:
-                    raise ModelUnavailable(f"cannot start {self.command}: {exc}") from exc
-            if child.eof:
-                raise ModelUnavailable(f"model process {self.command} closed its output")
-            child.replies[req_id] = None
+        child = self._child
+        if child is None or child.proc.poll() is not None:
+            self.close()
+            try:
+                child = self._child = _Child(self.command)
+            except OSError as exc:
+                raise ModelUnavailable(f"cannot start {self.command}: {exc}") from exc
+        if child.eof:
+            raise ModelUnavailable(f"model process {self.command} closed its output")
         try:
-            with self._write_lock:
-                child.proc.stdin.write(line.encode("utf-8") + b"\n")
-                child.proc.stdin.flush()
+            child.proc.stdin.write(line.encode("utf-8") + b"\n")
+            child.proc.stdin.flush()
         except OSError as exc:
-            with self._cond:
-                self._leave(child, req_id)
             raise ModelUnavailable(f"model process died: {exc}") from exc
-        with self._cond:
-            try:
-                return self._await(child, req_id, deadline, timeout)
-            finally:
-                self._leave(child, req_id)
-
-    def _await(self, child: _Child, req_id: str, deadline: float, timeout: float) -> str:
-        """Wait, holding the condition, for the reply to `req_id`."""
-        while True:
-            reply = child.replies[req_id]
-            if reply is not None:
-                return reply
-            if child.eof:
-                raise ModelUnavailable(
-                    f"model process closed its output before answering {req_id}"
-                )
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ModelTimeout(f"no response within {timeout}s for {req_id}")
-            if child.reading:
-                self._cond.wait(remaining)
-                continue
-            child.reading = True
-            self._cond.release()
-            try:
-                data = child.read(remaining)
-            finally:
-                self._cond.acquire()
-                child.reading = False
-                self._cond.notify_all()
-            if data == b"":
-                child.eof = True
-            elif data:
-                child.file(data)
-
-    def _leave(self, child: _Child, req_id: str) -> None:
-        del child.replies[req_id]
-        if child is not self._child:
-            self._retire(child)
-
-    @staticmethod
-    def _retire(child: _Child) -> None:
-        """Stop a replaced child; close it unless a caller is registered on it.
-
-        Closing under a caller could hand its descriptors to the next child's
-        pipes, so the last caller to leave closes it instead.
-        """
-        if child.replies:
-            child.proc.terminate()
-        else:
-            child.close()
+        return child.reply_to(req_id, deadline, timeout)
 
     def close(self) -> None:
-        with self._cond:
-            child, self._child = self._child, None
-            if child is not None:
-                self._retire(child)
+        child, self._child = self._child, None
+        if child is not None:
+            child.close()
 
 
 class HttpTransport:
-    """POSTs one request line at a time; a connection is reused after a full 200 reply."""
+    """POSTs one request line at a time over one connection, kept alive after a full 200 reply."""
 
     def __init__(self, endpoint: str):
         # imported here so that the stdio model child never loads them
@@ -357,16 +310,14 @@ class HttpTransport:
         if parts.scheme not in classes or not parts.netloc:
             raise ConfigError(f"endpoint {endpoint!r} is not an http:// or https:// URL")
         self.endpoint = endpoint
-        self._connect = lambda: classes[parts.scheme](parts.netloc)
+        # connects on the first request, and again on the next one after close()
+        self._conn = classes[parts.scheme](parts.netloc)
         self._path = urlunsplit(("", "", parts.path or "/", parts.query, ""))
-        self._idle: List[Any] = []
-        self._lock = threading.Lock()
 
     def call(self, line: str, req_id: str, timeout: float) -> str:
         import http.client
 
-        with self._lock:
-            conn = self._idle.pop() if self._idle else self._connect()
+        conn = self._conn
         conn.timeout = timeout
         if conn.sock is not None:
             poller = select.poll()
@@ -386,17 +337,13 @@ class HttpTransport:
         if resp.status != 200:
             conn.close()
             raise ModelUnavailable(f"HTTP {resp.status} from {self.endpoint}")
-        with self._lock:
-            self._idle.append(conn)
         for raw in body.decode("utf-8", "replace").splitlines():
             if raw.strip() and decode_response(raw)["id"] == req_id:
                 return raw
         raise MalformedModelResponse(f"no response with id {req_id} in reply")
 
     def close(self) -> None:
-        with self._lock:
-            while self._idle:
-                self._idle.pop().close()
+        self._conn.close()
 
 
 # --- client -----------------------------------------------------------------
@@ -407,7 +354,8 @@ class WireClient(ChemModels):
     Applies the token-substitution dictionary at the model boundary: targets
     are encoded before the retro call and suggested precursors are expanded
     back before any forward-model use. Failed calls are retried with
-    exponential backoff; concurrent in-flight requests are capped.
+    exponential backoff. One request is in flight at a time: a client
+    shared by threads serves their calls one by one.
 
     The models are taken to be deterministic, so the reply line to each
     distinct (op, inputs, params) request is kept, up to `MEMO_ENTRIES`, and
@@ -421,7 +369,6 @@ class WireClient(ChemModels):
         substitution: Optional[TokenSubstitution] = None,
         timeout: float = 60.0,
         retries: int = 2,
-        max_in_flight: int = 8,
         backoff: float = 0.5,
     ):
         self.transport = transport
@@ -429,44 +376,42 @@ class WireClient(ChemModels):
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self._slots = threading.BoundedSemaphore(max_in_flight)
         self._ids = itertools.count()
         self._memo: OrderedDict[str, str] = OrderedDict()
-        self._memo_lock = threading.Lock()
+        # held from memo lookup to memo store, so calls never overlap on the transport
+        self._lock = threading.Lock()
 
     def _call(self, op: str, inputs: List[Any], params: Dict[str, Any]) -> Any:
         key = json.dumps([op, inputs, params], separators=(",", ":"), sort_keys=True)
-        with self._memo_lock:
+        with self._lock:
             reply = self._memo.get(key)
-        if reply is not None:
-            return decode_response(reply).get("result")
-        last_error: Optional[ModelError] = None
-        for attempt in range(self.retries + 1):
-            req_id = str(next(self._ids))
-            line = encode_request(req_id, op, inputs, params)
-            try:
-                with self._slots:
+            if reply is not None:
+                return decode_response(reply).get("result")
+            last_error: Optional[ModelError] = None
+            for attempt in range(self.retries + 1):
+                req_id = str(next(self._ids))
+                line = encode_request(req_id, op, inputs, params)
+                try:
                     reply = self.transport.call(line, req_id, self.timeout)
-                msg = decode_response(reply)
-                if msg["id"] != req_id:
-                    raise MalformedModelResponse(
-                        f"response id {msg['id']!r} does not match request {req_id!r}"
-                    )
-                if not msg.get("ok"):
-                    raise MalformedModelResponse(
-                        f"model error for op {op!r}: {msg.get('error')}"
-                    )
-                with self._memo_lock:
+                    msg = decode_response(reply)
+                    if msg["id"] != req_id:
+                        raise MalformedModelResponse(
+                            f"response id {msg['id']!r} does not match request {req_id!r}"
+                        )
+                    if not msg.get("ok"):
+                        raise MalformedModelResponse(
+                            f"model error for op {op!r}: {msg.get('error')}"
+                        )
                     self._memo[key] = reply
                     while len(self._memo) > MEMO_ENTRIES:
                         self._memo.popitem(last=False)
-                return msg.get("result")
-            except (ModelUnavailable, ModelTimeout) as exc:
-                last_error = exc
-                if attempt < self.retries:
-                    time.sleep(self.backoff * (2 ** attempt))
-        assert last_error is not None
-        raise last_error
+                    return msg.get("result")
+                except (ModelUnavailable, ModelTimeout) as exc:
+                    last_error = exc
+                    if attempt < self.retries:
+                        time.sleep(self.backoff * (2 ** attempt))
+            assert last_error is not None
+            raise last_error
 
     def retro_predict(self, target: str, beams: int) -> List[RetroPrediction]:
         if self.substitution is not None:
@@ -535,7 +480,8 @@ class WireClient(ChemModels):
             raise MalformedModelResponse(f"bad classify result: {result!r}") from exc
 
     def close(self) -> None:
-        self.transport.close()
+        with self._lock:
+            self.transport.close()
 
 
 def build_models(manifest: ModelManifest) -> ChemModels:
@@ -554,5 +500,4 @@ def build_models(manifest: ModelManifest) -> ChemModels:
         substitution=substitution,
         timeout=manifest.timeout,
         retries=manifest.retries,
-        max_in_flight=manifest.max_in_flight,
     )

@@ -7,6 +7,7 @@ a checklist; the assertions themselves carry the tolerances.
 import json
 import math
 import random
+import sys
 import time
 
 import numpy as np
@@ -343,27 +344,33 @@ def test_criterion_7_parser_round_trips():
     print("\ncriterion 7 PASS: 10k tokenize and 10k annotation round-trips")
 
 
-def test_criterion_8_plan_runs_byte_identical(toy_manifest, stock_file, tmp_path):
+def test_criterion_8_plan_runs_byte_identical(toy_manifest, templates_file, stock_file,
+                                              tmp_path):
     from retroroute.cli import main
 
-    def run(name, concurrency):
+    wire_manifest = tmp_path / "wire.json"
+    wire_manifest.write_text(json.dumps({
+        "transport": "subprocess", "timeout": 30,
+        "command": [sys.executable, "-m", "retroroute.cli", "mock-serve", str(templates_file)],
+    }), "utf-8")
+
+    def run(name, manifest):
         out = tmp_path / name
         code = main([
-            "plan", "CNOS", "--models", str(toy_manifest),
+            "plan", "CNOS", "--models", str(manifest),
             "--stock", str(stock_file), "--out", str(out),
-            "--concurrency", str(concurrency),
         ])
         assert code == 0
         payload = json.loads(out.read_text("utf-8"))
         del payload["metadata"]
         return json.dumps(payload, sort_keys=True).encode()
 
-    serial_1 = run("a.json", 1)
-    serial_2 = run("b.json", 1)
-    parallel = run("c.json", 8)
-    assert serial_1 == serial_2 == parallel
+    toy_1 = run("a.json", toy_manifest)
+    toy_2 = run("b.json", toy_manifest)
+    wire = run("c.json", wire_manifest)
+    assert toy_1 == toy_2 == wire
     print("\ncriterion 8 PASS: route JSON byte-identical across runs and "
-          "concurrency 1 vs 8")
+          "between the in-process and subprocess models")
 
 
 def test_criterion_9_end_to_end_stock_flip():

@@ -189,6 +189,24 @@ class TestBadConfigValues:
         monkeypatch.setenv("RETROROUTE_BEAMS", "abc")
         self.assert_config_error(main(plan_args()), capsys)
 
+    @pytest.mark.parametrize("config", [{"concurrency": 8}, {"max-steps": 2}],
+                             ids=["concurrency", "max-steps"])
+    def test_unknown_config_key(self, config, plan_args, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), "utf-8")
+        self.assert_config_error(main(plan_args("CNOS", "--config", str(path))), capsys)
+
+    def test_unknown_manifest_key(self, templates_file, stock_file, tmp_path, capsys):
+        manifest = tmp_path / "subprocess.json"
+        manifest.write_text(json.dumps({
+            "transport": "subprocess", "max_in_flight": 8,
+            "command": [sys.executable, "-m", "retroroute.cli", "mock-serve",
+                        str(templates_file)],
+        }), "utf-8")
+        code = main(["plan", "CNOS", "--models", str(manifest), "--stock", str(stock_file),
+                     "--out", str(tmp_path / "r.json")])
+        self.assert_config_error(code, capsys)
+
     @pytest.mark.parametrize("bins", ["0", "-1"])
     def test_bins_below_one(self, bins, toy_manifest, tmp_path, capsys):
         targets = tmp_path / "targets.txt"

@@ -269,19 +269,6 @@ class TestExpandNode:
         rejected = [r for r in trace if r["outcome"] not in ("auto", "selective")]
         assert all(r["cluster"] is None for r in rejected)
 
-    def test_concurrent_filtering_matches_serial(self, toy_oracle):
-        for target in ("CN", "CNO", "CNOS"):
-            g1, normalizer, scorer = self.setup_graph(target)
-            serial = expand_node(g1, g1.root, CFG, toy_oracle, normalizer, scorer)
-            g2, _, _ = self.setup_graph(target)
-            parallel = expand_node(
-                g2, g2.root,
-                ExpansionConfig(max_concurrency=4),
-                toy_oracle, normalizer, scorer,
-            )
-            assert [g1.arcs[a].precursors for a in serial] == \
-                [g2.arcs[a].precursors for a in parallel]
-
     def test_matches_reference_expansion(self, toy_oracle, normalizer):
         from reference import reference_expansion
 

@@ -21,8 +21,8 @@ class TestLoadStock:
     def test_basic(self, write_stock, normalizer):
         stock = load_stock(write_stock("s.txt", "C\nN\nO\n"), normalizer)
         assert len(stock) == 3
-        assert "C" in stock and stock.contains("N")
-        assert "S" not in stock
+        assert stock.contains("C") and stock.contains("N")
+        assert not stock.contains("S")
 
     def test_comments_and_blank_lines(self, write_stock, normalizer):
         stock = load_stock(
@@ -32,8 +32,8 @@ class TestLoadStock:
 
     def test_entries_normalized(self, write_stock, normalizer):
         stock = load_stock(write_stock("s.txt", "O~C\n"), normalizer)
-        assert "C~O" in stock
-        assert "O~C" not in stock  # exact-string lookup after normalization
+        assert stock.contains("C~O")
+        assert not stock.contains("O~C")  # exact-string lookup after normalization
 
     def test_duplicates_collapse(self, write_stock, normalizer):
         stock = load_stock(write_stock("s.txt", "C\nC\nC\n"), normalizer)

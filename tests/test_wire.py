@@ -20,7 +20,6 @@ from retroroute.errors import (
     ModelUnavailable,
 )
 from retroroute.cli import route_to_json
-from retroroute.expand import ExpansionConfig
 from retroroute.models import ModelManifest, PrecursorSet, TokenSubstitution
 from retroroute import wire
 from retroroute.search import SearchConfig, beam_search
@@ -152,7 +151,7 @@ class TestSubprocessClient:
 
     def test_concurrent_calls(self, templates_file, toy_oracle):
         client = WireClient(SubprocessTransport(mock_serve_command(templates_file)),
-                            timeout=20, max_in_flight=8)
+                            timeout=20)
         results = {}
 
         def work(i, target):
@@ -209,33 +208,6 @@ class TestSubprocessClient:
         finally:
             transport.close()
 
-    def test_replies_out_of_order_reach_their_callers(self):
-        # the child answers only once it holds both requests, last one first
-        transport = SubprocessTransport(fake_child(
-            "a = sys.stdin.readline(); b = sys.stdin.readline()\n"
-            "reply(b); reply(a)\n"
-            "sys.stdin.read()\n"
-        ))
-        replies = {}
-
-        def work(req_id):
-            replies[req_id] = transport.call(
-                encode_request(req_id, "classify", [req_id], {}), req_id, timeout=10
-            )
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in ("a", "b")]
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=15)
-            assert not any(t.is_alive() for t in threads)
-        finally:
-            transport.close()
-        for req_id in ("a", "b"):
-            msg = decode_response(replies[req_id])
-            assert (msg["id"], msg["result"]) == (req_id, [req_id])
-
     def test_late_reply_is_dropped(self):
         # the first request is answered after its caller has given up
         transport = SubprocessTransport(fake_child(
@@ -246,11 +218,13 @@ class TestSubprocessClient:
         try:
             with pytest.raises(ModelTimeout):
                 transport.call(encode_request("1", "classify", ["x"], {}), "1", timeout=0.1)
-            reply = transport.call(encode_request("2", "classify", ["y"], {}), "2", timeout=10)
-            assert transport._child.replies == {}  # the late reply was not kept
+            replies = [
+                transport.call(encode_request(i, "classify", [i], {}), i, timeout=10)
+                for i in ("2", "3")
+            ]
         finally:
             transport.close()
-        assert decode_response(reply)["id"] == "2"
+        assert [decode_response(r)["id"] for r in replies] == ["2", "3"]
 
     def test_malformed_reply_line_is_skipped(self, caplog):
         transport = SubprocessTransport(fake_child(
@@ -281,47 +255,9 @@ class TestSubprocessClient:
             assert child.proc.stdin.closed and child.proc.stdout.closed
             assert child.proc.returncode is not None
 
-    def test_child_replaced_under_a_waiting_caller_is_closed_when_it_leaves(self, tmp_path):
-        # the first child exits at once, but a grandchild keeps its stdout open,
-        # so the first caller still waits on it when the next call replaces it
-        marker = tmp_path / "started"
-        transport = SubprocessTransport(fake_child(
-            f"import os\nmarker = {str(marker)!r}\n"
-            "if not os.path.exists(marker):\n"
-            "    open(marker, 'w').close(); sys.stdin.readline()\n"
-            "    if os.fork() == 0:\n"
-            "        time.sleep(4)\n"
-            "    os._exit(0)\n"
-            "for line in sys.stdin:\n"
-            "    reply(line)\n"
-        ))
-        errors = []
-
-        def wait_on_first_child():
-            try:
-                transport.call(encode_request("1", "classify", ["x"], {}), "1", timeout=2)
-            except ModelTimeout as exc:
-                errors.append(exc)
-
-        waiter = threading.Thread(target=wait_on_first_child)
-        try:
-            waiter.start()
-            while transport._child is None or not transport._child.replies:
-                time.sleep(0.01)
-            first = transport._child
-            first.proc.wait(timeout=10)
-            transport.call(encode_request("2", "classify", ["y"], {}), "2", timeout=10)
-            assert transport._child is not first and first.replies
-            assert not first.proc.stdout.closed  # its caller still reads it
-            waiter.join(timeout=10)
-            assert not waiter.is_alive() and len(errors) == 1
-            assert first.proc.stdin.closed and first.proc.stdout.closed
-        finally:
-            transport.close()
-
     def test_children_dying_under_concurrent_callers_are_all_closed(self, monkeypatch):
-        # each child answers one request and exits, while other callers may
-        # still be registered on it; every child must end up closed
+        # each child answers one request and exits; callers share one client,
+        # and every child must end up closed
         children = []
 
         class Recorded(wire._Child):
@@ -330,15 +266,15 @@ class TestSubprocessClient:
                 children.append(self)
 
         monkeypatch.setattr(wire, "_Child", Recorded)
-        transport = SubprocessTransport(fake_child("reply(sys.stdin.readline())\n"))
+        client = WireClient(SubprocessTransport(fake_child("reply(sys.stdin.readline())\n")),
+                            timeout=10, retries=0)
         outcomes = []
 
         def work(t):
             for i in range(5):
                 req_id = f"{t}.{i}"
                 try:
-                    transport.call(encode_request(req_id, "classify", [req_id], {}),
-                                   req_id, timeout=10)
+                    assert client._call("classify", [req_id], {}) == [req_id]
                     outcomes.append("ok")
                 except ModelUnavailable:
                     outcomes.append("unavailable")
@@ -354,10 +290,9 @@ class TestSubprocessClient:
             assert not any(t.is_alive() for t in threads)
         finally:
             sys.setswitchinterval(interval)
-            transport.close()
+            client.close()
         assert len(outcomes) == 20 and "ok" in outcomes
         for child in children:
-            assert child.replies == {}
             assert child.proc.stdin.closed and child.proc.stdout.closed
             assert child.proc.returncode is not None
 
@@ -477,7 +412,7 @@ class TestMemo:
                 for i in range(30):
                     rxn = reactions[(t + i) % len(reactions)]
                     assert client.classify(rxn) == toy_oracle.classify(rxn)
-                    with client._memo_lock:
+                    with client._lock:
                         sizes.append(len(client._memo))
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
@@ -495,8 +430,7 @@ class TestMemo:
         assert not any(t.is_alive() for t in threads)
         assert errors == [] and len(sizes) == 240 and max(sizes) == 4
 
-    @pytest.mark.parametrize("concurrency", [1, 8])
-    def test_planning_through_the_memo_matches_a_fresh_oracle(self, tmp_path, concurrency):
+    def test_planning_through_the_memo_matches_a_fresh_oracle(self, tmp_path):
         # the toy chemistry, and a random one whose templates carry reagents
         molecules, templates = random_chemistry(random.Random(14), n_molecules=10,
                                                 n_templates=14)
@@ -506,14 +440,13 @@ class TestMemo:
                "class": t.reaction_class.code, "reagents": list(t.reagents)}
               for t in templates], molecules[:4], molecules[4:]),
         ]
-        cfg = SearchConfig(n_beams=5, max_steps=4,
-                           expansion=ExpansionConfig(max_concurrency=concurrency))
+        cfg = SearchConfig(n_beams=5, max_steps=4)
         for i, (entries, stock_molecules, targets) in enumerate(chemistries):
             assert any(e.get("reagents") for e in entries) == (i == 1)
             path = tmp_path / f"templates{i}.json"
             path.write_text(json.dumps(entries), "utf-8")
             stock = make_stock(stock_molecules)
-            client = self.client(mock_serve_command(path), max_in_flight=concurrency)
+            client = self.client(mock_serve_command(path))
             try:
                 for target in targets:
                     got = beam_search(target, cfg, client, stock)
@@ -524,8 +457,7 @@ class TestMemo:
             finally:
                 client.close()
             sent = client.transport.sent
-            if concurrency == 1:
-                assert len(sent) == len(set(sent))
+            assert len(sent) == len(set(sent))
 
 
 def test_http_transport(toy_oracle):
@@ -574,6 +506,25 @@ def test_serve_http_keeps_the_connection_alive(toy_oracle):
         server.shutdown()
         server.server_close()
     assert len(connections) == 1
+
+
+def test_serve_http_answers_without_a_delayed_ack_stall(toy_oracle):
+    # with Nagle's algorithm on, each keep-alive reply waits about 40 ms
+    # for the client's delayed ACK
+    server = serve_http(toy_oracle, "127.0.0.1", 0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    client = WireClient(HttpTransport(f"http://127.0.0.1:{server.server_port}/"), timeout=10)
+    reactions = [f"{a}.{b}>>{a}{b}" for a in "CNOSPF" for b in "CNOSPF" if a != b]
+    try:
+        start = time.monotonic()
+        for rxn in reactions:
+            assert client.classify(rxn) == toy_oracle.classify(rxn)
+        elapsed = time.monotonic() - start
+    finally:
+        client.close()
+        server.shutdown()
+        server.server_close()
+    assert len(reactions) == 30 and elapsed < 0.6
 
 
 @pytest.mark.parametrize(
@@ -651,7 +602,8 @@ class TestHttpTransport:
         assert len(handler.connections) == 1
 
     def test_concurrent_callers_never_share_a_connection(self):
-        # a connection used by two callers at once would fail a call or cross replies
+        # a connection used by two callers at once would fail a call or cross replies;
+        # callers share one client, which takes their calls one at a time
         handler = echo_handler(200, "HTTP/1.1")
         errors, interval = [], sys.getswitchinterval()
 
@@ -659,26 +611,25 @@ class TestHttpTransport:
             try:
                 for i in range(20):
                     req_id = f"{t}-{i}"
-                    line = encode_request(req_id, "classify", [req_id], {})
-                    assert json.loads(transport.call(line, req_id, 10))["result"] == [req_id]
+                    assert client._call("classify", [req_id], {}) == [req_id]
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
 
         sys.setswitchinterval(1e-6)
         try:
             with http_server(handler) as url:
-                transport = HttpTransport(url)
+                client = WireClient(HttpTransport(url), timeout=10)
                 threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
                 for t in threads:
                     t.start()
                 for t in threads:
                     t.join(timeout=60)
-                transport.close()
+                client.close()
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(handler.connections) <= 8
+        assert len(handler.connections) == 1
 
     def test_connection_the_server_closed_while_idle_is_replaced(self):
         handler = echo_handler(200, "HTTP/1.1")
