@@ -430,8 +430,11 @@ class TestMemo:
         assert not any(t.is_alive() for t in threads)
         assert errors == [] and len(sizes) == 240 and max(sizes) == 4
 
-    def test_planning_through_the_memo_matches_a_fresh_oracle(self, tmp_path):
-        # the toy chemistry, and a random one whose templates carry reagents
+    @pytest.mark.parametrize("callers", [1, 8])
+    def test_planning_through_the_memo_matches_a_fresh_oracle(self, tmp_path, callers):
+        # the toy chemistry, and a random one whose templates carry reagents;
+        # with several callers planning at once through one client, the lock
+        # held from memo lookup to memo store still sends each request once
         molecules, templates = random_chemistry(random.Random(14), n_molecules=10,
                                                 n_templates=14)
         chemistries = [
@@ -441,21 +444,42 @@ class TestMemo:
               for t in templates], molecules[:4], molecules[4:]),
         ]
         cfg = SearchConfig(n_beams=5, max_steps=4)
+
+        def plan(graph_of, target, oracle, stock):
+            result = beam_search(target, cfg, oracle, stock)
+            graph_of[target] = (result.graph.dumps(), json.dumps(
+                [route_to_json(result.graph, p) for p in result.pathways]))
+
         for i, (entries, stock_molecules, targets) in enumerate(chemistries):
             assert any(e.get("reagents") for e in entries) == (i == 1)
             path = tmp_path / f"templates{i}.json"
             path.write_text(json.dumps(entries), "utf-8")
             stock = make_stock(stock_molecules)
+            want = {}
+            for target in targets:
+                plan(want, target, ToyOracle(make_templates(entries)), stock)
             client = self.client(mock_serve_command(path))
+            got = [{} for _ in range(callers)]
+            errors = []
+
+            def work(c):
+                try:
+                    for k in range(len(targets)):
+                        plan(got[c], targets[(c + k) % len(targets)], client, stock)
+                except Exception as exc:  # reported by the main thread
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work, args=(c,)) for c in range(callers)]
             try:
-                for target in targets:
-                    got = beam_search(target, cfg, client, stock)
-                    want = beam_search(target, cfg, ToyOracle(make_templates(entries)), stock)
-                    assert got.graph.dumps() == want.graph.dumps()
-                    assert json.dumps([route_to_json(got.graph, p) for p in got.pathways]) \
-                        == json.dumps([route_to_json(want.graph, p) for p in want.pathways])
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
             finally:
                 client.close()
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert got == [want] * callers
             sent = client.transport.sent
             assert len(sent) == len(set(sent))
 
