@@ -114,7 +114,7 @@ def route_to_json(graph: HyperGraph, p: Pathway) -> dict:
 def cmd_plan(args: argparse.Namespace) -> int:
     # imported here so that the mock-serve model child never loads them
     from .expand import ExpansionConfig
-    from .search import SOLVED, HeavyTokenScorer, SearchConfig, beam_search
+    from .search import HeavyTokenScorer, SearchConfig, beam_search
     from .stock import load_stocks
 
     file_config = load_config_file(args.config)
@@ -174,9 +174,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
     out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
     if args.graph_out:
         Path(args.graph_out).write_text(outcome.graph.dumps() + "\n", "utf-8")
+    solved = outcome.solved
     if args.dot_out:
-        best = outcome.solved[0] if outcome.solved else None
-        arcs = best.arcs if best is not None else None
+        arcs = solved[0].arcs if solved else None
         Path(args.dot_out).write_text(outcome.graph.to_dot(arcs), "utf-8")
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -187,7 +187,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     print(f"{'rank':>4}  {'status':<9} {'steps':>5}  {'score':>12}")
     for i, p in enumerate(outcome.pathways[:20], 1):
         print(f"{i:>4}  {p.status:<9} {len(p.arcs):>5}  {p.cumulative_score:>12.6g}")
-    solved = [p for p in outcome.pathways if p.status == SOLVED]
     print(f"{len(solved)} solved route(s) of {len(outcome.pathways)} pathways -> {out_path}")
     return EXIT_OK if solved else EXIT_NO_ROUTE
 
@@ -367,9 +366,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except EmptyEvaluation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY_EVAL
-    except (ConfigError, IoError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except RetroRouteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

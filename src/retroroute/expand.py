@@ -155,7 +155,7 @@ def cluster_candidates(
     return clusters
 
 
-def _node_simplicity(smiles: str, scorer) -> Tuple[float, bool]:
+def node_simplicity(smiles: str, scorer) -> Tuple[float, bool]:
     """(simplicity, ok); a failed scorer marks the molecule unexpandable."""
     from .search import simplicity
 
@@ -197,22 +197,11 @@ def expand_node(
     candidates: List[PrecursorSet] = []
     seen_keys = set()
     for pred in predictions:
-        molecules = []
-        reagents = set()
-        bad = False
-        for raw in pred.precursors.molecules:
-            try:
-                norm = normalizer.normalize(raw)
-            except NotCanonicalizable:
-                bad = True
-                break
-            molecules.append(norm)
-            if raw in pred.precursors.reagents:
-                reagents.add(norm)
-        if bad:
+        try:
+            candidate = pred.precursors.normalized(normalizer)
+        except NotCanonicalizable:
             _trace(trace, node.smiles, pred.precursors, "not_canonicalizable", None)
             continue
-        candidate = PrecursorSet(tuple(molecules), frozenset(reagents))
         if node.smiles in candidate.molecules:
             _trace(trace, node.smiles, candidate, "self_precursor", None)
             continue
@@ -252,7 +241,7 @@ def expand_node(
         for m in rep.candidate.molecules:
             existing = g.index.get(m)
             if existing is None:
-                s, ok = _node_simplicity(m, scorer)
+                s, ok = node_simplicity(m, scorer)
                 existing = g.get_or_insert_node(
                     m,
                     in_stock=bool(stock is not None and stock.contains(m)),

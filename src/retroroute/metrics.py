@@ -141,20 +141,13 @@ def evaluate_target(
 
     suggestions: List[Suggestion] = []
     for pred in predictions:
-        molecules = []
-        syntactically_valid = True
-        for raw in pred.precursors.molecules:
-            try:
-                molecules.append(normalizer.normalize(raw))
-            except NotCanonicalizable:
-                syntactically_valid = False
-                break
-        if not syntactically_valid:
+        try:
+            candidate = pred.precursors.normalized(normalizer)
+        except NotCanonicalizable:
             suggestions.append(
                 Suggestion(pred.precursors, syntactically_valid=False, valid=False)
             )
             continue
-        candidate = PrecursorSet(tuple(molecules), pred.precursors.reagents)
         try:
             forward = models.forward_predict(candidate, 2)
         except ModelError as exc:

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConfigError, IoError
-from .smiles import split_units
+from .smiles import Normalizer, split_units
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,15 @@ class PrecursorSet:
             self, "reagents", frozenset(self.reagents) & set(self.molecules)
         )
 
-    @property
-    def reactants(self) -> Tuple[str, ...]:
-        return tuple(m for m in self.molecules if m not in self.reagents)
+    def normalized(self, normalizer: Normalizer) -> "PrecursorSet":
+        """Each molecule normalized, reagent flags kept; raises NotCanonicalizable."""
+        molecules = tuple(normalizer.normalize(m) for m in self.molecules)
+        if not self.reagents:
+            return PrecursorSet(molecules)
+        return PrecursorSet(
+            molecules,
+            frozenset(n for m, n in zip(self.molecules, molecules) if m in self.reagents),
+        )
 
     def key(self) -> str:
         """Order-independent identity used for candidate deduplication."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import DegenerateProduct, ScorerUnavailable
-from .expand import ExpansionConfig, expand_node
+from .expand import ExpansionConfig, expand_node, node_simplicity
 from .graph import HyperGraph
 from .models import ChemModels
 from .smiles import Normalizer, ToyNormalizer, atom_count
@@ -34,6 +34,9 @@ SOLVED = "solved"
 MAX_STEPS = "max_steps"
 DEAD = "dead"
 CYCLIC = "cyclic"
+
+# failed expansions of a node (model outages) after which it is marked dead
+MAX_DEFERRALS = 3
 
 
 # --- simplicity -------------------------------------------------------------
@@ -107,7 +110,6 @@ class SearchConfig:
     n_beams: int = 10
     max_steps: int = 6
     expansion: ExpansionConfig = field(default_factory=ExpansionConfig)
-    max_deferrals: int = 3
 
     def __post_init__(self):
         if self.n_beams < 1:
@@ -190,11 +192,7 @@ def beam_search(
     target_norm = normalizer.normalize(target)
 
     g = HyperGraph()
-    try:
-        s = simplicity(target_norm, scorer)
-        expandable = True
-    except ScorerUnavailable:
-        s, expandable = 0.0, False
+    s, expandable = node_simplicity(target_norm, scorer)
     root = g.get_or_insert_node(
         target_norm,
         in_stock=stock.contains(target_norm),
@@ -235,7 +233,7 @@ def beam_search(
                 trace=trace,
             )
             node = g.node(node_id)
-            if not node.expanded and node.deferrals >= cfg.max_deferrals:
+            if not node.expanded and node.deferrals >= MAX_DEFERRALS:
                 node.expandable = False
 
         # terminate-check now that the expansion state is known

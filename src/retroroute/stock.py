@@ -22,7 +22,6 @@ class StockSet:
     """
 
     entries: frozenset
-    source: str = ""
     skipped: int = 0
 
     def contains(self, m: str) -> bool:
@@ -33,11 +32,7 @@ class StockSet:
         return len(self.entries)
 
     def union(self, other: "StockSet") -> "StockSet":
-        return StockSet(
-            entries=self.entries | other.entries,
-            source=f"{self.source}+{other.source}",
-            skipped=self.skipped + other.skipped,
-        )
+        return StockSet(entries=self.entries | other.entries, skipped=self.skipped + other.skipped)
 
 
 def load_stock(path: str | Path, normalizer: Normalizer) -> StockSet:
@@ -62,12 +57,12 @@ def load_stock(path: str | Path, normalizer: Normalizer) -> StockSet:
             logger.warning("%s:%d: skipping unnormalizable entry %r", path, lineno, line)
     if skipped:
         logger.warning("%s: skipped %d unnormalizable entries", path, skipped)
-    return StockSet(entries=frozenset(entries), source=str(path), skipped=skipped)
+    return StockSet(entries=frozenset(entries), skipped=skipped)
 
 
 def load_stocks(paths: Iterable[str | Path], normalizer: Normalizer) -> StockSet:
     """Union of several stock files."""
-    result = StockSet(entries=frozenset(), source="")
+    result = StockSet(entries=frozenset())
     for path in paths:
         result = result.union(load_stock(path, normalizer))
     return result

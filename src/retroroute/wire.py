@@ -17,12 +17,11 @@ import subprocess
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from .errors import (
     ConfigError,
     MalformedModelResponse,
-    ModelError,
     ModelTimeout,
     ModelUnavailable,
     RetroRouteError,
@@ -46,6 +45,9 @@ MAX_REQUEST_BYTES = 8 * 1024 * 1024
 
 # most successful replies a WireClient keeps (about 320 bytes each); the oldest goes first
 MEMO_ENTRIES = 1 << 15
+
+# seconds a WireClient waits before its first retry; each later wait doubles
+RETRY_BACKOFF = 0.5
 
 
 # --- message encoding -------------------------------------------------------
@@ -196,67 +198,20 @@ def serve_http(models: ChemModels, host: str, port: int) -> "ThreadingHTTPServer
 
 # --- transports -------------------------------------------------------------
 
-class _Child:
-    """One model process and the partial reply line read from it so far."""
-
-    def __init__(self, command: List[str]):
-        self.proc = subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-        self.fd = self.proc.stdout.fileno()
-        self.poller = select.poll()
-        self.poller.register(self.fd, select.POLLIN)
-        self.buf = b""
-        self.eof = False
-
-    def read(self, timeout: float) -> Optional[bytes]:
-        """Wait up to `timeout` seconds for output: None if none came, b"" at EOF."""
-        if not self.poller.poll(math.ceil(timeout * 1000)):
-            return None
+def _reply_in(lines: Iterable[bytes], req_id: str) -> Optional[str]:
+    """The first of `lines` that answers `req_id`; other ids and malformed lines are dropped."""
+    for raw in lines:
+        line = raw.strip().decode("utf-8", "replace")
+        if not line:
+            continue
         try:
-            return os.read(self.fd, 65536)
-        except OSError:
-            return b""
-
-    def reply_to(self, req_id: str, deadline: float, timeout: float) -> str:
-        """Read until the reply line to `req_id`, dropping every other line."""
-        while True:
-            if self.eof:
-                raise ModelUnavailable(
-                    f"model process closed its output before answering {req_id}"
-                )
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ModelTimeout(f"no response within {timeout}s for {req_id}")
-            data = self.read(remaining)
-            if data == b"":
-                self.eof = True
-            elif data:
-                *lines, self.buf = (self.buf + data).split(b"\n")
-                for raw in lines:
-                    line = raw.strip().decode("utf-8", "replace")
-                    if not line:
-                        continue
-                    try:
-                        msg = decode_response(line)
-                    except MalformedModelResponse:
-                        logger.warning("dropping malformed response line: %r", line)
-                        continue
-                    if msg["id"] == req_id:
-                        # lines after it can only answer older requests: dropped too
-                        return line
-
-    def close(self) -> None:
-        """Stop the process and close its pipes."""
-        self.proc.terminate()
-        try:
-            self.proc.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait()
-        for pipe in (self.proc.stdin, self.proc.stdout):
-            try:
-                pipe.close()
-            except OSError:  # a request the dead child never read
-                pass
+            msg = decode_response(line)
+        except MalformedModelResponse:
+            logger.warning("dropping malformed response line: %r", line)
+            continue
+        if msg["id"] == req_id:
+            return line
+    return None
 
 
 class SubprocessTransport:
@@ -265,36 +220,72 @@ class SubprocessTransport:
     One request is in flight at a time: the caller writes its line, then
     reads the child's output until the reply with its id. A line with
     another id (a late reply to a timed-out call) is dropped. A child that
-    has exited is closed and replaced on the next call. Calls must not
-    overlap; `WireClient` makes them one at a time.
+    has exited or closed its output is closed and replaced on the next
+    call. Calls must not overlap; `WireClient` makes them one at a time.
     """
 
     def __init__(self, command: Sequence[str]):
         self.command = list(command)
-        self._child: Optional[_Child] = None
+        self._proc: Optional[subprocess.Popen] = None
+        self._poller = select.poll()
+        self._buf = b""  # the child's output after its last complete line
 
     def call(self, line: str, req_id: str, timeout: float) -> str:
         deadline = time.monotonic() + timeout
-        child = self._child
-        if child is None or child.proc.poll() is not None:
+        proc = self._proc
+        if proc is None or proc.poll() is not None:
             self.close()
             try:
-                child = self._child = _Child(self.command)
+                proc = self._proc = subprocess.Popen(
+                    self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE
+                )
             except OSError as exc:
                 raise ModelUnavailable(f"cannot start {self.command}: {exc}") from exc
-        if child.eof:
-            raise ModelUnavailable(f"model process {self.command} closed its output")
+            self._poller = select.poll()
+            self._poller.register(proc.stdout, select.POLLIN)
+            self._buf = b""
         try:
-            child.proc.stdin.write(line.encode("utf-8") + b"\n")
-            child.proc.stdin.flush()
+            proc.stdin.write(line.encode("utf-8") + b"\n")
+            proc.stdin.flush()
         except OSError as exc:
             raise ModelUnavailable(f"model process died: {exc}") from exc
-        return child.reply_to(req_id, deadline, timeout)
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise ModelTimeout(f"no response within {timeout}s for {req_id}")
+            if not self._poller.poll(math.ceil(remaining * 1000)):
+                continue
+            try:
+                data = os.read(proc.stdout.fileno(), 65536)
+            except OSError:
+                data = b""
+            if not data:
+                self.close()
+                raise ModelUnavailable(
+                    f"model process {self.command} closed its output before answering {req_id}"
+                )
+            *lines, self._buf = (self._buf + data).split(b"\n")
+            # lines after the reply can only answer older requests: dropped too
+            reply = _reply_in(lines, req_id)
+            if reply is not None:
+                return reply
 
     def close(self) -> None:
-        child, self._child = self._child, None
-        if child is not None:
-            child.close()
+        """Stop the child, if one runs, and close its pipes."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        proc.terminate()
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        for pipe in (proc.stdin, proc.stdout):
+            try:
+                pipe.close()
+            except OSError:  # a request the dead child never read
+                pass
 
 
 class HttpTransport:
@@ -337,10 +328,10 @@ class HttpTransport:
         if resp.status != 200:
             conn.close()
             raise ModelUnavailable(f"HTTP {resp.status} from {self.endpoint}")
-        for raw in body.decode("utf-8", "replace").splitlines():
-            if raw.strip() and decode_response(raw)["id"] == req_id:
-                return raw
-        raise MalformedModelResponse(f"no response with id {req_id} in reply")
+        reply = _reply_in(body.splitlines(), req_id)
+        if reply is None:
+            raise MalformedModelResponse(f"no response with id {req_id} in reply")
+        return reply
 
     def close(self) -> None:
         self._conn.close()
@@ -359,8 +350,8 @@ class WireClient(ChemModels):
 
     The models are taken to be deterministic, so the reply line to each
     distinct (op, inputs, params) request is kept, up to `MEMO_ENTRIES`, and
-    a repeated request is answered from it without a round-trip. Failed
-    requests are never kept.
+    a repeated request is answered from it without a round-trip. A reply is
+    kept only once its result has been read; failed requests are never kept.
     """
 
     def __init__(
@@ -369,62 +360,63 @@ class WireClient(ChemModels):
         substitution: Optional[TokenSubstitution] = None,
         timeout: float = 60.0,
         retries: int = 2,
-        backoff: float = 0.5,
     ):
         self.transport = transport
         self.substitution = substitution
         self.timeout = timeout
         self.retries = retries
-        self.backoff = backoff
         self._ids = itertools.count()
         self._memo: OrderedDict[str, str] = OrderedDict()
         # held from memo lookup to memo store, so calls never overlap on the transport
         self._lock = threading.Lock()
 
-    def _call(self, op: str, inputs: List[Any], params: Dict[str, Any]) -> Any:
+    def _call(self, op: str, inputs: List[Any], params: Dict[str, Any], parse: Callable) -> Any:
+        """`parse` of the request's result; an unreadable result is a malformed response."""
         key = json.dumps([op, inputs, params], separators=(",", ":"), sort_keys=True)
         with self._lock:
             reply = self._memo.get(key)
             if reply is not None:
-                return decode_response(reply).get("result")
-            last_error: Optional[ModelError] = None
+                return parse(decode_response(reply).get("result"))
             for attempt in range(self.retries + 1):
                 req_id = str(next(self._ids))
                 line = encode_request(req_id, op, inputs, params)
                 try:
                     reply = self.transport.call(line, req_id, self.timeout)
-                    msg = decode_response(reply)
-                    if msg["id"] != req_id:
-                        raise MalformedModelResponse(
-                            f"response id {msg['id']!r} does not match request {req_id!r}"
-                        )
-                    if not msg.get("ok"):
-                        raise MalformedModelResponse(
-                            f"model error for op {op!r}: {msg.get('error')}"
-                        )
-                    self._memo[key] = reply
-                    while len(self._memo) > MEMO_ENTRIES:
-                        self._memo.popitem(last=False)
-                    return msg.get("result")
-                except (ModelUnavailable, ModelTimeout) as exc:
-                    last_error = exc
-                    if attempt < self.retries:
-                        time.sleep(self.backoff * (2 ** attempt))
-            assert last_error is not None
-            raise last_error
+                    break
+                except (ModelUnavailable, ModelTimeout):
+                    if attempt == self.retries:
+                        raise
+                    time.sleep(RETRY_BACKOFF * (2 ** attempt))
+            msg = decode_response(reply)
+            if msg["id"] != req_id:
+                raise MalformedModelResponse(
+                    f"response id {msg['id']!r} does not match request {req_id!r}"
+                )
+            if not msg.get("ok"):
+                raise MalformedModelResponse(f"model error for op {op!r}: {msg.get('error')}")
+            result = msg.get("result")
+            try:
+                value = parse(result)
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise MalformedModelResponse(f"bad {op} result: {result!r}") from exc
+            self._memo[key] = reply
+            while len(self._memo) > MEMO_ENTRIES:
+                self._memo.popitem(last=False)
+            return value
 
     def retro_predict(self, target: str, beams: int) -> List[RetroPrediction]:
-        if self.substitution is not None:
-            target = self.substitution.encode(target)
-        result = self._call("retro", [target], {"beams": beams})
-        predictions = []
-        try:
+        subst = self.substitution
+        if subst is not None:
+            target = subst.encode(target)
+
+        def parse(result: Any) -> List[RetroPrediction]:
+            predictions = []
             for entry in result:
                 molecules = [str(m) for m in entry["precursors"]]
                 reagents = [str(m) for m in entry.get("reagents", ())]
-                if self.substitution is not None:
-                    molecules = [self.substitution.decode(m) for m in molecules]
-                    reagents = [self.substitution.decode(m) for m in reagents]
+                if subst is not None:
+                    molecules = [subst.decode(m) for m in molecules]
+                    reagents = [subst.decode(m) for m in reagents]
                 predictions.append(
                     RetroPrediction(
                         precursors=PrecursorSet(tuple(molecules), frozenset(reagents)),
@@ -432,52 +424,47 @@ class WireClient(ChemModels):
                         rank=int(entry["rank"]),
                     )
                 )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedModelResponse(f"bad retro result: {result!r}") from exc
-        return predictions
+            return predictions
+
+        return self._call("retro", [target], {"beams": beams}, parse)
 
     def forward_predict(
         self, precursors: PrecursorSet, topk: int
     ) -> List[ForwardPrediction]:
-        result = self._call(
+        return self._call(
             "forward",
             [list(precursors.molecules)],
             {"topk": topk, "reagents": sorted(precursors.reagents)},
-        )
-        try:
-            return [
+            lambda result: [
                 ForwardPrediction(
                     product=str(entry["product"]),
                     likelihood=float(entry["likelihood"]),
                     rank=int(entry["rank"]),
                 )
                 for entry in result
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedModelResponse(f"bad forward result: {result!r}") from exc
+            ],
+        )
 
     def score_reaction(self, precursors: PrecursorSet, product: str) -> float:
-        result = self._call(
+        return self._call(
             "score",
             [list(precursors.molecules), product],
             {"reagents": sorted(precursors.reagents)},
+            lambda result: float(result[0]),
         )
-        try:
-            return float(result[0])
-        except (IndexError, TypeError, ValueError) as exc:
-            raise MalformedModelResponse(f"bad score result: {result!r}") from exc
 
     def classify(self, rxn: str) -> ReactionClass:
-        result = self._call("classify", [rxn], {})
-        try:
-            return ReactionClass(
+        return self._call(
+            "classify",
+            [rxn],
+            {},
+            lambda result: ReactionClass(
                 superclass=int(result["superclass"]),
                 category=int(result["category"]),
                 named_reaction=int(result["named_reaction"]),
                 label=str(result.get("label", "")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedModelResponse(f"bad classify result: {result!r}") from exc
+            ),
+        )
 
     def close(self) -> None:
         with self._lock:

@@ -7,6 +7,7 @@ a checklist; the assertions themselves carry the tolerances.
 import json
 import math
 import random
+import subprocess
 import sys
 import time
 
@@ -371,6 +372,32 @@ def test_criterion_8_plan_runs_byte_identical(toy_manifest, templates_file, stoc
     assert toy_1 == toy_2 == wire
     print("\ncriterion 8 PASS: route JSON byte-identical across runs and "
           "between the in-process and subprocess models")
+
+
+def test_plan_over_http_matches_in_process(toy_manifest, templates_file, stock_file, tmp_path):
+    from retroroute.cli import main
+
+    def run(name, manifest):
+        out = tmp_path / name
+        assert main(["plan", "CNOS", "--models", str(manifest),
+                     "--stock", str(stock_file), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text("utf-8"))
+        del payload["metadata"]
+        return json.dumps(payload, sort_keys=True).encode()
+
+    command = [sys.executable, "-u", "-m", "retroroute.cli", "mock-serve", str(templates_file),
+               "--transport", "http"]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, text=True) as server:
+        try:
+            # "serving N templates on http://127.0.0.1:PORT/"
+            endpoint = server.stdout.readline().split()[-1]
+            http_manifest = tmp_path / "http.json"
+            http_manifest.write_text(json.dumps(
+                {"transport": "http", "endpoint": endpoint, "timeout": 30}), "utf-8")
+            over_http = run("http_routes.json", http_manifest)
+        finally:
+            server.terminate()
+    assert over_http == run("toy_routes.json", toy_manifest)
 
 
 def test_criterion_9_end_to_end_stock_flip():

@@ -61,6 +61,22 @@ class TestEvaluateTarget:
         s = record.suggestions[0]
         assert not s.syntactically_valid and not s.valid
 
+    def test_reagent_flag_follows_its_normalized_spelling(self, normalizer):
+        from test_expand import StubModels
+
+        sent = []
+
+        class Recording(StubModels):
+            def forward_predict(self, precursors, topk):
+                sent.append(sorted(precursors.reagents))
+                return super().forward_predict(precursors, topk)
+
+        # the retro model spells the tied reagent O~C; its normal form is C~O
+        models = Recording(retro={"CNO": [PrecursorSet(("CN", "O~C"), frozenset({"O~C"}))]})
+        record = evaluate_target("CNO", models, normalizer, beams=10)
+        assert sent == [["C~O"]]
+        assert record.suggestions[0].precursors.reagents == {"C~O"}
+
     def test_minor_product_not_valid(self, toy_oracle, normalizer):
         # CNP's only disconnection forwards to CNO, so round-trip fails
         record = evaluate_target("CNP", toy_oracle, normalizer, beams=10)

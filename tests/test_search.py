@@ -1,6 +1,7 @@
 import pytest
 
 from retroroute.errors import DegenerateProduct, ModelUnavailable, ScorerUnavailable
+from retroroute import search
 from retroroute.expand import ExpansionConfig, expand_node
 from retroroute.graph import HyperGraph
 from retroroute.models import ReactionClass
@@ -271,13 +272,14 @@ class TestBeamSearch:
 
         assert shape(base) == shape(scaled)
 
-    def test_deferred_model_eventually_dead(self, toy_stock):
+    def test_deferred_model_eventually_dead(self, toy_stock, monkeypatch):
         class Flaky(ToyOracle):
             def retro_predict(self, smiles, beams):
                 raise ModelUnavailable("always down")
 
+        monkeypatch.setattr(search, "MAX_DEFERRALS", 2)
         oracle = Flaky(make_templates(TOY_TEMPLATES))
-        outcome = beam_search("CNOS", SearchConfig(max_deferrals=2), oracle, toy_stock)
+        outcome = beam_search("CNOS", SearchConfig(), oracle, toy_stock)
         assert not outcome.solved
         assert all(p.status in (DEAD, MAX_STEPS) for p in outcome.pathways)
         root = outcome.graph.node(outcome.graph.root)

@@ -62,7 +62,7 @@ class TestUnion:
         assert stock.skipped == 1
 
     def test_union_preserves_counts(self):
-        a = StockSet(entries=frozenset({"C"}), source="a", skipped=1)
-        b = StockSet(entries=frozenset({"N"}), source="b", skipped=2)
+        a = StockSet(entries=frozenset({"C"}), skipped=1)
+        b = StockSet(entries=frozenset({"N"}), skipped=2)
         u = a.union(b)
         assert u.entries == {"C", "N"} and u.skipped == 3

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retroroute.errors import MalformedModelResponse
+from retroroute.errors import MalformedModelResponse, NotCanonicalizable
 from retroroute.models import UNRECOGNIZED, PrecursorSet, ReactionClass
+from retroroute.smiles import ToyNormalizer
 from retroroute.toy import Template, ToyOracle
 
 from conftest import TOY_TEMPLATES, make_templates
@@ -97,7 +98,17 @@ class TestConsistency:
         pred = oracle.retro_predict("CN", beams=5)[0]
         assert set(pred.precursors.molecules) == {"C", "N", "O"}
         assert pred.precursors.reagents == {"O"}
-        assert pred.precursors.reactants == ("C", "N")
+        assert [m for m in pred.precursors.molecules if m not in pred.precursors.reagents] \
+            == ["C", "N"]
+
+
+def test_precursor_set_normalized_keeps_reagent_flags():
+    normalizer = ToyNormalizer()
+    p = PrecursorSet(("O~C", "N", "C~O"), frozenset({"C~O"})).normalized(normalizer)
+    assert p.molecules == ("C~O", "N") and p.reagents == {"C~O"}
+    assert PrecursorSet(("N", "O~C")).normalized(normalizer) == PrecursorSet(("N", "C~O"))
+    with pytest.raises(NotCanonicalizable):
+        PrecursorSet(("N", "C!")).normalized(normalizer)
 
 
 def test_precursor_set_dedups_and_orders():

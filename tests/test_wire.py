@@ -5,6 +5,7 @@ import json
 import logging
 import random
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -171,19 +172,20 @@ class TestSubprocessClient:
         finally:
             client.close()
 
-    def test_unavailable_command(self):
+    def test_unavailable_command(self, monkeypatch):
+        monkeypatch.setattr(wire, "RETRY_BACKOFF", 0.01)
         client = WireClient(
-            SubprocessTransport(["/nonexistent-model-server"]), timeout=2,
-            retries=1, backoff=0.01,
+            SubprocessTransport(["/nonexistent-model-server"]), timeout=2, retries=1,
         )
         with pytest.raises(ModelUnavailable):
             client.retro_predict("CN", 5)
 
-    def test_child_exit_is_unavailable_not_timeout(self):
+    def test_child_exit_is_unavailable_not_timeout(self, monkeypatch):
         # the child reads one request and exits without answering
+        monkeypatch.setattr(wire, "RETRY_BACKOFF", 0.1)
         client = WireClient(
             SubprocessTransport([sys.executable, "-c", "import sys; sys.stdin.readline()"]),
-            timeout=2, retries=1, backoff=0.1,
+            timeout=2, retries=1,
         )
         start = time.monotonic()
         try:
@@ -193,8 +195,9 @@ class TestSubprocessClient:
             client.close()
         assert time.monotonic() - start < 1.0
 
-    def test_call_after_reader_exit_does_not_wait(self):
-        # the child closes its output but stays alive, so it is not restarted
+    def test_call_after_reader_exit_does_not_wait(self, started):
+        # each child closes its output but stays alive: the call that finds the
+        # output closed fails at once and closes the child, the next starts anew
         transport = SubprocessTransport(
             [sys.executable, "-c", "import os, time; os.close(1); time.sleep(30)"]
         )
@@ -207,6 +210,31 @@ class TestSubprocessClient:
                 assert time.monotonic() - start < 1.0
         finally:
             transport.close()
+        assert len(started) == 3
+        for proc in started:
+            assert proc.stdin.closed and proc.stdout.closed and proc.returncode is not None
+
+    def test_child_that_closes_its_output_is_replaced(self, started):
+        # the child answers once, then closes its output and stays alive
+        transport = SubprocessTransport(fake_child(
+            "reply(sys.stdin.readline()); os.close(1); time.sleep(30)\n"
+        ))
+        try:
+            assert decode_response(self.call(transport, "1"))["id"] == "1"
+            start = time.monotonic()
+            with pytest.raises(ModelUnavailable, match="closed its output"):
+                self.call(transport, "2")
+            assert time.monotonic() - start < 1.0
+            first = started[0]
+            assert first.returncode is not None
+            assert first.stdin.closed and first.stdout.closed
+            assert decode_response(self.call(transport, "3"))["id"] == "3"
+        finally:
+            transport.close()
+        assert len(started) == 2
+
+    def call(self, transport, req_id):
+        return transport.call(encode_request(req_id, "classify", ["x"], {}), req_id, timeout=10)
 
     def test_late_reply_is_dropped(self):
         # the first request is answered after its caller has given up
@@ -239,42 +267,34 @@ class TestSubprocessClient:
         assert decode_response(reply)["id"] == "1"
         assert "dropping malformed response line" in caplog.text
 
-    def test_closed_and_replaced_children_release_their_pipes(self):
+    def test_closed_and_replaced_children_release_their_pipes(self, started):
         # each child answers one request, then exits and is replaced
         transport = SubprocessTransport(fake_child("reply(sys.stdin.readline())\n"))
-        children = []
         try:
             for i in range(2):
-                transport.call(encode_request(str(i), "classify", ["x"], {}), str(i), timeout=10)
-                children.append(transport._child)
-                children[-1].proc.wait(timeout=10)
+                self.call(transport, str(i))
+                started[-1].wait(timeout=10)
         finally:
             transport.close()
-        assert children[0] is not children[1]
-        for child in children:
-            assert child.proc.stdin.closed and child.proc.stdout.closed
-            assert child.proc.returncode is not None
+        assert len(started) == 2
+        for proc in started:
+            assert proc.stdin.closed and proc.stdout.closed
+            assert proc.returncode is not None
 
-    def test_children_dying_under_concurrent_callers_are_all_closed(self, monkeypatch):
+    def test_children_dying_under_concurrent_callers_are_all_closed(self, started):
         # each child answers one request and exits; callers share one client,
         # and every child must end up closed
-        children = []
-
-        class Recorded(wire._Child):
-            def __init__(self, command):
-                super().__init__(command)
-                children.append(self)
-
-        monkeypatch.setattr(wire, "_Child", Recorded)
-        client = WireClient(SubprocessTransport(fake_child("reply(sys.stdin.readline())\n")),
-                            timeout=10, retries=0)
+        client = WireClient(
+            SubprocessTransport(fake_child("reply(sys.stdin.readline())\n", LABELLED)),
+            timeout=10, retries=0,
+        )
         outcomes = []
 
         def work(t):
             for i in range(5):
                 req_id = f"{t}.{i}"
                 try:
-                    assert client._call("classify", [req_id], {}) == [req_id]
+                    assert client.classify(req_id).label == req_id
                     outcomes.append("ok")
                 except ModelUnavailable:
                     outcomes.append("unavailable")
@@ -292,9 +312,10 @@ class TestSubprocessClient:
             sys.setswitchinterval(interval)
             client.close()
         assert len(outcomes) == 20 and "ok" in outcomes
-        for child in children:
-            assert child.proc.stdin.closed and child.proc.stdout.closed
-            assert child.proc.returncode is not None
+        assert len(started) >= outcomes.count("ok")
+        for proc in started:
+            assert proc.stdin.closed and proc.stdout.closed
+            assert proc.returncode is not None
 
     def test_call_starts_no_thread(self):
         transport = SubprocessTransport(fake_child("for line in sys.stdin:\n    reply(line)\n"))
@@ -307,16 +328,37 @@ class TestSubprocessClient:
             transport.close()
 
 
-def fake_child(body):
-    """A model child running `body`; `reply(line)` answers a request line with its inputs."""
+# a classify result whose label is the request's input, as a Python expression over `msg`
+LABELLED = "{'superclass': 1, 'category': 1, 'named_reaction': 1, 'label': msg['inputs'][0]}"
+
+
+def fake_child(body, result="msg['inputs']"):
+    """A model child running `body`; `reply(line)` answers a request line with `result`.
+
+    `result` is a Python expression over the decoded request `msg`: by default its inputs.
+    """
     prelude = (
-        "import json, sys, time\n"
+        "import json, os, sys, time\n"
         "def reply(line):\n"
         "    msg = json.loads(line)\n"
-        "    sys.stdout.write(json.dumps({'id': msg['id'], 'ok': True, 'result': msg['inputs']}) + '\\n')\n"
+        f"    sys.stdout.write(json.dumps({{'id': msg['id'], 'ok': True, 'result': {result}}}) + '\\n')\n"
         "    sys.stdout.flush()\n"
     )
     return [sys.executable, "-c", prelude + body]
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The model processes the wire layer starts during the test, in order."""
+    procs, popen = [], subprocess.Popen
+
+    def record(*args, **kwargs):
+        proc = popen(*args, **kwargs)
+        procs.append(proc)
+        return proc
+
+    monkeypatch.setattr(wire.subprocess, "Popen", record)
+    return procs
 
 
 def recorded(transport):
@@ -369,6 +411,20 @@ class TestMemo:
         finally:
             client.close()
         assert len(client.transport.sent) == 2
+
+    def test_unreadable_result_is_not_kept(self):
+        # the child answers a classify request with its inputs, which is not a class
+        client = WireClient(
+            recorded(SubprocessTransport(fake_child("for line in sys.stdin:\n    reply(line)\n"))),
+            timeout=10, retries=0,
+        )
+        try:
+            for _ in range(2):
+                with pytest.raises(MalformedModelResponse, match="bad classify result"):
+                    client.classify("C.N>>CN")
+        finally:
+            client.close()
+        assert len(client.transport.sent) == 2 and not client._memo
 
     @pytest.mark.parametrize("body, error", [
         ("sys.stdin.read()\n", ModelTimeout),  # never answers
@@ -573,8 +629,11 @@ def test_http_rejects_bad_content_length_unread(toy_oracle, length, status):
         server.server_close()
 
 
-def echo_handler(status, protocol_version="HTTP/1.0"):
-    """A handler answering each request line with its inputs and `status`; counts connections."""
+def echo_handler(status, protocol_version="HTTP/1.0", result=lambda inputs: inputs, before=""):
+    """A handler answering each request line with `status` and `result` of its inputs.
+
+    The reply body starts with the text `before`. The handler counts its connections.
+    """
 
     class Handler(BaseHTTPRequestHandler):
         connections = []
@@ -585,7 +644,8 @@ def echo_handler(status, protocol_version="HTTP/1.0"):
 
         def do_POST(self):  # noqa: N802 (http.server API)
             msg = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            payload = (encode_response(msg["id"], True, msg["inputs"]) + "\n").encode("utf-8")
+            reply = encode_response(msg["id"], True, result(msg["inputs"]))
+            payload = (before + reply + "\n").encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
@@ -596,6 +656,11 @@ def echo_handler(status, protocol_version="HTTP/1.0"):
 
     Handler.protocol_version = protocol_version
     return Handler
+
+
+def labelled(inputs):
+    """A classify result whose label is the request's input."""
+    return {"superclass": 1, "category": 1, "named_reaction": 1, "label": inputs[0]}
 
 
 @contextlib.contextmanager
@@ -628,14 +693,14 @@ class TestHttpTransport:
     def test_concurrent_callers_never_share_a_connection(self):
         # a connection used by two callers at once would fail a call or cross replies;
         # callers share one client, which takes their calls one at a time
-        handler = echo_handler(200, "HTTP/1.1")
+        handler = echo_handler(200, "HTTP/1.1", labelled)
         errors, interval = [], sys.getswitchinterval()
 
         def work(t):
             try:
                 for i in range(20):
                     req_id = f"{t}-{i}"
-                    assert client._call("classify", [req_id], {}) == [req_id]
+                    assert client.classify(req_id).label == req_id
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
 
@@ -667,6 +732,16 @@ class TestHttpTransport:
             finally:
                 transport.close()
         assert len(handler.connections) == 2
+
+    def test_malformed_line_before_the_reply_is_dropped(self, caplog):
+        with http_server(echo_handler(200, before="not json\n")) as url:
+            transport = HttpTransport(url)
+            try:
+                with caplog.at_level(logging.WARNING, logger="retroroute.wire"):
+                    assert json.loads(self.call(transport))["result"] == ["x"]
+            finally:
+                transport.close()
+        assert "dropping malformed response line: 'not json'" in caplog.text
 
     def test_status_500_is_unavailable(self):
         with http_server(echo_handler(500)) as url:
