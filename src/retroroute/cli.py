@@ -139,7 +139,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 forward_topk=int(resolve("forward_topk", args.forward_topk, file_config)),
             ),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
     trace: Optional[List[dict]] = [] if args.trace else None
@@ -229,7 +229,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         bins = int(resolve("bins", args.bins, file_config))
         if bins < 1:
             raise ValueError(f"bins must be at least 1, got {bins}")
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     models = build_models(manifest)
     try:
@@ -290,7 +290,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
     try:
         graph = HyperGraph.loads(Path(args.graph).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot load graph snapshot {args.graph}: {exc}") from exc
     dot = graph.to_dot()
     if args.out:

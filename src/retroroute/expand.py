@@ -70,7 +70,7 @@ def filter_candidate(
     candidate: PrecursorSet,
     cfg: ExpansionConfig,
     models: ChemModels,
-    normalizer: Optional[Normalizer] = None,
+    normalizer: Normalizer,
 ) -> FilterVerdict:
     """Viability/selectivity filter for one normalized candidate.
 
@@ -82,7 +82,7 @@ def filter_candidate(
         likelihood = models.score_reaction(candidate, n_smiles)
         if likelihood > cfg.auto_accept_likelihood:
             return FilterVerdict(candidate, "auto", likelihood)
-        predictions = models.forward_predict(candidate, max(2, cfg.forward_topk))
+        predictions = models.forward_predict(candidate, cfg.forward_topk)
     except ModelError as exc:
         logger.warning("model failure while filtering %r: %s", candidate.joined(), exc)
         return FilterVerdict(candidate, "model_error", 0.0)
@@ -90,13 +90,7 @@ def filter_candidate(
         return FilterVerdict(candidate, "not_top1", 0.0)
     top1 = predictions[0]
     runner_up = predictions[1].likelihood if len(predictions) > 1 else 0.0
-    top1_product = top1.product
-    if normalizer is not None:
-        try:
-            top1_product = normalizer.normalize(top1_product)
-        except NotCanonicalizable:
-            return FilterVerdict(candidate, "not_top1", top1.likelihood)
-    if top1_product != n_smiles:
+    if not normalizer.spells(top1.product, n_smiles):
         return FilterVerdict(candidate, "not_top1", top1.likelihood)
     if top1.likelihood > cfg.selectivity_gap + runner_up:
         return FilterVerdict(candidate, "selective", top1.likelihood)
@@ -116,7 +110,6 @@ def cluster_candidates(
     member represents the cluster; ties break on the smaller joined string.
     """
     keyed: Dict[object, List[Tuple[FilterVerdict, ReactionClass]]] = {}
-    order: List[object] = []
     singleton = 0
     for verdict in accepted:
         rxn = f"{verdict.candidate.joined()}>>{product}"
@@ -135,13 +128,9 @@ def cluster_candidates(
             cls = UNRECOGNIZED
             key = ("singleton", singleton)
             singleton += 1
-        if key not in keyed:
-            keyed[key] = []
-            order.append(key)
-        keyed[key].append((verdict, cls))
+        keyed.setdefault(key, []).append((verdict, cls))
     clusters = []
-    for key in order:
-        members = keyed[key]
+    for members in keyed.values():
         rep, rep_cls = min(
             members, key=lambda item: (-item[0].likelihood, item[0].candidate.joined())
         )

@@ -53,8 +53,6 @@ class HyperGraph:
         self.index: Dict[str, int] = {}
         self.arcs_by_product: Dict[int, List[int]] = {}
         self.root: Optional[int] = None
-        self._next_node = 0
-        self._next_arc = 0
 
     # --- nodes --------------------------------------------------------------
 
@@ -63,8 +61,7 @@ class HyperGraph:
         existing = self.index.get(smiles)
         if existing is not None:
             return existing
-        node_id = self._next_node
-        self._next_node += 1
+        node_id = len(self.nodes)  # nothing removes nodes, so ids stay dense
         self.nodes[node_id] = MoleculeNode(id=node_id, smiles=smiles, **attrs)
         self.index[smiles] = node_id
         self.arcs_by_product[node_id] = []
@@ -118,8 +115,7 @@ class HyperGraph:
                 f"arc {self.nodes[product].smiles!r} <- "
                 f"{[self.nodes[p].smiles for p in precursors]} closes a cycle"
             )
-        arc_id = self._next_arc
-        self._next_arc += 1
+        arc_id = len(self.arcs)  # nothing removes arcs, so ids stay dense
         arc = ReactionArc(
             id=arc_id,
             product=product,
@@ -177,6 +173,8 @@ class HyperGraph:
             if node_id != entry["id"]:
                 raise ValueError("node ids must be dense and ordered in snapshots")
         g.root = data["root"]
+        if g.root is not None and g.root not in g.nodes:
+            raise ValueError(f"root {g.root!r} is not a node id")
         for entry in data["arcs"]:
             arc_id = g.attach_arc(
                 product=entry["product"],

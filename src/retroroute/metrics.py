@@ -156,7 +156,7 @@ def evaluate_target(
             )
             continue
         top1 = forward[0] if forward else None
-        valid = top1 is not None and top1.product == target_norm
+        valid = top1 is not None and normalizer.spells(top1.product, target_norm)
         likelihood = top1.likelihood if top1 is not None else 0.0
         try:
             cls = models.classify(f"{candidate.joined()}>>{target_norm}")

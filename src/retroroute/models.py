@@ -8,11 +8,12 @@ oracle (`retroroute.toy`) and the wire-protocol clients (`retroroute.wire`).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ConfigError, IoError
+from .errors import ConfigError, IoError, NotCanonicalizable
 from .smiles import Normalizer, split_units
 
 
@@ -38,6 +39,8 @@ class PrecursorSet:
 
     def normalized(self, normalizer: Normalizer) -> "PrecursorSet":
         """Each molecule normalized, reagent flags kept; raises NotCanonicalizable."""
+        if not self.molecules:
+            raise NotCanonicalizable("empty precursor set")
         molecules = tuple(normalizer.normalize(m) for m in self.molecules)
         if not self.reagents:
             return PrecursorSet(molecules)
@@ -83,7 +86,7 @@ class ReactionClass:
 
     @classmethod
     def parse(cls, code: str, label: str = "") -> "ReactionClass":
-        parts = code.split(".")
+        parts = code.split(".") if isinstance(code, str) else []
         if len(parts) != 3 or any(not p.isdigit() for p in parts):
             raise ValueError(f"bad reaction class code {code!r}")
         return cls(int(parts[0]), int(parts[1]), int(parts[2]), label)
@@ -174,10 +177,17 @@ class ModelManifest:
             raise ConfigError(f"unknown transport {self.transport!r}")
         if self.transport == "toy" and not self.templates_path:
             raise ConfigError("toy transport requires templates_path")
-        if self.transport == "subprocess" and not self.command:
-            raise ConfigError("subprocess transport requires command")
+        if self.transport == "subprocess" and not (
+            isinstance(self.command, (list, tuple)) and self.command
+            and all(isinstance(c, str) for c in self.command)
+        ):
+            raise ConfigError(f"command must be a non-empty list of strings: {self.command!r}")
         if self.transport == "http" and not self.endpoint:
             raise ConfigError("http transport requires endpoint")
+        if type(self.timeout) not in (int, float) or not 0 < self.timeout < math.inf:
+            raise ConfigError(f"timeout must be a positive number of seconds: {self.timeout!r}")
+        if type(self.retries) is not int or self.retries < 0:
+            raise ConfigError(f"retries must be a non-negative integer: {self.retries!r}")
 
     @classmethod
     def load(cls, path: str | Path) -> "ModelManifest":

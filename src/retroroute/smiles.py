@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import (
     IndexOutOfRange,
@@ -48,16 +48,6 @@ class TokenStream:
     """Lossless token sequence: joining the texts reproduces the input."""
 
     tokens: Tuple[Token, ...]
-
-    @property
-    def texts(self) -> List[str]:
-        return [t.text for t in self.tokens]
-
-    def __iter__(self) -> Iterator[Token]:
-        return iter(self.tokens)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
     def join(self) -> str:
         return "".join(t.text for t in self.tokens)
@@ -193,6 +183,18 @@ class Normalizer:
 
     def normalize(self, s: str) -> str:
         raise NotImplementedError
+
+    def spells(self, s: str, normal: str) -> bool:
+        """True iff raw `s` has the normal form `normal`; unnormalizable `s` never does.
+
+        Normal forms are fixed points of `normalize`, so an exact match needs no call.
+        """
+        if s == normal:
+            return True
+        try:
+            return self.normalize(s) == normal
+        except NotCanonicalizable:
+            return False
 
 
 class ToyNormalizer(Normalizer):

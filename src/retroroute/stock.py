@@ -22,7 +22,6 @@ class StockSet:
     """
 
     entries: frozenset
-    skipped: int = 0
 
     def contains(self, m: str) -> bool:
         """Exact membership; the caller must pass a normalized string."""
@@ -32,20 +31,20 @@ class StockSet:
         return len(self.entries)
 
     def union(self, other: "StockSet") -> "StockSet":
-        return StockSet(entries=self.entries | other.entries, skipped=self.skipped + other.skipped)
+        return StockSet(entries=self.entries | other.entries)
 
 
 def load_stock(path: str | Path, normalizer: Normalizer) -> StockSet:
     """Read a stock file: one molecule per line, ``#`` comments allowed.
 
-    Lines the normalizer rejects are counted and skipped, not fatal.
+    Lines the normalizer rejects are logged and left out, not fatal.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(str(exc)) from exc
     entries: Set[str] = set()
-    skipped = 0
+    rejected = 0
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -53,11 +52,11 @@ def load_stock(path: str | Path, normalizer: Normalizer) -> StockSet:
         try:
             entries.add(normalizer.normalize(line))
         except NotCanonicalizable:
-            skipped += 1
+            rejected += 1
             logger.warning("%s:%d: skipping unnormalizable entry %r", path, lineno, line)
-    if skipped:
-        logger.warning("%s: skipped %d unnormalizable entries", path, skipped)
-    return StockSet(entries=frozenset(entries), skipped=skipped)
+    if rejected:
+        logger.warning("%s: rejected %d unnormalizable entries", path, rejected)
+    return StockSet(entries=frozenset(entries))
 
 
 def load_stocks(paths: Iterable[str | Path], normalizer: Normalizer) -> StockSet:

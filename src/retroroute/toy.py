@@ -56,17 +56,16 @@ def load_templates(path: str | Path) -> List[Template]:
     templates = []
     for i, entry in enumerate(data):
         try:
-            templates.append(
-                Template(
-                    reactants=tuple(entry["lhs"]),
-                    product=entry["rhs"],
-                    weight=float(entry["weight"]),
-                    reaction_class=ReactionClass.parse(
-                        entry["class"], entry.get("label", "")
-                    ),
-                    reagents=tuple(entry.get("reagents", ())),
-                )
+            t = Template(
+                reactants=tuple(entry["lhs"]),
+                product=entry["rhs"],
+                weight=float(entry["weight"]),
+                reaction_class=ReactionClass.parse(entry["class"], entry.get("label", "")),
+                reagents=tuple(entry.get("reagents", ())),
             )
+            if not all(isinstance(m, str) for m in (t.product, *t.precursors)):
+                raise ValueError("molecules must be strings")
+            templates.append(t)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: template #{i}: {exc}") from exc
     return templates

@@ -128,7 +128,7 @@ def test_criterion_2_filter_boundary_table():
             scores={(candidate.key(), "T"): score},
             forwards={candidate.key(): forward},
         )
-        return filter_candidate("T", candidate, cfg, models)
+        return filter_candidate("T", candidate, cfg, models, ToyNormalizer())
 
     assert verdict(0.7, []).outcome == "auto"
     assert verdict(0.5, [("T", 0.55), ("X", 0.30)]).outcome == "selective"

@@ -17,6 +17,8 @@ from retroroute.cli import (
     resolve,
 )
 
+from conftest import TOY_TEMPLATES
+
 
 @pytest.fixture
 def plan_args(toy_manifest, stock_file, tmp_path):
@@ -117,6 +119,28 @@ class TestEval:
         assert read_targets(path) == ["CN", "CNO"]
 
 
+class TestReactantlessTemplate:
+    """The toy indexes reactant-less templates; their empty suggestion is not canonicalizable."""
+
+    @pytest.fixture(autouse=True)
+    def reactantless(self, templates_file):
+        entry = {"lhs": [], "rhs": "CN", "weight": 1.0, "class": "1.1.1"}
+        templates_file.write_text(json.dumps([entry]), "utf-8")
+
+    def test_plan_drops_the_candidate(self, plan_args, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        assert main(plan_args("CN", "--trace", str(trace))) == EXIT_NO_ROUTE
+        records = [json.loads(line) for line in trace.read_text("utf-8").splitlines()]
+        assert [(r["outcome"], r["precursors"]) for r in records] == [("not_canonicalizable", [])]
+
+    def test_eval_counts_it_syntactically_invalid(self, toy_manifest, tmp_path, capsys):
+        (tmp_path / "t.txt").write_text("CN\n", "utf-8")
+        assert main(["eval", "--test", str(tmp_path / "t.txt"), "--models", str(toy_manifest),
+                     "--report", str(tmp_path / "metrics.json")]) == EXIT_OK
+        report = json.loads((tmp_path / "metrics.json").read_text("utf-8"))
+        assert report["round_trip_pct"] == 0.0 and report["invalid_smiles_pct"] == 100.0
+
+
 class TestExport:
     def test_snapshot_to_dot(self, plan_args, tmp_path, capsys):
         main(plan_args("CNOS", "--graph-out", str(tmp_path / "graph.json")))
@@ -196,16 +220,67 @@ class TestBadConfigValues:
         path.write_text(json.dumps(config), "utf-8")
         self.assert_config_error(main(plan_args("CNOS", "--config", str(path))), capsys)
 
-    def test_unknown_manifest_key(self, templates_file, stock_file, tmp_path, capsys):
+    def plan_over_subprocess(self, entry, templates_file, stock_file, tmp_path):
+        """`plan` exit code with a subprocess manifest that also holds `entry`."""
         manifest = tmp_path / "subprocess.json"
-        manifest.write_text(json.dumps({
-            "transport": "subprocess", "max_in_flight": 8,
-            "command": [sys.executable, "-m", "retroroute.cli", "mock-serve",
-                        str(templates_file)],
-        }), "utf-8")
-        code = main(["plan", "CNOS", "--models", str(manifest), "--stock", str(stock_file),
+        command = [sys.executable, "-m", "retroroute.cli", "mock-serve", str(templates_file)]
+        manifest.write_text(
+            json.dumps({"transport": "subprocess", "command": command, **entry}), "utf-8"
+        )
+        return main(["plan", "CNOS", "--models", str(manifest), "--stock", str(stock_file),
                      "--out", str(tmp_path / "r.json")])
+
+    def test_unknown_manifest_key(self, templates_file, stock_file, tmp_path, capsys):
+        code = self.plan_over_subprocess({"max_in_flight": 8}, templates_file, stock_file,
+                                         tmp_path)
         self.assert_config_error(code, capsys)
+
+    @pytest.mark.parametrize("command, config", [
+        ("plan", {"beams": None}), ("plan", {"max_steps": [3]}), ("eval", {"bins": None}),
+    ], ids=["beams-null", "max_steps-list", "bins-null"])
+    def test_wrong_typed_config_value(self, command, config, plan_args, toy_manifest,
+                                      tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), "utf-8")
+        args = plan_args() if command == "plan" else [
+            "eval", "--test", str(tmp_path / "t.txt"), "--models", str(toy_manifest)]
+        (tmp_path / "t.txt").write_text("CN\n", "utf-8")
+        self.assert_config_error(main([*args, "--config", str(path)]), capsys)
+
+    @pytest.mark.parametrize("entry", [
+        {"retries": -1}, {"timeout": "abc"}, {"timeout": 0}, {"command": "python3 -m x"},
+    ], ids=["retries-negative", "timeout-string", "timeout-zero", "command-string"])
+    def test_bad_manifest_value(self, entry, templates_file, stock_file, tmp_path, capsys):
+        code = self.plan_over_subprocess(entry, templates_file, stock_file, tmp_path)
+        self.assert_config_error(code, capsys)
+
+    @pytest.mark.parametrize("command", ["plan", "mock-serve"])
+    @pytest.mark.parametrize("field", ["class", "rhs"])
+    def test_wrong_typed_template_field(self, field, command, templates_file, plan_args,
+                                        capsys):
+        templates_file.write_text(json.dumps([{**TOY_TEMPLATES[0], field: 5}]), "utf-8")
+        args = plan_args() if command == "plan" else ["mock-serve", str(templates_file)]
+        self.assert_config_error(main(args), capsys)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda s: s["arcs"][0].update(precursors=5),
+        lambda s: s["nodes"][0].update(simplicity="x"),
+        lambda s: s["arcs"][0].update({"class": 5}),
+        lambda s: [s],
+        lambda s: s.update(root="x"),
+        lambda s: s.update(root=7),
+    ], ids=["precursors-int", "simplicity-string", "class-int", "list", "root-string",
+            "root-unknown"])
+    def test_wrong_shaped_snapshot(self, corrupt, tmp_path, capsys):
+        snapshot = {
+            "root": 0,
+            "nodes": [{"id": 0, "smiles": "CN"}, {"id": 1, "smiles": "C"}],
+            "arcs": [{"id": 0, "product": 0, "precursors": [1], "likelihood": 0.9,
+                      "class": "1.1.1", "score": 0.5}],
+        }
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(corrupt(snapshot) or snapshot), "utf-8")
+        self.assert_config_error(main(["export", str(path)]), capsys)
 
     @pytest.mark.parametrize("bins", ["0", "-1"])
     def test_bins_below_one(self, bins, toy_manifest, tmp_path, capsys):

@@ -71,7 +71,7 @@ class TestFilterCandidate:
             scores={(candidate.key(), target): score},
             forwards={candidate.key(): forward},
         )
-        return filter_candidate(target, candidate, CFG, models)
+        return filter_candidate(target, candidate, CFG, models, ToyNormalizer())
 
     def test_auto_accept_above_threshold(self):
         v = self.verdict(0.7, [])
@@ -117,7 +117,7 @@ class TestFilterCandidate:
             def forward_predict(self, precursors, topk):
                 raise ModelUnavailable("poof")
 
-        v = filter_candidate("T", candidate, CFG, Down())
+        v = filter_candidate("T", candidate, CFG, Down(), ToyNormalizer())
         assert v.outcome == "model_error" and not v.accepted
 
     def test_top1_compared_after_normalization(self):
@@ -229,6 +229,16 @@ class TestExpandNode:
         arcs = expand_node(g, g.root, CFG, models, normalizer, scorer, trace=trace)
         assert len(arcs) == 1
         assert any(r["outcome"] == "not_canonicalizable" for r in trace)
+
+    def test_empty_precursor_set_discarded(self):
+        # a reactant-less suggestion would auto-accept, and no arc can hold it
+        models = StubModels(retro={"CN": [ps(), ps("C", "N")]},
+                            scores={("", "CN"): 0.9, ("C.N", "CN"): 0.9})
+        g, normalizer, scorer = self.setup_graph("CN")
+        trace = []
+        arcs = expand_node(g, g.root, CFG, models, normalizer, scorer, trace=trace)
+        assert len(arcs) == 1
+        assert [r["precursors"] for r in trace if r["outcome"] == "not_canonicalizable"] == [[]]
 
     def test_duplicate_candidates_collapse(self):
         models = StubModels(

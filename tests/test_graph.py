@@ -146,6 +146,18 @@ class TestSerialization:
             for m in g.nodes:
                 assert g2.would_create_cycle(n, [m]) == g.would_create_cycle(n, [m])
 
+    def test_loaded_graph_grows_with_dense_ids(self):
+        g, ids, _ = build_chain()
+        g2 = HyperGraph.loads(g.dumps())
+        n_nodes, n_arcs = len(g2.nodes), len(g2.arcs)
+        node = g2.get_or_insert_node("S")
+        assert node == n_nodes and g2.get_or_insert_node("S") == node
+        arc_id = arc(g2, ids["OS"], [ids["O"], node])
+        assert arc_id == n_arcs and g2.arcs_by_product[ids["OS"]][-1] == arc_id
+        g3 = HyperGraph.loads(g2.dumps())
+        assert g3.dumps() == g2.dumps()
+        assert g3.arcs[arc_id].precursors == (ids["O"], node)
+
     def test_load_rejects_two_cycle(self):
         snapshot = self.snapshot(["CO", "C"], [(0, [1]), (1, [0])])
         with pytest.raises(CycleRejected):

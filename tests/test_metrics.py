@@ -77,6 +77,26 @@ class TestEvaluateTarget:
         assert sent == [["C~O"]]
         assert record.suggestions[0].precursors.reagents == {"C~O"}
 
+    def test_top1_compared_after_normalization(self, normalizer):
+        from test_expand import StubModels
+
+        # the forward model spells the target C~O as O~C: the planner's filter
+        # accepts that top-1, so the round trip succeeds too
+        candidate = PrecursorSet(("C", "O"))
+        models = StubModels(
+            retro={"C~O": [candidate]}, forwards={candidate.key(): [("O~C", 0.9)]}
+        )
+        s = evaluate_target("C~O", models, normalizer, beams=10).suggestions[0]
+        assert s.valid and s.forward_likelihood == 0.9
+
+    def test_empty_precursor_set_is_syntactically_invalid(self, normalizer):
+        from test_expand import StubModels
+
+        # every forward call answers the target, so only the empty set can fail
+        models = StubModels(retro={"CN": [PrecursorSet(())]}, forwards={"": [("CN", 1.0)]})
+        s = evaluate_target("CN", models, normalizer, beams=10).suggestions[0]
+        assert not s.syntactically_valid and not s.valid
+
     def test_minor_product_not_valid(self, toy_oracle, normalizer):
         # CNP's only disconnection forwards to CNO, so round-trip fails
         record = evaluate_target("CNP", toy_oracle, normalizer, beams=10)

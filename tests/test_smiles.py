@@ -26,22 +26,23 @@ from retroroute.smiles import (
 
 class TestTokenize:
     def test_single_letter_atoms(self):
-        assert tokenize("CCO").texts == ["C", "C", "O"]
+        assert [t.text for t in tokenize("CCO").tokens] == ["C", "C", "O"]
 
     def test_aromatic_ring_digits(self):
-        assert tokenize("c1ccccc1").texts == ["c", "1", "c", "c", "c", "c", "c", "1"]
+        texts = [t.text for t in tokenize("c1ccccc1").tokens]
+        assert texts == ["c", "1", "c", "c", "c", "c", "c", "1"]
 
     def test_bracket_atoms_and_dot(self):
-        assert tokenize("[Na+].[Cl-]").texts == ["[Na+]", ".", "[Cl-]"]
+        assert [t.text for t in tokenize("[Na+].[Cl-]").tokens] == ["[Na+]", ".", "[Cl-]"]
 
     def test_two_letter_halogens(self):
-        assert tokenize("ClBr").texts == ["Cl", "Br"]
+        assert [t.text for t in tokenize("ClBr").tokens] == ["Cl", "Br"]
 
     def test_tilde_is_one_token(self):
-        assert tokenize("C~O").texts == ["C", "~", "O"]
+        assert [t.text for t in tokenize("C~O").tokens] == ["C", "~", "O"]
 
     def test_percent_ring_bond(self):
-        assert tokenize("C%12C").texts == ["C", "%12", "C"]
+        assert [t.text for t in tokenize("C%12C").tokens] == ["C", "%12", "C"]
 
     def test_unparsable_character_position(self):
         with pytest.raises(UnparsableCharacter) as exc:
@@ -56,7 +57,7 @@ class TestTokenize:
         s = "CC(=O)Oc1ccccc1C(=O)O"
         stream = tokenize(s)
         assert stream.join() == s
-        for t in stream:
+        for t in stream.tokens:
             assert s[t.start:t.end] == t.text
 
     def test_atom_count_skips_punctuation(self):
@@ -234,3 +235,26 @@ class TestToyNormalizer:
         s = ".".join(fragments)
         norm = ToyNormalizer().normalize
         assert norm(norm(s)) == norm(s)
+
+    @given(st.lists(st.sampled_from(["C", "N", "O~C", "C~O", "Cl", "C!", "", " "]), max_size=4),
+           st.sampled_from(["C", "C~O", "C.N", "C.C~O"]))
+    def test_spells_agrees_with_normalize(self, fragments, normal):
+        s = ".".join(fragments)
+        try:
+            expected = ToyNormalizer().normalize(s) == normal
+        except NotCanonicalizable:
+            expected = False
+        assert ToyNormalizer().spells(s, normal) == expected
+
+    def test_spells_normalizes_only_other_spellings(self):
+        seen = []
+
+        class Recording(ToyNormalizer):
+            def normalize(self, s):
+                seen.append(s)
+                return super().normalize(s)
+
+        n = Recording()
+        assert n.spells("C~O", "C~O") and seen == []
+        assert n.spells("O~C", "C~O") and not n.spells("C!", "C")
+        assert seen == ["O~C", "C!"]

@@ -45,8 +45,8 @@ class TestLoadStock:
                 write_stock("s.txt", "C\nC!O\nN\nbad line\n"), normalizer
             )
         assert stock.entries == {"C", "N"}
-        assert stock.skipped == 2
         assert any("skipping" in r.message for r in caplog.records)
+        assert caplog.records[-1].message.endswith("rejected 2 unnormalizable entries")
 
     def test_missing_file(self, tmp_path, normalizer):
         with pytest.raises(IoError):
@@ -54,15 +54,17 @@ class TestLoadStock:
 
 
 class TestUnion:
-    def test_load_stocks_union(self, write_stock, normalizer):
+    def test_load_stocks_union(self, write_stock, normalizer, caplog):
         a = write_stock("a.txt", "C\nN\n")
         b = write_stock("b.txt", "N\nO\nC!\n")
-        stock = load_stocks([a, b], normalizer)
+        with caplog.at_level(logging.WARNING):
+            stock = load_stocks([a, b], normalizer)
         assert stock.entries == {"C", "N", "O"}
-        assert stock.skipped == 1
+        assert caplog.records[-1].message.endswith("b.txt: rejected 1 unnormalizable entries")
 
     def test_union_preserves_counts(self):
-        a = StockSet(entries=frozenset({"C"}), skipped=1)
-        b = StockSet(entries=frozenset({"N"}), skipped=2)
+        a = StockSet(entries=frozenset({"C", "O"}))
+        b = StockSet(entries=frozenset({"N", "O"}))
         u = a.union(b)
-        assert u.entries == {"C", "N"} and u.skipped == 3
+        assert u.entries == {"C", "N", "O"} and len(u) == 3
+        assert u.contains("N") and not u.contains("S")
