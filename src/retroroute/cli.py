@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from .errors import ConfigError, EmptyEvaluation, IoError, NotCanonicalizable, RetroRouteError
+from .errors import ConfigError, EmptyEvaluation, NotCanonicalizable, RetroRouteError, expect, read_json, read_text
 from .models import ModelManifest
 from .smiles import ToyNormalizer
 from .toy import ToyOracle, load_templates
@@ -73,15 +73,13 @@ def resolve(name: str, flag_value: Any, file_config: Dict[str, Any]) -> Any:
 def load_config_file(path: Optional[str]) -> Dict[str, Any]:
     if not path:
         return {}
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must be a flat JSON object")
+    data = read_json(path, dict)
     unknown = set(data) - set(DEFAULTS) - {"stock", "models"}
     if unknown:
         raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
+    for key, kind in (("stock", [str]), ("models", str)):
+        if key in data:
+            expect(data[key], kind, f"config {path}: {key}")
     return data
 
 
@@ -192,18 +190,14 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def read_targets(path: str) -> List[str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
     targets = []
-    for line in text.splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("{"):
             try:
-                targets.append(json.loads(line)["target"])
+                targets.append(expect(json.loads(line)["target"], str, f"{path}: target"))
             except (json.JSONDecodeError, KeyError) as exc:
                 raise ConfigError(f"bad JSONL test line {line!r}: {exc}") from exc
         else:
@@ -289,8 +283,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     from .graph import HyperGraph
 
     try:
-        graph = HyperGraph.loads(Path(args.graph).read_text(encoding="utf-8"))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+        graph = HyperGraph.loads(read_text(args.graph))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot load graph snapshot {args.graph}: {exc}") from exc
     dot = graph.to_dot()
     if args.out:

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the reader of input files."""
+
+import itertools
+import json
+import reprlib
+from pathlib import Path
 
 
 class RetroRouteError(Exception):
@@ -81,3 +86,37 @@ class IoError(RetroRouteError):
 
 class ConfigError(RetroRouteError):
     pass
+
+
+# --- input files ------------------------------------------------------------
+
+_WORDS = {dict: "a JSON object", list: "a list", str: "a string", int: "an integer", float: "a number"}
+_STR = itertools.repeat(str)
+
+
+def expect(value, kind, where: str):
+    """`value` if it is a `kind`: dict, list, str, int, float (any number but a
+    bool) or [str] (a list of strings). Otherwise a ConfigError naming `where`."""
+    if type(value) is kind or (kind is float and type(value) is int):
+        return value
+    # all(map(...)) runs in C: a generator over the items would slow load_templates
+    if type(kind) is list and type(value) in (list, tuple) and all(map(isinstance, value, _STR)):
+        return value
+    words = "a list of strings" if type(kind) is list else _WORDS[kind]
+    raise ConfigError(f"{where}: expected {words}, got {reprlib.repr(value)}")
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of a file; an unreadable one is an IoError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path, kind):
+    """The JSON value in a UTF-8 file, which must be of `kind` (see `expect`)."""
+    try:
+        return expect(json.loads(read_text(path)), kind, str(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -7,13 +7,12 @@ oracle (`retroroute.toy`) and the wire-protocol clients (`retroroute.wire`).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ConfigError, IoError, NotCanonicalizable
+from .errors import ConfigError, NotCanonicalizable, expect, read_json, read_text
 from .smiles import Normalizer, split_units
 
 
@@ -39,8 +38,8 @@ class PrecursorSet:
 
     def normalized(self, normalizer: Normalizer) -> "PrecursorSet":
         """Each molecule normalized, reagent flags kept; raises NotCanonicalizable."""
-        if not self.molecules:
-            raise NotCanonicalizable("empty precursor set")
+        if len(self.reagents) == len(self.molecules):
+            raise NotCanonicalizable("precursor set without a reactant")
         molecules = tuple(normalizer.normalize(m) for m in self.molecules)
         if not self.reagents:
             return PrecursorSet(molecules)
@@ -137,11 +136,7 @@ class TokenSubstitution:
     @classmethod
     def load(cls, path: str | Path) -> "TokenSubstitution":
         pairs: Dict[str, str] = {}
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise IoError(str(exc)) from exc
-        for lineno, line in enumerate(text.splitlines(), 1):
+        for lineno, line in enumerate(read_text(path).splitlines(), 1):
             if not line.strip() or line.startswith("#"):
                 continue
             try:
@@ -175,39 +170,29 @@ class ModelManifest:
     def __post_init__(self):
         if self.transport not in ("toy", "subprocess", "http"):
             raise ConfigError(f"unknown transport {self.transport!r}")
+        for key in ("templates_path", "token_dict_path", "endpoint", "command"):
+            if getattr(self, key) is not None:
+                expect(getattr(self, key), [str] if key == "command" else str, f"manifest {key}")
         if self.transport == "toy" and not self.templates_path:
             raise ConfigError("toy transport requires templates_path")
-        if self.transport == "subprocess" and not (
-            isinstance(self.command, (list, tuple)) and self.command
-            and all(isinstance(c, str) for c in self.command)
-        ):
-            raise ConfigError(f"command must be a non-empty list of strings: {self.command!r}")
+        if self.transport == "subprocess" and not self.command:
+            raise ConfigError("subprocess transport requires a command")
         if self.transport == "http" and not self.endpoint:
             raise ConfigError("http transport requires endpoint")
-        if type(self.timeout) not in (int, float) or not 0 < self.timeout < math.inf:
+        if not 0 < expect(self.timeout, float, "manifest timeout") < math.inf:
             raise ConfigError(f"timeout must be a positive number of seconds: {self.timeout!r}")
-        if type(self.retries) is not int or self.retries < 0:
+        if expect(self.retries, int, "manifest retries") < 0:
             raise ConfigError(f"retries must be a non-negative integer: {self.retries!r}")
 
     @classmethod
     def load(cls, path: str | Path) -> "ModelManifest":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise IoError(str(exc)) from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        data = read_json(path, dict)
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"{path}: unknown manifest keys {sorted(unknown)}")
+        expect(data.get("transport"), str, f"{path}: transport")
         base = Path(path).parent
         for key in ("templates_path", "token_dict_path"):
             if data.get(key):
-                data[key] = str((base / data[key]).resolve())
+                data[key] = str((base / expect(data[key], str, f"manifest {key}")).resolve())
         return cls(**data)
-
-    def token_substitution(self) -> Optional[TokenSubstitution]:
-        if self.token_dict_path:
-            return TokenSubstitution.load(self.token_dict_path)
-        return None

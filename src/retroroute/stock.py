@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Set
 
-from .errors import IoError, NotCanonicalizable
+from .errors import NotCanonicalizable, read_text
 from .smiles import Normalizer
 
 logger = logging.getLogger(__name__)
@@ -39,13 +39,9 @@ def load_stock(path: str | Path, normalizer: Normalizer) -> StockSet:
 
     Lines the normalizer rejects are logged and left out, not fatal.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
     entries: Set[str] = set()
     rejected = 0
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -9,12 +9,12 @@ expansion filter controllable from a fixture file.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ConfigError, IoError, MalformedModelResponse, MalformedReaction, NotCanonicalizable
+from .errors import ConfigError, MalformedModelResponse, MalformedReaction, NotCanonicalizable, expect, read_json
 from .models import (
     ChemModels,
     ForwardPrediction,
@@ -35,8 +35,8 @@ class Template:
     reagents: Tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.weight <= 0:
-            raise ConfigError(f"template weight must be positive: {self}")
+        if not 0 < self.weight < math.inf:
+            raise ConfigError(f"template weight must be positive and finite: {self}")
 
     @property
     def precursors(self) -> Tuple[str, ...]:
@@ -45,28 +45,17 @@ class Template:
 
 def load_templates(path: str | Path) -> List[Template]:
     """Read a JSON template file: list of {lhs, rhs, weight, class[, reagents]}."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if not isinstance(data, list):
-        raise ConfigError(f"{path}: expected a JSON list of templates")
     templates = []
-    for i, entry in enumerate(data):
+    for i, entry in enumerate(read_json(path, list)):
         try:
-            t = Template(
-                reactants=tuple(entry["lhs"]),
-                product=entry["rhs"],
-                weight=float(entry["weight"]),
+            templates.append(Template(
+                reactants=tuple(expect(entry["lhs"], [str], "lhs")),
+                product=expect(entry["rhs"], str, "rhs"),
+                weight=float(expect(entry["weight"], float, "weight")),
                 reaction_class=ReactionClass.parse(entry["class"], entry.get("label", "")),
-                reagents=tuple(entry.get("reagents", ())),
-            )
-            if not all(isinstance(m, str) for m in (t.product, *t.precursors)):
-                raise ValueError("molecules must be strings")
-            templates.append(t)
-        except (KeyError, TypeError, ValueError) as exc:
+                reagents=tuple(expect(entry.get("reagents", ()), [str], "reagents")),
+            ))
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}: template #{i}: {exc}") from exc
     return templates
 
@@ -99,10 +88,6 @@ class ToyOracle(ChemModels):
             reaction_class=t.reaction_class,
             reagents=tuple(norm(m) for m in t.reagents),
         )
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ToyOracle":
-        return cls(load_templates(path))
 
     # --- forward role -------------------------------------------------------
 

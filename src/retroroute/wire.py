@@ -468,10 +468,11 @@ class WireClient(ChemModels):
 def build_models(manifest: ModelManifest) -> ChemModels:
     """Construct the model client described by a manifest."""
     if manifest.transport == "toy":
-        from .toy import ToyOracle
+        from .toy import ToyOracle, load_templates
 
-        return ToyOracle.from_file(manifest.templates_path)
-    substitution = manifest.token_substitution()
+        return ToyOracle(load_templates(manifest.templates_path))
+    path = manifest.token_dict_path
+    substitution = TokenSubstitution.load(path) if path else None
     if manifest.transport == "subprocess":
         transport = SubprocessTransport(manifest.command)
     else:

@@ -19,6 +19,9 @@ from retroroute.cli import (
 
 from conftest import TOY_TEMPLATES
 
+# "CNé" in Latin-1: every reader takes UTF-8 only
+LATIN_1 = "CN\u00e9\n".encode("latin-1")
+
 
 @pytest.fixture
 def plan_args(toy_manifest, stock_file, tmp_path):
@@ -119,22 +122,26 @@ class TestEval:
         assert read_targets(path) == ["CN", "CNO"]
 
 
+@pytest.mark.parametrize("entry", [
+    {"lhs": [], "rhs": "CN", "weight": 1.0, "class": "1.1.1"},
+    {"lhs": ["S"], "rhs": "CNO", "reagents": ["S"], "weight": 1.0, "class": "1.1.1"},
+], ids=["reactantless", "reagent-only"])
 class TestReactantlessTemplate:
-    """The toy indexes reactant-less templates; their empty suggestion is not canonicalizable."""
+    """A suggestion with no reactant, only reagents or nothing, is not canonicalizable."""
 
     @pytest.fixture(autouse=True)
-    def reactantless(self, templates_file):
-        entry = {"lhs": [], "rhs": "CN", "weight": 1.0, "class": "1.1.1"}
+    def reactantless(self, entry, templates_file):
         templates_file.write_text(json.dumps([entry]), "utf-8")
 
-    def test_plan_drops_the_candidate(self, plan_args, tmp_path, capsys):
+    def test_plan_drops_the_candidate(self, entry, plan_args, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
-        assert main(plan_args("CN", "--trace", str(trace))) == EXIT_NO_ROUTE
+        assert main(plan_args(entry["rhs"], "--trace", str(trace))) == EXIT_NO_ROUTE
         records = [json.loads(line) for line in trace.read_text("utf-8").splitlines()]
-        assert [(r["outcome"], r["precursors"]) for r in records] == [("not_canonicalizable", [])]
+        assert [(r["outcome"], r["precursors"]) for r in records] == [
+            ("not_canonicalizable", entry.get("reagents", []))]
 
-    def test_eval_counts_it_syntactically_invalid(self, toy_manifest, tmp_path, capsys):
-        (tmp_path / "t.txt").write_text("CN\n", "utf-8")
+    def test_eval_counts_it_syntactically_invalid(self, entry, toy_manifest, tmp_path, capsys):
+        (tmp_path / "t.txt").write_text(entry["rhs"] + "\n", "utf-8")
         assert main(["eval", "--test", str(tmp_path / "t.txt"), "--models", str(toy_manifest),
                      "--report", str(tmp_path / "metrics.json")]) == EXIT_OK
         report = json.loads((tmp_path / "metrics.json").read_text("utf-8"))
@@ -237,29 +244,80 @@ class TestBadConfigValues:
 
     @pytest.mark.parametrize("command, config", [
         ("plan", {"beams": None}), ("plan", {"max_steps": [3]}), ("eval", {"bins": None}),
-    ], ids=["beams-null", "max_steps-list", "bins-null"])
-    def test_wrong_typed_config_value(self, command, config, plan_args, toy_manifest,
-                                      tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config), "utf-8")
-        args = plan_args() if command == "plan" else [
-            "eval", "--test", str(tmp_path / "t.txt"), "--models", str(toy_manifest)]
+        ("plan", {"stock": 5}), ("plan", {"models": 5}), ("eval", {"models": 5}),
+        # a string is not read as a list of one-letter file names, though the file S exists
+        ("plan", {"stock": "S"}),
+    ], ids=["beams-null", "max_steps-list", "bins-null", "stock-int", "models-int",
+            "eval-models-int", "stock-string"])
+    def test_wrong_typed_config_value(self, command, config, toy_manifest, stock_file,
+                                      tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "S").write_text(stock_file.read_text("utf-8"), "utf-8")
         (tmp_path / "t.txt").write_text("CN\n", "utf-8")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            {"models": str(toy_manifest), "stock": [str(stock_file)], **config}), "utf-8")
+        args = ["plan", "CNOS", "--out", "r.json"] if command == "plan" else [
+            "eval", "--test", "t.txt", "--report", "m.json"]
         self.assert_config_error(main([*args, "--config", str(path)]), capsys)
 
     @pytest.mark.parametrize("entry", [
         {"retries": -1}, {"timeout": "abc"}, {"timeout": 0}, {"command": "python3 -m x"},
-    ], ids=["retries-negative", "timeout-string", "timeout-zero", "command-string"])
+        {"templates_path": 5}, {"templates_path": ["t.json"]}, {"token_dict_path": 5},
+        {"token_dict_path": ["t.json"]}, {"transport": "http", "endpoint": 5},
+        {"timeout": True}, {"retries": 1.0},
+    ], ids=["retries-negative", "timeout-string", "timeout-zero", "command-string",
+            "templates_path-int", "templates_path-list", "token_dict_path-int",
+            "token_dict_path-list", "endpoint-int", "timeout-bool", "retries-float"])
     def test_bad_manifest_value(self, entry, templates_file, stock_file, tmp_path, capsys):
         code = self.plan_over_subprocess(entry, templates_file, stock_file, tmp_path)
         self.assert_config_error(code, capsys)
 
     @pytest.mark.parametrize("command", ["plan", "mock-serve"])
-    @pytest.mark.parametrize("field", ["class", "rhs"])
-    def test_wrong_typed_template_field(self, field, command, templates_file, plan_args,
-                                        capsys):
-        templates_file.write_text(json.dumps([{**TOY_TEMPLATES[0], field: 5}]), "utf-8")
+    @pytest.mark.parametrize("field, value", [
+        ("class", 5), ("rhs", 5),
+        # a string where a list belongs is not read as its letters
+        ("lhs", "CN"), ("reagents", "S"), ("lhs", ["C", 5]),
+        ("weight", float("nan")), ("weight", float("inf")), ("weight", True),
+    ], ids=["class", "rhs", "lhs-string", "reagents-string", "lhs-int-item", "weight-nan",
+            "weight-inf", "weight-bool"])
+    def test_wrong_typed_template_field(self, field, value, command, templates_file,
+                                        plan_args, capsys):
+        templates_file.write_text(json.dumps([{**TOY_TEMPLATES[0], field: value}]), "utf-8")
         args = plan_args() if command == "plan" else ["mock-serve", str(templates_file)]
+        self.assert_config_error(main(args), capsys)
+
+    @pytest.mark.parametrize("reader, content", [
+        ("stock", LATIN_1), ("targets", LATIN_1), ("config", LATIN_1), ("manifest", LATIN_1),
+        ("templates", LATIN_1), ("mock-serve", LATIN_1), ("token_dict", LATIN_1),
+        ("manifest", b"[]"), ("manifest", b"{}"), ("targets", b'{"target": 5}\n'),
+    ], ids=["stock-latin1", "targets-latin1", "config-latin1", "manifest-latin1",
+            "templates-latin1", "mock-serve-latin1", "token_dict-latin1", "manifest-list",
+            "manifest-empty", "targets-jsonl-int"])
+    def test_unreadable_input_file(self, reader, content, plan_args, templates_file,
+                                   toy_manifest, stock_file, tmp_path, capsys):
+        """Each input file is read by one reader; what it cannot take exits 2."""
+        targets = tmp_path / "targets.txt"
+        targets.write_text("CN\n", "utf-8")
+        config = tmp_path / "config.json"
+        token_manifest = tmp_path / "tokens.json"
+        # the token dictionary is read before the (never started) model child
+        token_manifest.write_text(json.dumps({
+            "transport": "subprocess", "command": ["unused"], "token_dict_path": "tokens.tsv"
+        }), "utf-8")
+        path, args = {
+            "stock": (stock_file, plan_args()),
+            "targets": (targets, ["eval", "--test", str(targets), "--models", str(toy_manifest),
+                                  "--report", str(tmp_path / "m.json")]),
+            "config": (config, plan_args("CNOS", "--config", str(config))),
+            "manifest": (toy_manifest, plan_args()),
+            "templates": (templates_file, plan_args()),
+            "mock-serve": (templates_file, ["mock-serve", str(templates_file)]),
+            "token_dict": (tmp_path / "tokens.tsv",
+                           ["plan", "CNOS", "--models", str(token_manifest), "--stock",
+                            str(stock_file), "--out", str(tmp_path / "r.json")]),
+        }[reader]
+        path.write_bytes(content)
         self.assert_config_error(main(args), capsys)
 
     @pytest.mark.parametrize("corrupt", [

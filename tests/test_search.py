@@ -1,10 +1,15 @@
+import json
+import random
+import sys
+
 import pytest
 
+from retroroute.cli import route_to_json
 from retroroute.errors import DegenerateProduct, ModelUnavailable, ScorerUnavailable
 from retroroute import search
 from retroroute.expand import ExpansionConfig, expand_node
 from retroroute.graph import HyperGraph
-from retroroute.models import ReactionClass
+from retroroute.models import ModelManifest, ReactionClass
 from retroroute.search import (
     CYCLIC,
     DEAD,
@@ -23,6 +28,7 @@ from retroroute.search import (
 )
 from retroroute.smiles import ToyNormalizer
 from retroroute.toy import ToyOracle
+from retroroute.wire import build_models
 
 from conftest import (
     STOCK_MOLECULES,
@@ -359,3 +365,61 @@ class TestAgainstExhaustiveEnumeration:
             ]
             assert pathway_shapes(outcome.graph, outcome.pathways) == \
                 pathway_shapes(builder.graph, ref_paths), f"trial {trial}"
+
+
+class TestSessionIndependence:
+    """A target's routes, snapshot and trace depend only on target, chemistry and config.
+
+    Each molecule of a seeded random chemistry, many of which reject a cycle,
+    is planned with fresh models, and in one session of models over all
+    molecules in a shuffled and in reverse order; the three must agree byte
+    for byte.
+    """
+
+    @staticmethod
+    def plan(target, models, stock):
+        trace = []
+        outcome = beam_search(target, SearchConfig(), models, stock, trace=trace)
+        routes = [route_to_json(outcome.graph, p) for p in outcome.pathways]
+        return json.dumps([routes, outcome.graph.to_json(), trace], sort_keys=True)
+
+    def plan_in_one_session(self, models, targets, stock):
+        """Each target's plan, in order, by one models object."""
+        try:
+            return [(t, self.plan(t, models, stock)) for t in targets]
+        finally:
+            models.close()
+
+    def instances(self, n):
+        rng = random.Random(2024)
+        for _ in range(n):
+            molecules, templates = random_chemistry(rng, n_molecules=8, n_templates=10)
+            stock = make_stock(rng.sample(molecules, rng.randint(1, 3)))
+            shuffled = rng.sample(molecules, len(molecules))
+            fresh = {t: self.plan(t, ToyOracle(templates), stock) for t in molecules}
+            yield templates, stock, shuffled, fresh
+
+    def test_in_process_sessions(self):
+        cyclic = 0
+        for templates, stock, shuffled, fresh in self.instances(30):
+            for order in (shuffled, shuffled[::-1]):
+                planned = self.plan_in_one_session(ToyOracle(templates), order, stock)
+                assert planned == [(t, fresh[t]) for t in order]
+            cyclic += any('"cycle_rejected"' in record for record in fresh.values())
+        assert cyclic >= 10, f"only {cyclic} of 30 instances reject a cycle"
+
+    def test_one_mock_serve_child(self, tmp_path):
+        cyclic = [instance for instance in self.instances(30)
+                  if any('"cycle_rejected"' in record for record in instance[3].values())]
+        for i, (templates, stock, shuffled, fresh) in enumerate(cyclic[:3]):
+            path = tmp_path / f"templates{i}.json"
+            path.write_text(json.dumps([
+                {"lhs": list(t.reactants), "rhs": t.product, "weight": t.weight,
+                 "class": t.reaction_class.code, "reagents": list(t.reagents)}
+                for t in templates
+            ]), "utf-8")
+            command = [sys.executable, "-m", "retroroute.cli", "mock-serve", str(path)]
+            models = build_models(ModelManifest("subprocess", command=command, timeout=30))
+            # the reversed pass plans every target again against a warm reply memo
+            order = shuffled + shuffled[::-1]
+            assert self.plan_in_one_session(models, order, stock) == [(t, fresh[t]) for t in order]
