@@ -54,20 +54,20 @@ DEFAULTS: Dict[str, Any] = {
 
 
 def resolve(name: str, flag_value: Any, file_config: Dict[str, Any]) -> Any:
-    """flags > environment > config file > defaults."""
+    """flags > environment > config file > defaults.
+
+    An environment value is parsed from its string; a config file value
+    must already have the type of the setting's default.
+    """
     if flag_value is not None:
         return flag_value
+    default = DEFAULTS[name]
     env = os.environ.get(ENV_PREFIX + name.upper())
     if env is not None:
-        default = DEFAULTS.get(name)
-        if isinstance(default, int):
-            return int(env)
-        if isinstance(default, float):
-            return float(env)
-        return env
+        return type(default)(env)
     if name in file_config:
-        return file_config[name]
-    return DEFAULTS.get(name)
+        return expect(file_config[name], type(default), f"config: {name}")
+    return default
 
 
 def load_config_file(path: Optional[str]) -> Dict[str, Any]:
@@ -128,16 +128,16 @@ def cmd_plan(args: argparse.Namespace) -> int:
     scorer = HeavyTokenScorer()
     try:
         cfg = SearchConfig(
-            n_beams=int(resolve("beams", args.beams, file_config)),
-            max_steps=int(resolve("max_steps", args.max_steps, file_config)),
+            n_beams=resolve("beams", args.beams, file_config),
+            max_steps=resolve("max_steps", args.max_steps, file_config),
             expansion=ExpansionConfig(
-                retro_beams=int(resolve("retro_beams", args.retro_beams, file_config)),
+                retro_beams=resolve("retro_beams", args.retro_beams, file_config),
                 auto_accept_likelihood=float(resolve("theta_hi", args.theta_hi, file_config)),
                 selectivity_gap=float(resolve("gap", args.gap, file_config)),
-                forward_topk=int(resolve("forward_topk", args.forward_topk, file_config)),
+                forward_topk=resolve("forward_topk", args.forward_topk, file_config),
             ),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
     trace: Optional[List[dict]] = [] if args.trace else None
@@ -217,13 +217,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     normalizer = ToyNormalizer()
     targets = read_targets(args.test)
     try:
-        base_label = str(resolve("log_base", args.log_base, file_config))
+        base_label = resolve("log_base", args.log_base, file_config)
         log_base = None if base_label == "e" else float(base_label)
-        beams = int(resolve("eval_beams", args.beams, file_config))
-        bins = int(resolve("bins", args.bins, file_config))
+        beams = resolve("eval_beams", args.beams, file_config)
+        bins = resolve("bins", args.bins, file_config)
         if bins < 1:
             raise ValueError(f"bins must be at least 1, got {bins}")
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     models = build_models(manifest)
     try:

@@ -4,28 +4,36 @@ Pipeline per node: predict candidate precursor sets, normalize and
 deduplicate them, drop self-referential candidates, filter by forward-model
 viability and selectivity, cluster equivalent disconnections and attach one
 arc per cluster representative.
+
+Each `models` object keeps the expansions made with it up to attach, which
+another target's graph then only attaches (see `expand_node`).
 """
 
 from __future__ import annotations
 
 import logging
+import threading
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import CycleRejected, ModelError, NotCanonicalizable, ScorerUnavailable
 from .graph import HyperGraph
-from .models import (
-    ChemModels,
-    PrecursorSet,
-    ReactionClass,
-    UNRECOGNIZED,
-)
+from .models import UNRECOGNIZED, ChemModels, PrecursorSet, ReactionClass
 from .smiles import Normalizer
 
 logger = logging.getLogger(__name__)
 
 AUTO_ACCEPT_LIKELIHOOD = 0.6
 SELECTIVITY_GAP = 0.2
+
+# expansions a models object keeps (about 1.9 kB each, 8 MB in all); the oldest goes first
+STORED_EXPANSIONS = 1 << 12
+
+# models object (held weakly) -> {(config, normalizer, molecule): expansion}, oldest first
+_stores: "weakref.WeakKeyDictionary[ChemModels, OrderedDict]" = weakref.WeakKeyDictionary()
+_stores_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -63,6 +71,7 @@ class Cluster:
     members: Tuple[FilterVerdict, ...]
     representative: FilterVerdict
     reaction_class: ReactionClass
+    classified: bool = True  # False: the classifier failed, so a cluster of its own
 
 
 def filter_candidate(
@@ -108,6 +117,7 @@ def cluster_candidates(
     (reagents and product-side duplicates stripped), which merges candidates
     differing only in suggested reaction conditions. The highest-likelihood
     member represents the cluster; ties break on the smaller joined string.
+    A candidate the classifier fails on is an unclassified cluster of its own.
     """
     keyed: Dict[object, List[Tuple[FilterVerdict, ReactionClass]]] = {}
     singleton = 0
@@ -126,11 +136,11 @@ def cluster_candidates(
         except ModelError as exc:
             logger.warning("classifier failure for %r: %s", rxn, exc)
             cls = UNRECOGNIZED
-            key = ("singleton", singleton)
+            key = (None, singleton)
             singleton += 1
         keyed.setdefault(key, []).append((verdict, cls))
     clusters = []
-    for members in keyed.values():
+    for (superclass, _), members in keyed.items():
         rep, rep_cls = min(
             members, key=lambda item: (-item[0].likelihood, item[0].candidate.joined())
         )
@@ -139,6 +149,7 @@ def cluster_candidates(
                 members=tuple(v for v, _ in members),
                 representative=rep,
                 reaction_class=rep_cls,
+                classified=superclass is not None,
             )
         )
     return clusters
@@ -162,13 +173,16 @@ def expand_node(
     models: ChemModels,
     normalizer: Normalizer,
     scorer,
-    stock=None,
+    stock,
     trace: Optional[List[dict]] = None,
 ) -> List[int]:
     """Expand one node; returns attached arc ids in deterministic order.
 
     A model outage defers the node (it stays unexpanded and is retried by
-    the driver); candidates that fail canonicalization are discarded.
+    the driver); candidates that fail canonicalization are discarded. An
+    expansion that met no model failure is stored with `models`, and the
+    next graph to expand the same molecule replays its trace records and
+    runs only the attach step.
     """
     from .search import arc_score
 
@@ -176,91 +190,103 @@ def expand_node(
     if node.expanded or not node.expandable:
         raise ValueError(f"node {node.smiles!r} is not pending expansion")
 
-    try:
-        predictions = models.retro_predict(node.smiles, cfg.retro_beams)
-    except ModelError as exc:
-        logger.warning("retro model unavailable for %r: %s", node.smiles, exc)
-        node.deferrals += 1
-        return []
-
-    candidates: List[PrecursorSet] = []
-    seen_keys = set()
-    for pred in predictions:
+    key = (cfg, normalizer, node.smiles)
+    with _stores_lock:
+        store = _stores.setdefault(models, OrderedDict())
+        stored = store.get(key)
+    if stored is None:
         try:
-            candidate = pred.precursors.normalized(normalizer)
-        except NotCanonicalizable:
-            _trace(trace, node.smiles, pred.precursors, "not_canonicalizable", None)
-            continue
-        if node.smiles in candidate.molecules:
-            _trace(trace, node.smiles, candidate, "self_precursor", None)
-            continue
-        if candidate.key() in seen_keys:
-            _trace(trace, node.smiles, candidate, "duplicate", None)
-            continue
-        seen_keys.add(candidate.key())
-        candidates.append(candidate)
-
-    verdicts = [filter_candidate(node.smiles, c, cfg, models, normalizer) for c in candidates]
-    accepted = [v for v in verdicts if v.accepted]
-    clusters = cluster_candidates(accepted, models.classify, node.smiles)
-    cluster_of = {
-        member.candidate.key(): idx
-        for idx, cluster in enumerate(clusters)
-        for member in cluster.members
-    }
-    for verdict in verdicts:
-        _trace(
-            trace,
-            node.smiles,
-            verdict.candidate,
-            verdict.outcome,
-            verdict.likelihood,
-            cluster_of.get(verdict.candidate.key()),
-        )
-    representatives = sorted(
-        clusters,
-        key=lambda c: (-c.representative.likelihood, c.representative.candidate.joined()),
-    )
+            stored, complete = _expansion(node.smiles, cfg, models, normalizer)
+        except ModelError as exc:
+            logger.warning("retro model unavailable for %r: %s", node.smiles, exc)
+            node.deferrals += 1
+            return []
+        if complete:
+            with _stores_lock:
+                store[key] = stored
+                while len(store) > STORED_EXPANSIONS:
+                    store.popitem(last=False)
+    records, representatives = stored
+    for record in records:
+        _trace(trace, node.smiles, *record)
 
     attached: List[int] = []
-    for cluster in representatives:
-        rep = cluster.representative
+    for candidate, likelihood, reaction_class in representatives:
         precursor_ids = []
         reagent_ids = set()
-        for m in rep.candidate.molecules:
+        for m in candidate.molecules:
             existing = g.index.get(m)
             if existing is None:
                 s, ok = node_simplicity(m, scorer)
                 existing = g.get_or_insert_node(
-                    m,
-                    in_stock=bool(stock is not None and stock.contains(m)),
-                    simplicity=s,
-                    expandable=ok,
+                    m, in_stock=stock.contains(m), simplicity=s, expandable=ok
                 )
             precursor_ids.append(existing)
-            if m in rep.candidate.reagents:
+            if m in candidate.reagents:
                 reagent_ids.add(existing)
         reactant_simplicities = [
             g.node(pid).simplicity for pid in precursor_ids if pid not in reagent_ids
         ]
-        score = arc_score(rep.likelihood, reactant_simplicities, node.simplicity)
+        score = arc_score(likelihood, reactant_simplicities, node.simplicity)
         try:
             arc_id = g.attach_arc(
-                product=node_id,
-                precursors=precursor_ids,
-                reagents=reagent_ids,
-                forward_likelihood=rep.likelihood,
-                reaction_class=cluster.reaction_class,
-                arc_score=score,
+                product=node_id, precursors=precursor_ids, reagents=reagent_ids,
+                forward_likelihood=likelihood, reaction_class=reaction_class, arc_score=score,
             )
         except CycleRejected:
             node.cycle_rejections += 1
-            _trace(trace, node.smiles, rep.candidate, "cycle_rejected", rep.likelihood)
+            _trace(trace, node.smiles, candidate, "cycle_rejected", likelihood)
             continue
         attached.append(arc_id)
 
     node.expanded = True
     return attached
+
+
+def _expansion(smiles: str, cfg: ExpansionConfig, models: ChemModels, normalizer: Normalizer):
+    """`smiles` expanded up to attach, and whether no model failed; a retro failure raises.
+
+    An expansion is its trace records, as `_trace` arguments after the
+    target, and its cluster representatives, best first, as (candidate,
+    likelihood, reaction class).
+    """
+    records: List[tuple] = []
+    candidates: List[PrecursorSet] = []
+    seen_keys = set()
+    for pred in models.retro_predict(smiles, cfg.retro_beams):
+        try:
+            candidate = pred.precursors.normalized(normalizer)
+        except NotCanonicalizable:
+            records.append((pred.precursors, "not_canonicalizable", None))
+            continue
+        if smiles in candidate.molecules:
+            records.append((candidate, "self_precursor", None))
+            continue
+        if candidate.key() in seen_keys:
+            records.append((candidate, "duplicate", None))
+            continue
+        seen_keys.add(candidate.key())
+        candidates.append(candidate)
+
+    verdicts = [filter_candidate(smiles, c, cfg, models, normalizer) for c in candidates]
+    accepted = [v for v in verdicts if v.accepted]
+    clusters = cluster_candidates(accepted, models.classify, smiles)
+    cluster_of = {
+        member.candidate.key(): idx
+        for idx, cluster in enumerate(clusters)
+        for member in cluster.members
+    }
+    for v in verdicts:
+        records.append((v.candidate, v.outcome, v.likelihood, cluster_of.get(v.candidate.key())))
+    clusters.sort(key=lambda c: (-c.representative.likelihood, c.representative.candidate.joined()))
+    representatives = tuple(
+        (c.representative.candidate, c.representative.likelihood, c.reaction_class)
+        for c in clusters
+    )
+    complete = all(v.outcome != "model_error" for v in verdicts) and all(
+        c.classified for c in clusters
+    )
+    return (tuple(records), representatives), complete
 
 
 def _trace(

@@ -17,7 +17,7 @@ from .errors import DegenerateProduct, ScorerUnavailable
 from .expand import ExpansionConfig, expand_node, node_simplicity
 from .graph import HyperGraph
 from .models import ChemModels
-from .smiles import Normalizer, ToyNormalizer, atom_count
+from .smiles import Normalizer, atom_count
 
 logger = logging.getLogger(__name__)
 
@@ -179,16 +179,14 @@ def beam_search(
     cfg: SearchConfig,
     models: ChemModels,
     stock,
-    normalizer: Optional[Normalizer] = None,
-    scorer: Optional[ComplexityScorer] = None,
+    normalizer: Normalizer,
+    scorer: ComplexityScorer = HeavyTokenScorer(),
     trace: Optional[List[dict]] = None,
 ) -> SearchOutcome:
     """Plan routes for a target; returns all terminated pathways, best first.
 
     An empty result is a valid "no route found" outcome, not an error.
     """
-    normalizer = normalizer or ToyNormalizer()
-    scorer = scorer or HeavyTokenScorer()
     target_norm = normalizer.normalize(target)
 
     g = HyperGraph()
@@ -222,16 +220,7 @@ def beam_search(
             }
         )
         for node_id in pending:
-            expand_node(
-                g,
-                node_id,
-                cfg.expansion,
-                models,
-                normalizer,
-                scorer,
-                stock=stock,
-                trace=trace,
-            )
+            expand_node(g, node_id, cfg.expansion, models, normalizer, scorer, stock, trace)
             node = g.node(node_id)
             if not node.expanded and node.deferrals >= MAX_DEFERRALS:
                 node.expandable = False

@@ -16,7 +16,6 @@ import select
 import subprocess
 import threading
 import time
-from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from .errors import (
@@ -42,9 +41,6 @@ OPS = ("retro", "forward", "score", "classify")
 
 # largest HTTP request body serve_http reads; a longer one is refused unread
 MAX_REQUEST_BYTES = 8 * 1024 * 1024
-
-# most successful replies a WireClient keeps (about 320 bytes each); the oldest goes first
-MEMO_ENTRIES = 1 << 15
 
 # seconds a WireClient waits before its first retry; each later wait doubles
 RETRY_BACKOFF = 0.5
@@ -344,12 +340,9 @@ class WireClient(ChemModels):
     are encoded before the retro call and suggested precursors are expanded
     back before any forward-model use. Failed calls are retried with
     exponential backoff. One request is in flight at a time: a client
-    shared by threads serves their calls one by one.
-
-    The models are taken to be deterministic, so the reply line to each
-    distinct (op, inputs, params) request is kept, up to `MEMO_ENTRIES`, and
-    a repeated request is answered from it without a round-trip. A reply is
-    kept only once its result has been read; failed requests are never kept.
+    shared by threads serves their calls one by one. Every call is a
+    round-trip: the client keeps no replies. The planner keeps whole
+    expansions per client instead (see `retroroute.expand`).
     """
 
     def __init__(
@@ -364,17 +357,12 @@ class WireClient(ChemModels):
         self.timeout = timeout
         self.retries = retries
         self._ids = itertools.count()
-        self._memo: OrderedDict[str, str] = OrderedDict()
-        # held from memo lookup to memo store, so calls never overlap on the transport
+        # held for a whole call, retries included, so calls never overlap on the transport
         self._lock = threading.Lock()
 
     def _call(self, op: str, inputs: List[Any], params: Dict[str, Any], parse: Callable) -> Any:
         """`parse` of the request's result; an unreadable result is a malformed response."""
-        key = json.dumps([op, inputs, params], separators=(",", ":"), sort_keys=True)
         with self._lock:
-            reply = self._memo.get(key)
-            if reply is not None:
-                return parse(decode_response(reply).get("result"))
             for attempt in range(self.retries + 1):
                 req_id = str(next(self._ids))
                 line = encode_request(req_id, op, inputs, params)
@@ -385,18 +373,14 @@ class WireClient(ChemModels):
                     if attempt == self.retries:
                         raise
                     time.sleep(RETRY_BACKOFF * (2 ** attempt))
-            msg = decode_response(reply)  # the transport returns only the reply to req_id
-            if not msg.get("ok"):
-                raise MalformedModelResponse(f"model error for op {op!r}: {msg.get('error')}")
-            result = msg.get("result")
-            try:
-                value = parse(result)
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
-                raise MalformedModelResponse(f"bad {op} result: {result!r}") from exc
-            self._memo[key] = reply
-            while len(self._memo) > MEMO_ENTRIES:
-                self._memo.popitem(last=False)
-            return value
+        msg = decode_response(reply)  # the transport returns only the reply to req_id
+        if not msg.get("ok"):
+            raise MalformedModelResponse(f"model error for op {op!r}: {msg.get('error')}")
+        result = msg.get("result")
+        try:
+            return parse(result)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise MalformedModelResponse(f"bad {op} result: {result!r}") from exc
 
     def retro_predict(self, target: str, beams: int) -> List[RetroPrediction]:
         subst = self.substitution

@@ -101,7 +101,7 @@ def test_criterion_1_single_step_matches_reference_implementation():
         for target in molecules:
             g = HyperGraph()
             g.get_or_insert_node(target, simplicity=simplicity(target, scorer))
-            arcs = expand_node(g, g.root, cfg, oracle, normalizer, scorer)
+            arcs = expand_node(g, g.root, cfg, oracle, normalizer, scorer, make_stock(()))
             engine = sorted(
                 (tuple(sorted(g.node(p).smiles for p in g.arcs[a].precursors)),
                  round(g.arcs[a].forward_likelihood, 12))
@@ -176,7 +176,7 @@ def test_criterion_4_beam_search_optimality_at_saturation():
         n_instances += 1
 
         saturated = beam_search(
-            target, SearchConfig(n_beams=500, max_steps=4), oracle, stock
+            target, SearchConfig(n_beams=500, max_steps=4), oracle, stock, ToyNormalizer()
         )
         got = ranked_groups(
             saturated.graph,
@@ -190,7 +190,7 @@ def test_criterion_4_beam_search_optimality_at_saturation():
         assert got == want, f"full-ranking mismatch for target {target}"
 
         narrow = beam_search(
-            target, SearchConfig(n_beams=3, max_steps=4), oracle, stock
+            target, SearchConfig(n_beams=3, max_steps=4), oracle, stock, ToyNormalizer()
         )
         if narrow.pathways:
             rank1 = step_shapes(narrow.graph, narrow.pathways[0].arcs)
@@ -403,7 +403,7 @@ def test_plan_over_http_matches_in_process(toy_manifest, templates_file, stock_f
 def test_criterion_9_end_to_end_stock_flip():
     oracle = ToyOracle(make_templates(TOY_TEMPLATES))
     full = beam_search(
-        "CNOS", SearchConfig(), oracle, make_stock(("C", "N", "O", "S"))
+        "CNOS", SearchConfig(), oracle, make_stock(("C", "N", "O", "S")), ToyNormalizer()
     )
     solved = full.solved
     assert len(solved) == 1
@@ -413,7 +413,7 @@ def test_criterion_9_end_to_end_stock_flip():
     assert products == {"CNOS", "CNO", "CN"}
 
     reduced = beam_search(
-        "CNOS", SearchConfig(), oracle, make_stock(("C", "N", "O"))
+        "CNOS", SearchConfig(), oracle, make_stock(("C", "N", "O")), ToyNormalizer()
     )
     assert not reduced.solved
     assert all(p.status in (DEAD, MAX_STEPS) for p in reduced.pathways)

@@ -247,8 +247,14 @@ class TestBadConfigValues:
         ("plan", {"stock": 5}), ("plan", {"models": 5}), ("eval", {"models": 5}),
         # a string is not read as a list of one-letter file names, though the file S exists
         ("plan", {"stock": "S"}),
+        # a value is checked, not converted: no bool as 1, no 2.9 as 2, no string as a number
+        ("plan", {"beams": True}), ("plan", {"max_steps": 2.9}), ("plan", {"theta_hi": "0.5"}),
+        ("eval", {"eval_beams": 2.5}), ("eval", {"eval_beams": True}), ("eval", {"bins": "50"}),
+        ("eval", {"log_base": 2}),
     ], ids=["beams-null", "max_steps-list", "bins-null", "stock-int", "models-int",
-            "eval-models-int", "stock-string"])
+            "eval-models-int", "stock-string", "beams-bool", "max_steps-float",
+            "theta_hi-string", "eval_beams-float", "eval_beams-bool", "bins-string",
+            "log_base-number"])
     def test_wrong_typed_config_value(self, command, config, toy_manifest, stock_file,
                                       tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -25,6 +25,7 @@ from retroroute.toy import ToyOracle
 from conftest import TOY_TEMPLATES, make_stock, make_templates
 
 CFG = ExpansionConfig()
+NO_STOCK = make_stock(())
 
 
 def ps(*molecules, reagents=()):
@@ -213,7 +214,7 @@ class TestExpandNode:
         ]))
         g, normalizer, scorer = self.setup_graph("CN")
         trace = []
-        arcs = expand_node(g, g.root, CFG, oracle, normalizer, scorer, trace=trace)
+        arcs = expand_node(g, g.root, CFG, oracle, normalizer, scorer, NO_STOCK, trace)
         assert len(arcs) == 1
         assert {g.node(p).smiles for p in g.arcs[arcs[0]].precursors} == {"C", "N"}
         assert any(r["outcome"] == "self_precursor" for r in trace)
@@ -226,7 +227,7 @@ class TestExpandNode:
                        scores={("C.N", "CN"): 0.9})
         g, normalizer, scorer = self.setup_graph("CN")
         trace = []
-        arcs = expand_node(g, g.root, CFG, models, normalizer, scorer, trace=trace)
+        arcs = expand_node(g, g.root, CFG, models, normalizer, scorer, NO_STOCK, trace)
         assert len(arcs) == 1
         assert any(r["outcome"] == "not_canonicalizable" for r in trace)
 
@@ -236,7 +237,7 @@ class TestExpandNode:
                             scores={("", "CN"): 0.9, ("C.N", "CN"): 0.9})
         g, normalizer, scorer = self.setup_graph("CN")
         trace = []
-        arcs = expand_node(g, g.root, CFG, models, normalizer, scorer, trace=trace)
+        arcs = expand_node(g, g.root, CFG, models, normalizer, scorer, NO_STOCK, trace)
         assert len(arcs) == 1
         assert [r["precursors"] for r in trace if r["outcome"] == "not_canonicalizable"] == [[]]
 
@@ -247,7 +248,7 @@ class TestExpandNode:
         )
         g, normalizer, scorer = self.setup_graph("CN")
         trace = []
-        arcs = expand_node(g, g.root, CFG, models, normalizer, scorer, trace=trace)
+        arcs = expand_node(g, g.root, CFG, models, normalizer, scorer, NO_STOCK, trace)
         assert len(arcs) == 1
         assert any(r["outcome"] == "duplicate" for r in trace)
 
@@ -255,7 +256,7 @@ class TestExpandNode:
         # CN + O yields CNO at 8/9 and CNP at 1/9: from CNP's side the
         # disconnection is not selective, so CNP gains no arc
         g, normalizer, scorer = self.setup_graph("CNP")
-        arcs = expand_node(g, g.root, CFG, toy_oracle, normalizer, scorer)
+        arcs = expand_node(g, g.root, CFG, toy_oracle, normalizer, scorer, NO_STOCK)
         assert arcs == []
         assert g.node(g.root).expanded
 
@@ -265,7 +266,7 @@ class TestExpandNode:
                 raise ModelUnavailable("poof")
 
         g, normalizer, scorer = self.setup_graph("CN")
-        arcs = expand_node(g, g.root, CFG, Down(), normalizer, scorer)
+        arcs = expand_node(g, g.root, CFG, Down(), normalizer, scorer, NO_STOCK)
         assert arcs == []
         node = g.node(g.root)
         assert not node.expanded and node.deferrals == 1
@@ -273,7 +274,7 @@ class TestExpandNode:
     def test_trace_records_cluster_ids(self, toy_oracle):
         g, normalizer, scorer = self.setup_graph("CN")
         trace = []
-        expand_node(g, g.root, CFG, toy_oracle, normalizer, scorer, trace=trace)
+        expand_node(g, g.root, CFG, toy_oracle, normalizer, scorer, NO_STOCK, trace)
         accepted = [r for r in trace if r["outcome"] in ("auto", "selective")]
         assert accepted and all(r["cluster"] is not None for r in accepted)
         rejected = [r for r in trace if r["outcome"] not in ("auto", "selective")]
@@ -285,7 +286,7 @@ class TestExpandNode:
         scorer = HeavyTokenScorer()
         for target in ("CN", "CNO", "CNOS", "CNP", "OS"):
             g, _, _ = self.setup_graph(target)
-            arcs = expand_node(g, g.root, CFG, toy_oracle, normalizer, scorer)
+            arcs = expand_node(g, g.root, CFG, toy_oracle, normalizer, scorer, NO_STOCK)
             engine = sorted(
                 (tuple(sorted(g.node(p).smiles for p in g.arcs[a].precursors)),
                  g.arcs[a].forward_likelihood)

@@ -191,11 +191,11 @@ class TestTerminateAndFork:
 class TestBeamSearch:
     def run(self, oracle, stock, **kw):
         cfg = SearchConfig(**kw) if kw else SearchConfig()
-        return beam_search("CNOS", cfg, oracle, stock)
+        return beam_search("CNOS", cfg, oracle, stock, ToyNormalizer())
 
     def test_target_in_stock_zero_step_route(self, toy_oracle):
         stock = make_stock(("CNOS",))
-        outcome = beam_search("CNOS", SearchConfig(), toy_oracle, stock)
+        outcome = beam_search("CNOS", SearchConfig(), toy_oracle, stock, ToyNormalizer())
         assert len(outcome.pathways) == 1
         best = outcome.pathways[0]
         assert best.status == SOLVED
@@ -219,7 +219,7 @@ class TestBeamSearch:
         for templates, stock, target, n_arcs in cases:
             outcome = beam_search(
                 target, SearchConfig(), ToyOracle(make_templates(templates)),
-                make_stock(stock),
+                make_stock(stock), ToyNormalizer(),
             )
             assert outcome.solved and len(outcome.solved[0].arcs) == n_arcs, target
             g = outcome.graph
@@ -262,10 +262,11 @@ class TestBeamSearch:
         # keep the argmax route identical
         half = [dict(t, weight=t["weight"]) for t in TOY_TEMPLATES]
         base = beam_search(
-            "CNOS", SearchConfig(), ToyOracle(make_templates(TOY_TEMPLATES)), toy_stock
+            "CNOS", SearchConfig(), ToyOracle(make_templates(TOY_TEMPLATES)), toy_stock,
+            ToyNormalizer(),
         )
         scaled = beam_search(
-            "CNOS", SearchConfig(), ToyOracle(make_templates(half)), toy_stock
+            "CNOS", SearchConfig(), ToyOracle(make_templates(half)), toy_stock, ToyNormalizer()
         )
 
         def shape(outcome):
@@ -285,7 +286,7 @@ class TestBeamSearch:
 
         monkeypatch.setattr(search, "MAX_DEFERRALS", 2)
         oracle = Flaky(make_templates(TOY_TEMPLATES))
-        outcome = beam_search("CNOS", SearchConfig(), oracle, toy_stock)
+        outcome = beam_search("CNOS", SearchConfig(), oracle, toy_stock, ToyNormalizer())
         assert not outcome.solved
         assert all(p.status in (DEAD, MAX_STEPS) for p in outcome.pathways)
         root = outcome.graph.node(outcome.graph.root)
@@ -313,7 +314,7 @@ class LazyBuilder:
         if not node.expanded and node.expandable:
             expand_node(
                 self.graph, node_id, self.cfg, self.oracle,
-                self.normalizer, self.scorer, stock=self.stock,
+                self.normalizer, self.scorer, self.stock,
             )
 
 
@@ -335,7 +336,8 @@ def pathway_shapes(graph, pathways):
 class TestAgainstExhaustiveEnumeration:
     def test_toy_chemistry_saturated_beam_matches(self, toy_oracle, toy_stock):
         outcome = beam_search(
-            "CNOS", SearchConfig(n_beams=100, max_steps=6), toy_oracle, toy_stock
+            "CNOS", SearchConfig(n_beams=100, max_steps=6), toy_oracle, toy_stock,
+            ToyNormalizer(),
         )
         builder = LazyBuilder("CNOS", toy_oracle, toy_stock)
         ref = reference_enumerate(builder, max_steps=6)
@@ -355,7 +357,7 @@ class TestAgainstExhaustiveEnumeration:
             stock = make_stock(rng.sample(molecules, rng.randint(1, 4)))
             target = rng.choice(molecules)
             outcome = beam_search(
-                target, SearchConfig(n_beams=10000, max_steps=4), oracle, stock
+                target, SearchConfig(n_beams=10000, max_steps=4), oracle, stock, ToyNormalizer()
             )
             builder = LazyBuilder(target, oracle, stock)
             ref = reference_enumerate(builder, max_steps=4)
@@ -376,10 +378,12 @@ class TestSessionIndependence:
     for byte.
     """
 
-    @staticmethod
-    def plan(target, models, stock):
+    normalizer = ToyNormalizer()
+
+    @classmethod
+    def plan(cls, target, models, stock):
         trace = []
-        outcome = beam_search(target, SearchConfig(), models, stock, trace=trace)
+        outcome = beam_search(target, SearchConfig(), models, stock, cls.normalizer, trace=trace)
         routes = [route_to_json(outcome.graph, p) for p in outcome.pathways]
         return json.dumps([routes, outcome.graph.to_json(), trace], sort_keys=True)
 
@@ -420,6 +424,6 @@ class TestSessionIndependence:
             ]), "utf-8")
             command = [sys.executable, "-m", "retroroute.cli", "mock-serve", str(path)]
             models = build_models(ModelManifest("subprocess", command=command, timeout=30))
-            # the reversed pass plans every target again against a warm reply memo
+            # the reversed pass plans every target again against a full expansion store
             order = shuffled + shuffled[::-1]
             assert self.plan_in_one_session(models, order, stock) == [(t, fresh[t]) for t in order]

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import http.client
 import io
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -21,9 +23,12 @@ from retroroute.errors import (
     ModelUnavailable,
 )
 from retroroute.cli import route_to_json
-from retroroute.models import ModelManifest, PrecursorSet, TokenSubstitution
-from retroroute import wire
-from retroroute.search import SearchConfig, beam_search
+from retroroute.expand import ExpansionConfig, expand_node
+from retroroute.graph import HyperGraph
+from retroroute.models import ChemModels, ModelManifest, PrecursorSet, TokenSubstitution
+from retroroute import expand, wire
+from retroroute.search import HeavyTokenScorer, SearchConfig, beam_search
+from retroroute.smiles import ToyNormalizer
 from retroroute.toy import ToyOracle
 from retroroute.wire import (
     MAX_REQUEST_BYTES,
@@ -374,36 +379,12 @@ def recorded(transport):
     return transport
 
 
-class TestMemo:
-    def client(self, command, **kwargs):
-        return WireClient(recorded(SubprocessTransport(command)), timeout=20, **kwargs)
+class TestFailedCall:
+    """A failed call raises its error, and the same call made again is sent again."""
 
-    def test_identical_requests_make_one_round_trip(self, templates_file, toy_oracle):
-        client = self.client(mock_serve_command(templates_file))
-        cno_s, cn_o = PrecursorSet(("CNO", "S")), PrecursorSet(("CN", "O"))
-        with_reagent = PrecursorSet(("CN", "O", "S"), frozenset({"S"}))
-        no_reagent = PrecursorSet(("CN", "O", "S"))
-        calls = [
-            ("retro_predict", "CNOS", 5), ("retro_predict", "CNOS", 6),
-            ("forward_predict", cn_o, 3), ("forward_predict", cn_o, 2),
-            ("forward_predict", with_reagent, 3), ("forward_predict", no_reagent, 3),
-            ("score_reaction", cno_s, "CNOS"), ("score_reaction", with_reagent, "CNO"),
-            ("score_reaction", no_reagent, "CNO"),
-            ("classify", "C.N>>CN"),
-        ]
-        try:
-            for method, *args in calls:
-                first = getattr(client, method)(*args)
-                again = getattr(client, method)(*args)
-                assert first == again == getattr(toy_oracle, method)(*args)
-                if isinstance(first, list):
-                    assert first is not again and first[0] is not again[0]
-            assert len(client.transport.sent) == len(set(client.transport.sent)) == len(calls)
-        finally:
-            client.close()
-
-    def test_model_error_reply_is_not_kept(self, templates_file):
-        client = self.client(mock_serve_command(templates_file))
+    def test_model_error_reply(self, templates_file):
+        client = WireClient(recorded(SubprocessTransport(mock_serve_command(templates_file))),
+                            timeout=20)
         try:
             for _ in range(2):
                 with pytest.raises(MalformedModelResponse, match="model error"):
@@ -412,7 +393,7 @@ class TestMemo:
             client.close()
         assert len(client.transport.sent) == 2
 
-    def test_unreadable_result_is_not_kept(self):
+    def test_unreadable_result(self):
         # the child answers a classify request with its inputs, which is not a class
         client = WireClient(
             recorded(SubprocessTransport(fake_child("for line in sys.stdin:\n    reply(line)\n"))),
@@ -424,13 +405,13 @@ class TestMemo:
                     client.classify("C.N>>CN")
         finally:
             client.close()
-        assert len(client.transport.sent) == 2 and not client._memo
+        assert len(client.transport.sent) == 2
 
     @pytest.mark.parametrize("body, error", [
         ("sys.stdin.read()\n", ModelTimeout),  # never answers
         ("sys.stdin.readline()\n", ModelUnavailable),  # exits without answering
     ])
-    def test_failed_request_is_not_kept(self, body, error):
+    def test_failed_request(self, body, error):
         client = WireClient(recorded(SubprocessTransport(fake_child(body))),
                             timeout=0.2, retries=0)
         try:
@@ -441,35 +422,123 @@ class TestMemo:
             client.close()
         assert len(client.transport.sent) == 2
 
-    def test_bound_drops_the_oldest_reply_first(self, templates_file, monkeypatch):
-        monkeypatch.setattr(wire, "MEMO_ENTRIES", 3)
-        client = self.client(mock_serve_command(templates_file))
-        reactions = ["C.N>>CN", "CN.O>>CNO", "CNO.S>>CNOS", "O.S>>OS", "P.F>>CN"]
+
+class Faulty(ChemModels):
+    """The toy oracle's answers, but its `fault` op, while set, is unavailable."""
+
+    def __init__(self, templates):
+        self.oracle = ToyOracle(templates)
+        self.fault, self.failures = None, 0
+
+    def ask(self, op, method, *args):
+        if self.fault == op:
+            self.failures += 1
+            raise ModelUnavailable(f"{op} is down")
+        return getattr(self.oracle, method)(*args)
+
+    def retro_predict(self, target, beams):
+        return self.ask("retro", "retro_predict", target, beams)
+
+    def score_reaction(self, precursors, product):
+        return self.ask("score", "score_reaction", precursors, product)
+
+    def forward_predict(self, precursors, topk):
+        return self.ask("forward", "forward_predict", precursors, topk)
+
+    def classify(self, rxn):
+        return self.ask("classify", "classify", rxn)
+
+
+class TestExpansionStore:
+    def client(self, command, **kwargs):
+        return WireClient(recorded(SubprocessTransport(command)), timeout=20, **kwargs)
+
+    @staticmethod
+    def plan(target, models, stock, normalizer):
+        """Routes, snapshot and trace of `target`, as one string."""
+        trace = []
+        outcome = beam_search(target, SearchConfig(), models, stock, normalizer, trace=trace)
+        routes = [route_to_json(outcome.graph, p) for p in outcome.pathways]
+        return json.dumps([routes, outcome.graph.to_json(), trace], sort_keys=True)
+
+    def test_second_target_asks_nothing_about_a_stored_node(self, templates_file, toy_stock):
+        fresh = {t: self.plan(t, ToyOracle(make_templates(TOY_TEMPLATES)), toy_stock,
+                              ToyNormalizer()) for t in ("CNO", "CNOS")}
+        client, normalizer = self.client(mock_serve_command(templates_file)), ToyNormalizer()
+        sent = client.transport.sent
         try:
-            for rxn in reactions:
-                client.classify(rxn)
-                assert len(client._memo) <= 3
-            client.classify(reactions[-1])
-            assert len(client.transport.sent) == 5
-            client.classify(reactions[0])  # dropped, so asked again
-            assert len(client.transport.sent) == 6
-            assert len(client._memo) == 3
+            assert self.plan("CNO", client, toy_stock, normalizer) == fresh["CNO"]
+            first = list(sent)
+            # CNO and CN were expanded for CNO: only CNOS itself is asked about
+            assert self.plan("CNOS", client, toy_stock, normalizer) == fresh["CNOS"]
+            second = sent[len(first):]
+            assert first and second
+            assert [json.loads(r)[1] for r in second if json.loads(r)[0] == "retro"] == [["CNOS"]]
+            assert not set(first) & set(second)
+            assert self.plan("CNO", client, toy_stock, normalizer) == fresh["CNO"]
+            assert len(sent) == len(first) + len(second)
         finally:
             client.close()
 
-    def test_concurrent_callers_keep_the_bound(self, templates_file, toy_oracle, monkeypatch):
-        monkeypatch.setattr(wire, "MEMO_ENTRIES", 4)
-        client = self.client(mock_serve_command(templates_file))
-        reactions = [f"{a}.{b}>>{a}{b}" for a in "CNOS" for b in "CNOS" if a != b]
+    @pytest.mark.parametrize("op", ["retro", "score", "forward", "classify"])
+    def test_expansion_that_met_a_model_failure_is_not_stored(self, op, toy_stock):
+        # CNP's one candidate is not auto-accepted, so its expansion asks the forward model
+        want = {t: self.plan(t, ToyOracle(make_templates(TOY_TEMPLATES)), toy_stock,
+                             ToyNormalizer()) for t in ("CNOS", "CNP")}
+        models, normalizer = Faulty(make_templates(TOY_TEMPLATES)), ToyNormalizer()
+        models.fault = op
+        faulty = {t: self.plan(t, models, toy_stock, normalizer) for t in want}
+        assert models.failures > 0 and faulty != want
+        models.fault = None
+        assert {t: self.plan(t, models, toy_stock, normalizer) for t in want} == want
+
+    def test_bound_drops_the_oldest_expansion_first(self, toy_oracle, monkeypatch):
+        monkeypatch.setattr(expand, "STORED_EXPANSIONS", 2)
+        asked, retro = [], toy_oracle.retro_predict
+
+        def retro_predict(target, beams):
+            asked.append(target)
+            return retro(target, beams)
+
+        toy_oracle.retro_predict = retro_predict
+        normalizer, stock = ToyNormalizer(), make_stock(())
+
+        def expand_root(target):
+            g = HyperGraph()
+            g.get_or_insert_node(target, simplicity=0.5)
+            expand_node(g, g.root, ExpansionConfig(), toy_oracle, normalizer,
+                        HeavyTokenScorer(), stock)
+
+        for target in ("CN", "CNO", "OS", "OS", "CNO", "CN", "OS"):
+            expand_root(target)
+            assert len(expand._stores[toy_oracle]) <= 2
+        # OS and CNO were stored; CN was dropped, then stored again, dropping CNO
+        assert asked == ["CN", "CNO", "OS", "CN"]
+        assert [key[2] for key in expand._stores[toy_oracle]] == ["OS", "CN"]
+
+    def test_concurrent_callers_keep_the_bound(self, monkeypatch):
+        monkeypatch.setattr(expand, "STORED_EXPANSIONS", 4)
+        molecules, templates = random_chemistry(random.Random(14), n_molecules=10,
+                                                n_templates=14)
+        models, normalizer, stock = ToyOracle(templates), ToyNormalizer(), make_stock(())
+
+        def snapshot(target, oracle):
+            g = HyperGraph()
+            g.get_or_insert_node(target, simplicity=0.5)
+            expand_node(g, g.root, ExpansionConfig(), oracle, normalizer, HeavyTokenScorer(),
+                        stock)
+            return g.dumps()
+
+        want = {m: snapshot(m, ToyOracle(templates)) for m in molecules}
         errors, sizes, interval = [], [], sys.getswitchinterval()
 
         def work(t):
             try:
                 for i in range(30):
-                    rxn = reactions[(t + i) % len(reactions)]
-                    assert client.classify(rxn) == toy_oracle.classify(rxn)
-                    with client._lock:
-                        sizes.append(len(client._memo))
+                    molecule = molecules[(t + i) % len(molecules)]
+                    assert snapshot(molecule, models) == want[molecule]
+                    with expand._stores_lock:
+                        sizes.append(len(expand._stores[models]))
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
 
@@ -482,15 +551,28 @@ class TestMemo:
                 t.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-            client.close()
         assert not any(t.is_alive() for t in threads)
         assert errors == [] and len(sizes) == 240 and max(sizes) == 4
 
+    def test_store_goes_away_with_its_client(self, templates_file, toy_stock):
+        gc.collect()
+        before = len(expand._stores)
+        client = self.client(mock_serve_command(templates_file))
+        try:
+            self.plan("CNOS", client, toy_stock, ToyNormalizer())
+        finally:
+            client.close()
+        assert len(expand._stores) == before + 1 and expand._stores[client]
+        alive = weakref.ref(client)
+        del client
+        gc.collect()
+        assert alive() is None and len(expand._stores) == before
+
     @pytest.mark.parametrize("callers", [1, 8])
-    def test_planning_through_the_memo_matches_a_fresh_oracle(self, tmp_path, callers):
+    def test_planning_in_one_session_matches_a_fresh_oracle(self, tmp_path, callers):
         # the toy chemistry, and a random one whose templates carry reagents;
-        # with several callers planning at once through one client, the lock
-        # held from memo lookup to memo store still sends each request once
+        # one caller sends each request once, and several callers planning
+        # at once through one client neither hang nor change a route
         molecules, templates = random_chemistry(random.Random(14), n_molecules=10,
                                                 n_templates=14)
         chemistries = [
@@ -501,8 +583,8 @@ class TestMemo:
         ]
         cfg = SearchConfig(n_beams=5, max_steps=4)
 
-        def plan(graph_of, target, oracle, stock):
-            result = beam_search(target, cfg, oracle, stock)
+        def plan(graph_of, target, oracle, stock, normalizer):
+            result = beam_search(target, cfg, oracle, stock, normalizer)
             graph_of[target] = (result.graph.dumps(), json.dumps(
                 [route_to_json(result.graph, p) for p in result.pathways]))
 
@@ -513,15 +595,15 @@ class TestMemo:
             stock = make_stock(stock_molecules)
             want = {}
             for target in targets:
-                plan(want, target, ToyOracle(make_templates(entries)), stock)
-            client = self.client(mock_serve_command(path))
+                plan(want, target, ToyOracle(make_templates(entries)), stock, ToyNormalizer())
+            client, normalizer = self.client(mock_serve_command(path)), ToyNormalizer()
             got = [{} for _ in range(callers)]
             errors = []
 
             def work(c):
                 try:
                     for k in range(len(targets)):
-                        plan(got[c], targets[(c + k) % len(targets)], client, stock)
+                        plan(got[c], targets[(c + k) % len(targets)], client, stock, normalizer)
                 except Exception as exc:  # reported by the main thread
                     errors.append(exc)
 
@@ -536,8 +618,9 @@ class TestMemo:
             assert not any(t.is_alive() for t in threads)
             assert errors == []
             assert got == [want] * callers
-            sent = client.transport.sent
-            assert len(sent) == len(set(sent))
+            if callers == 1:
+                sent = client.transport.sent
+                assert len(sent) == len(set(sent))
 
 
 def test_http_transport(toy_oracle):
