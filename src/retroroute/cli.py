@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -219,6 +220,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     try:
         base_label = resolve("log_base", args.log_base, file_config)
         log_base = None if base_label == "e" else float(base_label)
+        if log_base is not None and not (0 < log_base < math.inf and log_base != 1):
+            raise ValueError(f"log base must be finite, above 0 and not 1, got {base_label}")
         beams = resolve("eval_beams", args.beams, file_config)
         bins = resolve("bins", args.bins, file_config)
         if bins < 1:

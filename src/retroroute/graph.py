@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import CycleRejected
 from .models import ReactionClass
 
 
-@dataclass
+@dataclass(slots=True)
 class MoleculeNode:
     id: int
     smiles: str
@@ -33,8 +33,7 @@ class MoleculeNode:
             raise ValueError(f"simplicity {self.simplicity} outside [0,1]")
 
 
-@dataclass(frozen=True)
-class ReactionArc:
+class ReactionArc(NamedTuple):
     """Immutable after attachment; the score is frozen at attach time."""
 
     id: int
@@ -44,6 +43,10 @@ class ReactionArc:
     forward_likelihood: float
     reaction_class: ReactionClass
     arc_score: float
+
+
+_INT = {int}
+_NUMBER = {int, float}  # a bool is not a number here
 
 
 class HyperGraph:
@@ -94,6 +97,10 @@ class HyperGraph:
                         stack.append(p)
         return False
 
+    def _cycle_error(self, product: int, precursors: Tuple[int, ...]) -> CycleRejected:
+        smiles = [self.nodes[p].smiles for p in precursors]
+        return CycleRejected(f"arc {self.nodes[product].smiles!r} <- {smiles} closes a cycle")
+
     def attach_arc(
         self,
         product: int,
@@ -111,21 +118,12 @@ class HyperGraph:
         if not precursors:
             raise ValueError("precursor set must be non-empty")
         if self.would_create_cycle(product, precursors):
-            raise CycleRejected(
-                f"arc {self.nodes[product].smiles!r} <- "
-                f"{[self.nodes[p].smiles for p in precursors]} closes a cycle"
-            )
+            raise self._cycle_error(product, precursors)
         arc_id = len(self.arcs)  # nothing removes arcs, so ids stay dense
-        arc = ReactionArc(
-            id=arc_id,
-            product=product,
-            precursors=precursors,
-            reagents=frozenset(reagents),
-            forward_likelihood=forward_likelihood,
-            reaction_class=reaction_class,
-            arc_score=arc_score,
+        self.arcs[arc_id] = ReactionArc(
+            arc_id, product, precursors, frozenset(reagents),
+            forward_likelihood, reaction_class, arc_score,
         )
-        self.arcs[arc_id] = arc
         self.arcs_by_product[product].append(arc_id)
         return arc_id
 
@@ -135,57 +133,58 @@ class HyperGraph:
         return {
             "root": self.root,
             "nodes": [
-                {
-                    "id": n.id,
-                    "smiles": n.smiles,
-                    "in_stock": n.in_stock,
-                    "simplicity": n.simplicity,
-                    "expanded": n.expanded,
-                    "expandable": n.expandable,
-                }
-                for n in sorted(self.nodes.values(), key=lambda n: n.id)
+                {"id": n.id, "smiles": n.smiles, "in_stock": n.in_stock,
+                 "simplicity": n.simplicity, "expanded": n.expanded, "expandable": n.expandable}
+                for n in self.nodes.values()
             ],
             "arcs": [
-                {
-                    "id": a.id,
-                    "product": a.product,
-                    "precursors": list(a.precursors),
-                    "reagents": sorted(a.reagents),
-                    "likelihood": a.forward_likelihood,
-                    "class": a.reaction_class.code,
-                    "score": a.arc_score,
-                }
-                for a in sorted(self.arcs.values(), key=lambda a: a.id)
+                {"id": a.id, "product": a.product, "precursors": list(a.precursors),
+                 "reagents": sorted(a.reagents), "likelihood": a.forward_likelihood,
+                 "class": a.reaction_class.code, "score": a.arc_score}
+                for a in self.arcs.values()
             ],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "HyperGraph":
+        """Replay a snapshot in one pass with the checks of `attach_arc`. Ids must
+        be dense and in order, so a repeated smiles fails as a non-dense node id."""
         g = cls()
-        for entry in data["nodes"]:
-            node_id = g.get_or_insert_node(
-                entry["smiles"],
-                in_stock=entry.get("in_stock", False),
-                simplicity=entry.get("simplicity", 1.0),
-                expanded=entry.get("expanded", False),
-                expandable=entry.get("expandable", True),
-            )
-            if node_id != entry["id"]:
+        nodes, index, by_product = g.nodes, g.index, g.arcs_by_product
+        for node_id, entry in enumerate(data["nodes"]):
+            smiles = entry["smiles"]
+            if type(smiles) is not str:
+                raise ValueError(f"node {node_id}: smiles {smiles!r} is not a string")
+            if entry["id"] != node_id or index.setdefault(smiles, node_id) != node_id:
                 raise ValueError("node ids must be dense and ordered in snapshots")
-        g.root = data["root"]
-        if g.root is not None and g.root not in g.nodes:
-            raise ValueError(f"root {g.root!r} is not a node id")
-        for entry in data["arcs"]:
-            arc_id = g.attach_arc(
-                product=entry["product"],
-                precursors=tuple(entry["precursors"]),
-                reagents=entry.get("reagents", ()),
-                forward_likelihood=entry["likelihood"],
-                reaction_class=ReactionClass.parse(entry["class"]),
-                arc_score=entry["score"],
+            nodes[node_id] = MoleculeNode(
+                node_id, smiles, entry.get("in_stock", False), entry.get("simplicity", 1.0),
+                entry.get("expanded", False), entry.get("expandable", True),
             )
-            if arc_id != entry["id"]:
+            by_product[node_id] = []
+        g.root = data["root"]
+        if g.root is not None and g.root not in nodes:
+            raise ValueError(f"root {g.root!r} is not a node id")
+        arcs = g.arcs
+        for arc_id, entry in enumerate(data["arcs"]):
+            product, precursors = entry["product"], tuple(entry["precursors"])
+            likelihood, score = entry["likelihood"], entry["score"]
+            if entry["id"] != arc_id:
                 raise ValueError("arc ids must be dense and ordered in snapshots")
+            if not precursors:
+                raise ValueError("precursor set must be non-empty")
+            if type(product) is not int or not _INT.issuperset(map(type, precursors)):
+                raise ValueError(f"arc {arc_id}: product and precursors must be node ids")
+            if type(likelihood) not in _NUMBER or type(score) not in _NUMBER:
+                raise ValueError(f"arc {arc_id}: likelihood and score must be numbers")
+            reaction_class = ReactionClass.parse(entry["class"])
+            if g.would_create_cycle(product, precursors):
+                raise g._cycle_error(product, precursors)
+            arcs[arc_id] = ReactionArc(
+                arc_id, product, precursors, frozenset(entry.get("reagents", ())),
+                likelihood, reaction_class, score,
+            )
+            by_product[product].append(arc_id)
         return g
 
     def dumps(self) -> str:
@@ -199,11 +198,7 @@ class HyperGraph:
 
     def to_dot(self, arc_ids: Optional[Iterable[int]] = None) -> str:
         """DOT rendering: molecules as ellipses, arcs as square junctions."""
-        arcs = (
-            [self.arcs[a] for a in arc_ids]
-            if arc_ids is not None
-            else sorted(self.arcs.values(), key=lambda a: a.id)
-        )
+        arcs = self.arcs.values() if arc_ids is None else [self.arcs[a] for a in arc_ids]
         used_nodes: Set[int] = set()
         for arc in arcs:
             used_nodes.add(arc.product)
@@ -211,8 +206,9 @@ class HyperGraph:
         if self.root is not None:
             used_nodes.add(self.root)
         lines = ["digraph routes {", "  rankdir=BT;"]
-        for node_id in sorted(used_nodes):
-            node = self.nodes[node_id]
+        for node_id, node in self.nodes.items():  # in id order
+            if node_id not in used_nodes:
+                continue
             color = "green" if node.in_stock else "black"
             shape_attrs = f'label="{node.smiles}", shape=ellipse, color={color}'
             if node_id == self.root:

@@ -8,6 +8,7 @@ oracle (`retroroute.toy`) and the wire-protocol clients (`retroroute.wire`).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -70,23 +71,22 @@ class ForwardPrediction:
     rank: int
 
 
-@dataclass(frozen=True)
-class ReactionClass:
-    """NameRXN-style three-number identifier; superclass 0 = unrecognized."""
+class ReactionClass(namedtuple("ReactionClass", "superclass category named_reaction label")):
+    """NameRXN-style three-number identifier; superclass 0 = unrecognized.
 
-    superclass: int
-    category: int = 0
-    named_reaction: int = 0
-    label: str = ""
+    A tuple: as immutable as a frozen dataclass and cheaper to build."""
 
-    def __post_init__(self):
-        if not 0 <= self.superclass <= 11:
-            raise ValueError(f"superclass {self.superclass} outside 0..11")
+    __slots__ = ()
+
+    def __new__(cls, superclass: int, category: int = 0, named_reaction: int = 0, label: str = ""):
+        if not 0 <= superclass <= 11:
+            raise ValueError(f"superclass {superclass} outside 0..11")
+        return tuple.__new__(cls, (superclass, category, named_reaction, label))
 
     @classmethod
     def parse(cls, code: str, label: str = "") -> "ReactionClass":
         parts = code.split(".") if isinstance(code, str) else []
-        if len(parts) != 3 or any(not p.isdigit() for p in parts):
+        if len(parts) != 3 or not all(map(str.isdigit, parts)):
             raise ValueError(f"bad reaction class code {code!r}")
         return cls(int(parts[0]), int(parts[1]), int(parts[2]), label)
 

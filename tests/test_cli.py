@@ -333,8 +333,17 @@ class TestBadConfigValues:
         lambda s: [s],
         lambda s: s.update(root="x"),
         lambda s: s.update(root=7),
+        # wrong types the loader must refuse; a string likelihood would crash the DOT rendering
+        lambda s: s["arcs"][0].update(likelihood="x"),
+        lambda s: s["arcs"][0].update(score="x"),
+        lambda s: s["arcs"][0].update(likelihood=True),
+        lambda s: s["nodes"][1].update(smiles=5),
+        lambda s: s["arcs"][0].update(precursors=[True]),
+        lambda s: s["arcs"][0].update(product=False),
+        lambda s: s["arcs"][0].update({"class": "12.1.1"}),
     ], ids=["precursors-int", "simplicity-string", "class-int", "list", "root-string",
-            "root-unknown"])
+            "root-unknown", "likelihood-string", "score-string", "likelihood-bool",
+            "smiles-int", "precursors-bool", "product-bool", "superclass-12"])
     def test_wrong_shaped_snapshot(self, corrupt, tmp_path, capsys):
         snapshot = {
             "root": 0,
@@ -345,6 +354,30 @@ class TestBadConfigValues:
         path = tmp_path / "graph.json"
         path.write_text(json.dumps(corrupt(snapshot) or snapshot), "utf-8")
         self.assert_config_error(main(["export", str(path)]), capsys)
+
+    @pytest.mark.parametrize("base", ["1", "0", "-2", "nan", "inf", "1e400"])
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_invalid_log_base(self, base, source, toy_manifest, tmp_path, monkeypatch, capsys):
+        targets = tmp_path / "targets.txt"
+        targets.write_text("CN\n", "utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"log_base": base}), "utf-8")
+        if source == "env":
+            monkeypatch.setenv("RETROROUTE_LOG_BASE", base)
+        given = {"flag": ["--log-base", base], "env": [], "config": ["--config", str(config)]}[source]
+        code = main(["eval", "--test", str(targets), "--models", str(toy_manifest),
+                     "--report", str(tmp_path / "m.json"), *given])
+        self.assert_config_error(code, capsys)
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("base", ["2", "0.5"])
+    def test_valid_log_base(self, base, toy_manifest, tmp_path):
+        targets = tmp_path / "targets.txt"
+        targets.write_text("CN\n", "utf-8")
+        report = tmp_path / "m.json"
+        assert main(["eval", "--test", str(targets), "--models", str(toy_manifest),
+                     "--report", str(report), "--log-base", base]) == EXIT_OK
+        assert json.loads(report.read_text("utf-8"))["log_base"] == str(float(base))
 
     @pytest.mark.parametrize("bins", ["0", "-1"])
     def test_bins_below_one(self, bins, toy_manifest, tmp_path, capsys):

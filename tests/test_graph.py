@@ -197,3 +197,84 @@ class TestSerialization:
         assert "shape=ellipse" in dot
         assert "shape=square" in dot
         assert "color=green" in dot
+
+
+def random_snapshot(rng, n_nodes=40, n_arcs=60, back_arc=False):
+    """A canonical snapshot written by hand, never by the engine.
+
+    Arcs come in a shuffled order, not the planner's: a precursor is often
+    expanded (has arcs of its own) before an arc consumes it, and a small
+    pool of precursors is shared by many arcs. Every precursor ranks after
+    its product in a random order, so the arcs are acyclic; `back_arc` adds
+    one arc from a node back to a molecule that may require it, at a random
+    position, which may close a cycle there or later.
+    """
+    order = rng.sample(range(n_nodes), n_nodes)
+    pairs = []
+    for _ in range(n_arcs):
+        at = rng.randrange(n_nodes - 1)
+        later = order[at + 1:at + 8]  # a narrow window keeps precursors shared
+        pairs.append((order[at], rng.sample(later, rng.randint(1, min(3, len(later))))))
+    rng.shuffle(pairs)
+    if back_arc:
+        product, precursors = rng.choice(pairs)
+        pairs.insert(rng.randint(0, len(pairs)), (rng.choice(precursors), [product]))
+    expanded = {product for product, _ in pairs}
+    return {
+        "root": order[0],
+        "nodes": [
+            {"id": i, "smiles": f"[M{i}]", "in_stock": rng.random() < 0.3,
+             "simplicity": round(rng.random(), 6), "expanded": i in expanded,
+             "expandable": rng.random() < 0.9}
+            for i in range(n_nodes)
+        ],
+        "arcs": [
+            {"id": i, "product": product, "precursors": precursors,
+             "reagents": sorted(rng.sample(precursors, rng.randint(0, len(precursors) - 1))),
+             "likelihood": round(rng.uniform(0.01, 1.0), 6),
+             "class": f"{rng.randint(0, 11)}.{rng.randint(0, 9)}.{rng.randint(0, 40)}",
+             "score": rng.choice([round(rng.uniform(0.0, 3.0), 6), 1])}
+            for i, (product, precursors) in enumerate(pairs)
+        ],
+    }
+
+
+def reference_first_cycle(snapshot):
+    """Index of the first arc that closes a cycle when the arcs are replayed in order."""
+    adjacency = {}
+    for i, a in enumerate(snapshot["arcs"]):
+        if reference_closes_cycle(adjacency, a["product"], a["precursors"]):
+            return i, adjacency
+        reference_add_arc(adjacency, a["product"], a["precursors"])
+    return None, adjacency
+
+
+class TestSnapshotReplay:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_load_agrees_with_reference_replay(self, seed):
+        rng = random.Random(seed)
+        outcomes = set()
+        for trial in range(30):
+            snapshot = random_snapshot(rng, back_arc=trial % 2 == 1)
+            closing, adjacency = reference_first_cycle(snapshot)
+            outcomes.add(closing is None)
+            if closing is None:
+                g = HyperGraph.from_json(snapshot)
+                assert g.dumps() == json.dumps(snapshot, indent=2, sort_keys=True)
+                assert raw_adjacency(g) == adjacency
+                continue
+            with pytest.raises(CycleRejected):
+                HyperGraph.from_json(snapshot)
+            # the loader rejects the same arc: everything before it loads
+            prefix = dict(snapshot, arcs=snapshot["arcs"][:closing])
+            assert raw_adjacency(HyperGraph.from_json(prefix)) == adjacency
+        assert outcomes == {True, False}
+
+    def test_repeated_smiles_rejected(self):
+        rng = random.Random(5)
+        for _ in range(10):
+            snapshot = random_snapshot(rng)
+            later, earlier = sorted(rng.sample(range(len(snapshot["nodes"])), 2), reverse=True)
+            snapshot["nodes"][later]["smiles"] = snapshot["nodes"][earlier]["smiles"]
+            with pytest.raises(ValueError):
+                HyperGraph.from_json(snapshot)
