@@ -224,8 +224,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ValueError(f"log base must be finite, above 0 and not 1, got {base_label}")
         beams = resolve("eval_beams", args.beams, file_config)
         bins = resolve("bins", args.bins, file_config)
-        if bins < 1:
-            raise ValueError(f"bins must be at least 1, got {bins}")
+        if beams < 1 or bins < 1:
+            raise ValueError(f"beams and bins must be at least 1, got {beams} and {bins}")
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     models = build_models(manifest)

@@ -1,12 +1,13 @@
-"""One node-expansion step: retro predictions to attached hyper-arcs.
+"""What a molecule expands to: retro predictions to cluster representatives.
 
-Pipeline per node: predict candidate precursor sets, normalize and
+Pipeline per molecule: predict candidate precursor sets, normalize and
 deduplicate them, drop self-referential candidates, filter by forward-model
-viability and selectivity, cluster equivalent disconnections and attach one
-arc per cluster representative.
+viability and selectivity, and cluster equivalent disconnections. Nothing
+here reads a graph; `search.expand_node` attaches one arc per cluster
+representative to the target's graph.
 
-Each `models` object keeps the expansions made with it up to attach, which
-another target's graph then only attaches (see `expand_node`).
+Each `models` object keeps the expansions made with it, which another
+target's graph then only attaches (see `expansion`).
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from .errors import CycleRejected, ModelError, NotCanonicalizable, ScorerUnavailable
-from .graph import HyperGraph
+from .errors import ModelError, NotCanonicalizable
 from .models import UNRECOGNIZED, ChemModels, PrecursorSet, ReactionClass
 from .smiles import Normalizer
 
@@ -155,101 +155,21 @@ def cluster_candidates(
     return clusters
 
 
-def node_simplicity(smiles: str, scorer) -> Tuple[float, bool]:
-    """(simplicity, ok); a failed scorer marks the molecule unexpandable."""
-    from .search import simplicity
+def expansion(smiles: str, cfg: ExpansionConfig, models: ChemModels, normalizer: Normalizer):
+    """What `smiles` expands to, up to attach; a failed retro call raises `ModelError`.
 
-    try:
-        return simplicity(smiles, scorer), True
-    except ScorerUnavailable as exc:
-        logger.warning("simplicity scorer failed for %r: %s", smiles, exc)
-        return 0.0, False
-
-
-def expand_node(
-    g: HyperGraph,
-    node_id: int,
-    cfg: ExpansionConfig,
-    models: ChemModels,
-    normalizer: Normalizer,
-    scorer,
-    stock,
-    trace: Optional[List[dict]] = None,
-) -> List[int]:
-    """Expand one node; returns attached arc ids in deterministic order.
-
-    A model outage defers the node (it stays unexpanded and is retried by
-    the driver); candidates that fail canonicalization are discarded. An
-    expansion that met no model failure is stored with `models`, and the
-    next graph to expand the same molecule replays its trace records and
-    runs only the attach step.
+    An expansion is its trace records, as (candidate, outcome, likelihood[,
+    cluster]), and its cluster representatives, best first, as (candidate,
+    likelihood, reaction class). It reads no graph, so an expansion that met
+    no model failure is stored with `models` and given to the next caller
+    that asks for the same molecule.
     """
-    from .search import arc_score
-
-    node = g.node(node_id)
-    if node.expanded or not node.expandable:
-        raise ValueError(f"node {node.smiles!r} is not pending expansion")
-
-    key = (cfg, normalizer, node.smiles)
+    key = (cfg, normalizer, smiles)
     with _stores_lock:
         store = _stores.setdefault(models, OrderedDict())
         stored = store.get(key)
-    if stored is None:
-        try:
-            stored, complete = _expansion(node.smiles, cfg, models, normalizer)
-        except ModelError as exc:
-            logger.warning("retro model unavailable for %r: %s", node.smiles, exc)
-            node.deferrals += 1
-            return []
-        if complete:
-            with _stores_lock:
-                store[key] = stored
-                while len(store) > STORED_EXPANSIONS:
-                    store.popitem(last=False)
-    records, representatives = stored
-    for record in records:
-        _trace(trace, node.smiles, *record)
-
-    attached: List[int] = []
-    for candidate, likelihood, reaction_class in representatives:
-        precursor_ids = []
-        reagent_ids = set()
-        for m in candidate.molecules:
-            existing = g.index.get(m)
-            if existing is None:
-                s, ok = node_simplicity(m, scorer)
-                existing = g.get_or_insert_node(
-                    m, in_stock=stock.contains(m), simplicity=s, expandable=ok
-                )
-            precursor_ids.append(existing)
-            if m in candidate.reagents:
-                reagent_ids.add(existing)
-        reactant_simplicities = [
-            g.node(pid).simplicity for pid in precursor_ids if pid not in reagent_ids
-        ]
-        score = arc_score(likelihood, reactant_simplicities, node.simplicity)
-        try:
-            arc_id = g.attach_arc(
-                product=node_id, precursors=precursor_ids, reagents=reagent_ids,
-                forward_likelihood=likelihood, reaction_class=reaction_class, arc_score=score,
-            )
-        except CycleRejected:
-            node.cycle_rejections += 1
-            _trace(trace, node.smiles, candidate, "cycle_rejected", likelihood)
-            continue
-        attached.append(arc_id)
-
-    node.expanded = True
-    return attached
-
-
-def _expansion(smiles: str, cfg: ExpansionConfig, models: ChemModels, normalizer: Normalizer):
-    """`smiles` expanded up to attach, and whether no model failed; a retro failure raises.
-
-    An expansion is its trace records, as `_trace` arguments after the
-    target, and its cluster representatives, best first, as (candidate,
-    likelihood, reaction class).
-    """
+    if stored is not None:
+        return stored
     records: List[tuple] = []
     candidates: List[PrecursorSet] = []
     seen_keys = set()
@@ -279,33 +199,14 @@ def _expansion(smiles: str, cfg: ExpansionConfig, models: ChemModels, normalizer
     for v in verdicts:
         records.append((v.candidate, v.outcome, v.likelihood, cluster_of.get(v.candidate.key())))
     clusters.sort(key=lambda c: (-c.representative.likelihood, c.representative.candidate.joined()))
-    representatives = tuple(
-        (c.representative.candidate, c.representative.likelihood, c.reaction_class)
-        for c in clusters
+    stored = (
+        tuple(records),
+        tuple((c.representative.candidate, c.representative.likelihood, c.reaction_class)
+              for c in clusters),
     )
-    complete = all(v.outcome != "model_error" for v in verdicts) and all(
-        c.classified for c in clusters
-    )
-    return (tuple(records), representatives), complete
-
-
-def _trace(
-    trace: Optional[List[dict]],
-    target: str,
-    candidate: PrecursorSet,
-    outcome: str,
-    likelihood: Optional[float],
-    cluster: Optional[int] = None,
-) -> None:
-    if trace is None:
-        return
-    trace.append(
-        {
-            "target": target,
-            "precursors": list(candidate.molecules),
-            "reagents": sorted(candidate.reagents),
-            "outcome": outcome,
-            "likelihood": likelihood,
-            "cluster": cluster,
-        }
-    )
+    if all(v.outcome != "model_error" for v in verdicts) and all(c.classified for c in clusters):
+        with _stores_lock:
+            store[key] = stored
+            while len(store) > STORED_EXPANSIONS:
+                store.popitem(last=False)
+    return stored

@@ -151,40 +151,49 @@ class HyperGraph:
         be dense and in order, so a repeated smiles fails as a non-dense node id."""
         g = cls()
         nodes, index, by_product = g.nodes, g.index, g.arcs_by_product
-        for node_id, entry in enumerate(data["nodes"]):
-            smiles = entry["smiles"]
-            if type(smiles) is not str:
-                raise ValueError(f"node {node_id}: smiles {smiles!r} is not a string")
-            if entry["id"] != node_id or index.setdefault(smiles, node_id) != node_id:
-                raise ValueError("node ids must be dense and ordered in snapshots")
-            nodes[node_id] = MoleculeNode(
-                node_id, smiles, entry.get("in_stock", False), entry.get("simplicity", 1.0),
-                entry.get("expanded", False), entry.get("expandable", True),
-            )
-            by_product[node_id] = []
-        g.root = data["root"]
-        if g.root is not None and g.root not in nodes:
-            raise ValueError(f"root {g.root!r} is not a node id")
+        node_entries, root, arc_entries = data["nodes"], data["root"], data["arcs"]
+        try:
+            for node_id, entry in enumerate(node_entries):
+                smiles = entry["smiles"]
+                if type(smiles) is not str:
+                    raise ValueError(f"node {node_id}: smiles {smiles!r} is not a string")
+                if entry["id"] != node_id or index.setdefault(smiles, node_id) != node_id:
+                    raise ValueError("node ids must be dense and ordered in snapshots")
+                nodes[node_id] = MoleculeNode(
+                    node_id, smiles, entry.get("in_stock", False), entry.get("simplicity", 1.0),
+                    entry.get("expanded", False), entry.get("expandable", True),
+                )
+                by_product[node_id] = []
+        except KeyError as exc:
+            raise ValueError(f"node {node_id}: missing key {exc}") from exc
+        if root is not None and (type(root) is not int or root not in nodes):
+            raise ValueError(f"root {root!r} is not a node id")
+        g.root = root
         arcs = g.arcs
-        for arc_id, entry in enumerate(data["arcs"]):
-            product, precursors = entry["product"], tuple(entry["precursors"])
-            likelihood, score = entry["likelihood"], entry["score"]
-            if entry["id"] != arc_id:
-                raise ValueError("arc ids must be dense and ordered in snapshots")
-            if not precursors:
-                raise ValueError("precursor set must be non-empty")
-            if type(product) is not int or not _INT.issuperset(map(type, precursors)):
-                raise ValueError(f"arc {arc_id}: product and precursors must be node ids")
-            if type(likelihood) not in _NUMBER or type(score) not in _NUMBER:
-                raise ValueError(f"arc {arc_id}: likelihood and score must be numbers")
-            reaction_class = ReactionClass.parse(entry["class"])
-            if g.would_create_cycle(product, precursors):
-                raise g._cycle_error(product, precursors)
-            arcs[arc_id] = ReactionArc(
-                arc_id, product, precursors, frozenset(entry.get("reagents", ())),
-                likelihood, reaction_class, score,
-            )
-            by_product[product].append(arc_id)
+        try:
+            for arc_id, entry in enumerate(arc_entries):
+                product, precursors = entry["product"], tuple(entry["precursors"])
+                likelihood, score = entry["likelihood"], entry["score"]
+                reagents = frozenset(entry.get("reagents", ()))
+                if entry["id"] != arc_id:
+                    raise ValueError("arc ids must be dense and ordered in snapshots")
+                if not precursors:
+                    raise ValueError("precursor set must be non-empty")
+                if type(product) is not int or not _INT.issuperset(map(type, precursors)):
+                    raise ValueError(f"arc {arc_id}: product and precursors must be node ids")
+                if reagents and not reagents.issubset(precursors):
+                    raise ValueError(f"arc {arc_id}: reagents must be among its precursors")
+                if type(likelihood) not in _NUMBER or type(score) not in _NUMBER:
+                    raise ValueError(f"arc {arc_id}: likelihood and score must be numbers")
+                reaction_class = ReactionClass.parse(entry["class"])
+                if g.would_create_cycle(product, precursors):
+                    raise g._cycle_error(product, precursors)
+                arcs[arc_id] = ReactionArc(
+                    arc_id, product, precursors, reagents, likelihood, reaction_class, score,
+                )
+                by_product[product].append(arc_id)
+        except KeyError as exc:
+            raise ValueError(f"arc {arc_id}: missing key or unknown node id {exc}") from exc
         return g
 
     def dumps(self) -> str:

@@ -1,9 +1,10 @@
-"""Arc scoring and the pathway beam search over the hypergraph.
+"""Arc scoring, graph growth and the pathway beam search over the hypergraph.
 
 An arc's score combines the forward likelihood with the simplicity of the
 molecules involved; a pathway's score is the product of its arc scores.
-The search repeatedly expands frontier nodes, forks one child pathway per
-available arc, prunes the open set to the beam width and collects
+The search repeatedly expands frontier nodes (attaching one arc per cluster
+representative of the node's `expand.expansion`), forks one child pathway
+per available arc, prunes the open set to the beam width and collects
 terminated pathways until none remain open.
 """
 
@@ -13,10 +14,10 @@ import logging
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .errors import DegenerateProduct, ScorerUnavailable
-from .expand import ExpansionConfig, expand_node, node_simplicity
+from .errors import CycleRejected, DegenerateProduct, ModelError, ScorerUnavailable
+from .expand import ExpansionConfig, expansion
 from .graph import HyperGraph
-from .models import ChemModels
+from .models import ChemModels, PrecursorSet
 from .smiles import Normalizer, atom_count
 
 logger = logging.getLogger(__name__)
@@ -88,6 +89,98 @@ def arc_score(
     for s in precursor_simplicities:
         numerator *= s
     return numerator / max(product_simplicity, PRODUCT_SIMPLICITY_FLOOR)
+
+
+# --- graph growth -----------------------------------------------------------
+
+
+def _molecule(g: HyperGraph, smiles: str, scorer: ComplexityScorer, stock) -> int:
+    """The node for `smiles`, made on first sight; a failed scorer makes it unexpandable."""
+    existing = g.index.get(smiles)
+    if existing is not None:
+        return existing
+    try:
+        s, expandable = simplicity(smiles, scorer), True
+    except ScorerUnavailable as exc:
+        logger.warning("simplicity scorer failed for %r: %s", smiles, exc)
+        s, expandable = 0.0, False
+    return g.get_or_insert_node(
+        smiles, in_stock=stock.contains(smiles), simplicity=s, expandable=expandable
+    )
+
+
+def expand_node(
+    g: HyperGraph,
+    node_id: int,
+    cfg: ExpansionConfig,
+    models: ChemModels,
+    normalizer: Normalizer,
+    scorer: ComplexityScorer,
+    stock,
+    trace: Optional[List[dict]] = None,
+) -> List[int]:
+    """Expand one node; returns attached arc ids in deterministic order.
+
+    A model outage defers the node (it stays unexpanded and is retried by
+    the driver). Otherwise the expansion's trace records go to `trace` and
+    one arc per cluster representative is attached; an arc that would close
+    a cycle is recorded as `cycle_rejected` instead.
+    """
+    node = g.node(node_id)
+    if node.expanded or not node.expandable:
+        raise ValueError(f"node {node.smiles!r} is not pending expansion")
+    try:
+        records, representatives = expansion(node.smiles, cfg, models, normalizer)
+    except ModelError as exc:
+        logger.warning("retro model unavailable for %r: %s", node.smiles, exc)
+        node.deferrals += 1
+        return []
+    for record in records:
+        _trace(trace, node.smiles, *record)
+
+    attached: List[int] = []
+    for candidate, likelihood, reaction_class in representatives:
+        precursor_ids = [_molecule(g, m, scorer, stock) for m in candidate.molecules]
+        reagent_ids = {g.index[m] for m in candidate.reagents}
+        reactant_simplicities = [
+            g.node(pid).simplicity for pid in precursor_ids if pid not in reagent_ids
+        ]
+        score = arc_score(likelihood, reactant_simplicities, node.simplicity)
+        try:
+            arc_id = g.attach_arc(
+                product=node_id, precursors=precursor_ids, reagents=reagent_ids,
+                forward_likelihood=likelihood, reaction_class=reaction_class, arc_score=score,
+            )
+        except CycleRejected:
+            node.cycle_rejections += 1
+            _trace(trace, node.smiles, candidate, "cycle_rejected", likelihood)
+            continue
+        attached.append(arc_id)
+
+    node.expanded = True
+    return attached
+
+
+def _trace(
+    trace: Optional[List[dict]],
+    target: str,
+    candidate: PrecursorSet,
+    outcome: str,
+    likelihood: Optional[float],
+    cluster: Optional[int] = None,
+) -> None:
+    if trace is None:
+        return
+    trace.append(
+        {
+            "target": target,
+            "precursors": list(candidate.molecules),
+            "reagents": sorted(candidate.reagents),
+            "outcome": outcome,
+            "likelihood": likelihood,
+            "cluster": cluster,
+        }
+    )
 
 
 # --- pathways ---------------------------------------------------------------
@@ -190,13 +283,7 @@ def beam_search(
     target_norm = normalizer.normalize(target)
 
     g = HyperGraph()
-    s, expandable = node_simplicity(target_norm, scorer)
-    root = g.get_or_insert_node(
-        target_norm,
-        in_stock=stock.contains(target_norm),
-        simplicity=s,
-        expandable=expandable,
-    )
+    root = _molecule(g, target_norm, scorer, stock)
 
     root_path = Pathway(
         arcs=(),

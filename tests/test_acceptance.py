@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from retroroute.errors import CycleRejected
-from retroroute.expand import ExpansionConfig, expand_node, filter_candidate
+from retroroute.expand import ExpansionConfig, filter_candidate
 from retroroute.graph import HyperGraph
 from retroroute.metrics import (
     EvalRecord,
@@ -36,6 +36,7 @@ from retroroute.search import (
     SearchConfig,
     arc_score,
     beam_search,
+    expand_node,
     simplicity,
 )
 from retroroute.smiles import (

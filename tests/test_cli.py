@@ -209,6 +209,7 @@ class TestBadConfigValues:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        return err
 
     def test_gap_not_below_theta_hi(self, plan_args, capsys):
         self.assert_config_error(main(plan_args("CNOS", "--gap", "0.9")), capsys)
@@ -326,25 +327,36 @@ class TestBadConfigValues:
         path.write_bytes(content)
         self.assert_config_error(main(args), capsys)
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda s: s["arcs"][0].update(precursors=5),
-        lambda s: s["nodes"][0].update(simplicity="x"),
-        lambda s: s["arcs"][0].update({"class": 5}),
-        lambda s: [s],
-        lambda s: s.update(root="x"),
-        lambda s: s.update(root=7),
+    @pytest.mark.parametrize("corrupt, names", [
+        (lambda s: s["arcs"][0].update(precursors=5), None),
+        (lambda s: s["nodes"][0].update(simplicity="x"), None),
+        (lambda s: s["arcs"][0].update({"class": 5}), None),
+        (lambda s: [s], None),
+        (lambda s: s.update(root="x"), None),
+        (lambda s: s.update(root=7), None),
         # wrong types the loader must refuse; a string likelihood would crash the DOT rendering
-        lambda s: s["arcs"][0].update(likelihood="x"),
-        lambda s: s["arcs"][0].update(score="x"),
-        lambda s: s["arcs"][0].update(likelihood=True),
-        lambda s: s["nodes"][1].update(smiles=5),
-        lambda s: s["arcs"][0].update(precursors=[True]),
-        lambda s: s["arcs"][0].update(product=False),
-        lambda s: s["arcs"][0].update({"class": "12.1.1"}),
+        (lambda s: s["arcs"][0].update(likelihood="x"), None),
+        (lambda s: s["arcs"][0].update(score="x"), None),
+        (lambda s: s["arcs"][0].update(likelihood=True), None),
+        (lambda s: s["nodes"][1].update(smiles=5), None),
+        (lambda s: s["arcs"][0].update(precursors=[True]), None),
+        (lambda s: s["arcs"][0].update(product=False), None),
+        (lambda s: s["arcs"][0].update({"class": "12.1.1"}), None),
+        # a bool is not the node id 1, and a reagent must be one of the arc's precursors
+        (lambda s: s.update(root=True), None),
+        (lambda s: s["arcs"][0].update(reagents=[99]), None),
+        # a missing key or an unknown node id is named with its entry
+        (lambda s: s["arcs"][0].update(product=99), "arc 0"),
+        (lambda s: s["arcs"][0].update(precursors=[99]), "arc 0"),
+        (lambda s: s["arcs"][0].update(precursors=[-1]), "arc 0"),
+        (lambda s: s["arcs"][0].pop("likelihood") and None, "arc 0"),
+        (lambda s: s["nodes"][1].pop("smiles") and None, "node 1"),
     ], ids=["precursors-int", "simplicity-string", "class-int", "list", "root-string",
             "root-unknown", "likelihood-string", "score-string", "likelihood-bool",
-            "smiles-int", "precursors-bool", "product-bool", "superclass-12"])
-    def test_wrong_shaped_snapshot(self, corrupt, tmp_path, capsys):
+            "smiles-int", "precursors-bool", "product-bool", "superclass-12", "root-bool",
+            "reagents-not-precursors", "product-unknown", "precursor-unknown",
+            "precursor-negative", "likelihood-missing", "smiles-missing"])
+    def test_wrong_shaped_snapshot(self, corrupt, names, tmp_path, capsys):
         snapshot = {
             "root": 0,
             "nodes": [{"id": 0, "smiles": "CN"}, {"id": 1, "smiles": "C"}],
@@ -353,7 +365,8 @@ class TestBadConfigValues:
         }
         path = tmp_path / "graph.json"
         path.write_text(json.dumps(corrupt(snapshot) or snapshot), "utf-8")
-        self.assert_config_error(main(["export", str(path)]), capsys)
+        err = self.assert_config_error(main(["export", str(path)]), capsys)
+        assert names is None or f"graph.json: {names}: " in err
 
     @pytest.mark.parametrize("base", ["1", "0", "-2", "nan", "inf", "1e400"])
     @pytest.mark.parametrize("source", ["flag", "env", "config"])
@@ -387,6 +400,23 @@ class TestBadConfigValues:
                      "--report", str(tmp_path / "m.json"), "--bins", bins])
         self.assert_config_error(code, capsys)
 
+    # -1 once dropped each target's last suggestion, and 0 exited 4 for no suggestions
+    @pytest.mark.parametrize("beams", ["0", "-1"])
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_eval_beams_below_one(self, beams, source, toy_manifest, tmp_path, monkeypatch,
+                                  capsys):
+        targets = tmp_path / "targets.txt"
+        targets.write_text("CN\nCNO\nCNOS\n", "utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"eval_beams": int(beams)}), "utf-8")
+        if source == "env":
+            monkeypatch.setenv("RETROROUTE_EVAL_BEAMS", beams)
+        given = {"flag": ["--beams", beams], "env": [], "config": ["--config", str(config)]}[source]
+        code = main(["eval", "--test", str(targets), "--models", str(toy_manifest),
+                     "--report", str(tmp_path / "m.json"), *given])
+        self.assert_config_error(code, capsys)
+        assert not (tmp_path / "m.json").exists()
+
 
 SRC = os.path.dirname(os.path.dirname(retroroute.__file__))
 
@@ -410,6 +440,22 @@ def test_cli_import_loads_neither_numpy_nor_requests():
         "sys.exit(loaded + sorted(banned & set(sys.modules)) or 0)\n"
     )
     result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_expansion_loads_neither_graph_nor_search(templates_file):
+    # what a molecule expands to is worked out without a graph, so it can be stored
+    code = (
+        "import sys\n"
+        "from retroroute import expand, toy\n"
+        "from retroroute.smiles import ToyNormalizer\n"
+        "oracle = toy.ToyOracle(toy.load_templates(sys.argv[1]))\n"
+        "records, representatives = expand.expansion(\n"
+        "    'CNOS', expand.ExpansionConfig(), oracle, ToyNormalizer())\n"
+        "assert records and representatives\n"
+        "sys.exit(sorted({'retroroute.graph', 'retroroute.search'} & set(sys.modules)) or 0)\n"
+    )
+    result = run_python("-c", code, str(templates_file))
     assert result.returncode == 0, result.stderr
 
 

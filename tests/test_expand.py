@@ -6,7 +6,6 @@ from retroroute.expand import (
     ExpansionConfig,
     FilterVerdict,
     cluster_candidates,
-    expand_node,
     filter_candidate,
 )
 from retroroute.graph import HyperGraph
@@ -18,7 +17,7 @@ from retroroute.models import (
     RetroPrediction,
     UNRECOGNIZED,
 )
-from retroroute.search import HeavyTokenScorer
+from retroroute.search import HeavyTokenScorer, expand_node
 from retroroute.smiles import ToyNormalizer
 from retroroute.toy import ToyOracle
 

@@ -1,13 +1,15 @@
 import json
 import random
 import sys
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from retroroute.cli import route_to_json
 from retroroute.errors import DegenerateProduct, ModelUnavailable, ScorerUnavailable
-from retroroute import search
-from retroroute.expand import ExpansionConfig, expand_node
+from retroroute import expand, search
+from retroroute.expand import ExpansionConfig
 from retroroute.graph import HyperGraph
 from retroroute.models import ModelManifest, ReactionClass
 from retroroute.search import (
@@ -22,6 +24,7 @@ from retroroute.search import (
     SearchConfig,
     arc_score,
     beam_search,
+    expand_node,
     fork_pathway,
     simplicity,
     terminate_check,
@@ -291,6 +294,30 @@ class TestBeamSearch:
         assert all(p.status in (DEAD, MAX_STEPS) for p in outcome.pathways)
         root = outcome.graph.node(outcome.graph.root)
         assert root.deferrals >= 2 and not root.expandable
+
+    def test_profiling_hooks_see_every_call(self, toy_oracle, toy_stock, monkeypatch):
+        """A profiler may wrap these names; the engine must reach each through them."""
+        calls = Counter()
+
+        def counted(name, inner):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for owner, name in [(search, "expand_node"), (search, "simplicity"),
+                            (search, "fork_pathway"), (search, "terminate_check"),
+                            (expand, "filter_candidate"), (expand, "cluster_candidates"),
+                            (HyperGraph, "attach_arc")]:
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+
+        stock = SimpleNamespace(contains=counted("stock.contains", toy_stock.contains))
+        outcome = self.run(toy_oracle, stock)
+        assert outcome.solved and all(calls[name] > 0 for name in (
+            "expand_node", "fork_pathway", "terminate_check", "filter_candidate",
+            "cluster_candidates", "attach_arc"))
+        # each node gets its simplicity and its stock flag once, when it is made
+        assert calls["simplicity"] == calls["stock.contains"] == len(outcome.graph.nodes) > 1
 
 
 class LazyBuilder:

@@ -23,11 +23,11 @@ from retroroute.errors import (
     ModelUnavailable,
 )
 from retroroute.cli import route_to_json
-from retroroute.expand import ExpansionConfig, expand_node
+from retroroute.expand import ExpansionConfig
 from retroroute.graph import HyperGraph
 from retroroute.models import ChemModels, ModelManifest, PrecursorSet, TokenSubstitution
 from retroroute import expand, wire
-from retroroute.search import HeavyTokenScorer, SearchConfig, beam_search
+from retroroute.search import HeavyTokenScorer, SearchConfig, beam_search, expand_node
 from retroroute.smiles import ToyNormalizer
 from retroroute.toy import ToyOracle
 from retroroute.wire import (
