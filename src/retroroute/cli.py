@@ -19,10 +19,9 @@ import math
 import os
 import sys
 import time
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from .errors import ConfigError, EmptyEvaluation, NotCanonicalizable, RetroRouteError, expect, read_json, read_text
+from .errors import ConfigError, EmptyEvaluation, NotCanonicalizable, RetroRouteError, expect, read_json, read_text, write_text
 from .models import ModelManifest
 from .smiles import ToyNormalizer
 from .toy import ToyOracle, load_templates
@@ -169,24 +168,20 @@ def cmd_plan(args: argparse.Namespace) -> int:
         },
         "routes": [route_to_json(outcome.graph, p) for p in outcome.pathways],
     }
-    out_path = Path(args.out)
-    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
+    write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if args.graph_out:
-        Path(args.graph_out).write_text(outcome.graph.dumps() + "\n", "utf-8")
+        write_text(args.graph_out, outcome.graph.dumps() + "\n")
     solved = outcome.solved
     if args.dot_out:
-        arcs = solved[0].arcs if solved else None
-        Path(args.dot_out).write_text(outcome.graph.to_dot(arcs), "utf-8")
+        write_text(args.dot_out, outcome.graph.to_dot(solved[0].arcs if solved else None))
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            for record in trace or []:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        write_text(args.trace, "".join(json.dumps(r, sort_keys=True) + "\n" for r in trace))
 
     print(f"target: {args.target}")
     print(f"{'rank':>4}  {'status':<9} {'steps':>5}  {'score':>12}")
     for i, p in enumerate(outcome.pathways[:20], 1):
         print(f"{i:>4}  {p.status:<9} {len(p.arcs):>5}  {p.cumulative_score:>12.6g}")
-    print(f"{len(solved)} solved route(s) of {len(outcome.pathways)} pathways -> {out_path}")
+    print(f"{len(solved)} solved route(s) of {len(outcome.pathways)} pathways -> {args.out}")
     return EXIT_OK if solved else EXIT_NO_ROUTE
 
 
@@ -237,19 +232,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     finally:
         models.close()
 
-    Path(args.report).write_text(
-        json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n", "utf-8"
-    )
+    write_text(args.report, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
     if args.audit:
-        with open(args.audit, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
+        write_text(args.audit, "".join(json.dumps(r.to_json(), sort_keys=True) + "\n"
+                                       for r in records))
     if args.hist_csv:
-        with open(args.hist_csv, "w", encoding="utf-8") as fh:
-            fh.write("superclass,bin,count\n")
-            for h in report.histograms:
-                for i, c in enumerate(h.counts):
-                    fh.write(f"{h.superclass},{i},{c}\n")
+        rows = [f"{h.superclass},{i},{c}\n" for h in report.histograms for i, c in enumerate(h.counts)]
+        write_text(args.hist_csv, "superclass,bin,count\n" + "".join(rows))
 
     inv = "inf" if report.jsd == 0.0 else (
         f"{report.inv_jsd:.1f}" if report.inv_jsd is not None else "n/a"
@@ -291,7 +280,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot load graph snapshot {args.graph}: {exc}") from exc
     dot = graph.to_dot()
     if args.out:
-        Path(args.out).write_text(dot, "utf-8")
+        write_text(args.out, dot)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(dot)

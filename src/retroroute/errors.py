@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the reader of input files."""
+"""Exception hierarchy shared across the package, and the reader and writer of files."""
 
 import itertools
 import json
@@ -88,7 +88,7 @@ class ConfigError(RetroRouteError):
     pass
 
 
-# --- input files ------------------------------------------------------------
+# --- input and output files -------------------------------------------------
 
 _WORDS = {dict: "a JSON object", list: "a list", str: "a string", int: "an integer", float: "a number"}
 _STR = itertools.repeat(str)
@@ -112,6 +112,14 @@ def read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` to a file as UTF-8; an unwritable one is an IoError naming it."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def read_json(path, kind):

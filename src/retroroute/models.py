@@ -124,26 +124,32 @@ class TokenSubstitution:
 
     Long common precursors are replaced by single molecule tokens on the way
     into the retro model and expanded back before any forward-model call.
-    File format: one ``token<TAB>smiles`` pair per line, UTF-8.
+    File format: one ``token<TAB>smiles`` pair per line, UTF-8. Each token and molecule
+    is non-empty, holds no ``.`` (it could never match a unit) and is unique in the file.
     """
 
     def __init__(self, pairs: Dict[str, str]):
         self.token_to_smiles = dict(pairs)
         self.smiles_to_token = {v: k for k, v in pairs.items()}
-        if len(self.smiles_to_token) != len(self.token_to_smiles):
-            raise ConfigError("token substitution dictionary is not bijective")
 
     @classmethod
     def load(cls, path: str | Path) -> "TokenSubstitution":
         pairs: Dict[str, str] = {}
+        lines: Dict[str, int] = {}  # each token and molecule -> its line
         for lineno, line in enumerate(read_text(path).splitlines(), 1):
             if not line.strip() or line.startswith("#"):
                 continue
             try:
-                token, smiles = line.split("\t")
+                token, smiles = (part.strip() for part in line.split("\t"))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: expected token<TAB>smiles") from exc
-            pairs[token.strip()] = smiles.strip()
+            for kind, text in (("token", token), ("molecule", smiles)):
+                if not text or "." in text:
+                    raise ConfigError(f"{path}:{lineno}: empty or '.'-bearing {kind} {text!r}")
+                if text in lines:
+                    raise ConfigError(f"{path}:{lineno}: {kind} {text!r} repeats line {lines[text]}")
+                lines[text] = lineno
+            pairs[token] = smiles
         return cls(pairs)
 
     def encode(self, s: str) -> str:

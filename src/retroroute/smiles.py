@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import (
     IndexOutOfRange,
@@ -34,6 +34,9 @@ _ATOM_RE = re.compile(r"\[[^\]]+\]|Br|Cl|[NOSPFI]|B|C|[bcnosp]")
 
 # Same character set as str.isspace.
 _SPACE_RE = re.compile(r"\s")
+
+# Bound on each molecule memo (normal forms; complexity scores in search); a full memo is emptied.
+NORMAL_FORMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -201,10 +204,17 @@ class ToyNormalizer(Normalizer):
     """Sort-based normal form for the synthetic chemistry used in tests.
 
     Validates the token grammar, sorts ``~``-tied members inside each unit,
-    then sorts the units themselves. Idempotent by construction.
+    then sorts the units themselves. Idempotent by construction. Each instance
+    remembers the normal forms it computed; a rejection is raised afresh each time.
     """
 
+    def __init__(self):
+        self._memo: Dict[str, str] = {}
+
     def normalize(self, s: str) -> str:
+        normal = self._memo.get(s)
+        if normal is not None:
+            return normal
         if not s or _SPACE_RE.search(s):
             raise NotCanonicalizable(f"empty or whitespace-bearing input: {s!r}")
         try:
@@ -219,7 +229,10 @@ class ToyNormalizer(Normalizer):
             units.append("~".join(sorted(members)))
         if not units:
             raise NotCanonicalizable(f"no fragments in {s!r}")
-        return ".".join(sorted(units))
+        if len(self._memo) >= NORMAL_FORMS:
+            self._memo.clear()
+        normal = self._memo[s] = ".".join(sorted(units))
+        return normal
 
     def __repr__(self) -> str:
         return "ToyNormalizer()"

@@ -280,6 +280,46 @@ class TestBadConfigValues:
         code = self.plan_over_subprocess(entry, templates_file, stock_file, tmp_path)
         self.assert_config_error(code, capsys)
 
+    @pytest.mark.parametrize("text, line", [
+        ("\tCN\n", 1), ("[T]\t\n", 1), ("[T]\tCN\n[T]\tCNO\n", 2), ("[T]\tCN\n[U]\tCN\n", 2),
+        ("[T]\tC.N\n", 1), ("[T.U]\tCN\n", 1),
+        # a token the models could also say as a molecule would be expanded wrongly
+        ("# comment\n[T]\tCN\nCN\tCNO\n", 3), ("[T]\tCN\n[U]\t[T]\n", 2),
+    ], ids=["token-empty", "molecule-empty", "token-repeated", "molecule-repeated",
+            "molecule-dot", "token-dot", "token-is-a-molecule", "molecule-is-a-token"])
+    def test_ambiguous_token_dictionary(self, text, line, templates_file, stock_file, tmp_path,
+                                        capsys):
+        tokens = tmp_path / "tokens.tsv"
+        tokens.write_text(text, "utf-8")
+        code = self.plan_over_subprocess({"token_dict_path": str(tokens)}, templates_file,
+                                         stock_file, tmp_path)
+        assert f"tokens.tsv:{line}: " in self.assert_config_error(code, capsys)
+
+    def test_token_dictionary_accepted(self, templates_file, stock_file, tmp_path):
+        tokens = tmp_path / "tokens.tsv"
+        # the mock speaks full strings, so these molecules are ones no route here meets
+        tokens.write_text("# comment\n[T]\tFFFF\n\n [U] \t PPPP \n", "utf-8")
+        code = self.plan_over_subprocess({"token_dict_path": str(tokens)}, templates_file,
+                                         stock_file, tmp_path)
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("flag", ["--out", "--graph-out", "--dot-out", "--trace", "--report",
+                                      "--audit", "--hist-csv", "export --out"])
+    def test_unwritable_output(self, flag, plan_args, toy_manifest, tmp_path, capsys):
+        missing = tmp_path / "missing" / "out.txt"
+        targets = tmp_path / "targets.txt"
+        targets.write_text("CN\nCNO\n", "utf-8")
+        if flag in ("--report", "--audit", "--hist-csv"):
+            args = ["eval", "--test", str(targets), "--models", str(toy_manifest),
+                    "--report", str(tmp_path / "m.json"), flag, str(missing)]
+        elif flag == "export --out":
+            assert main(plan_args("CNOS", "--graph-out", str(tmp_path / "g.json"))) == EXIT_OK
+            args = ["export", str(tmp_path / "g.json"), "--out", str(missing)]
+        else:
+            args = plan_args("CNOS", flag, str(missing))
+        err = self.assert_config_error(main(args), capsys)
+        assert f"cannot write {missing}: " in err
+
     @pytest.mark.parametrize("command", ["plan", "mock-serve"])
     @pytest.mark.parametrize("field, value", [
         ("class", 5), ("rhs", 5),

@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from retroroute import smiles
 from retroroute.errors import (
     IndexOutOfRange,
     MalformedAnnotation,
@@ -22,6 +23,8 @@ from retroroute.smiles import (
     split_units,
     tokenize,
 )
+
+from conftest import MEMO_STRINGS, outcome
 
 
 class TestTokenize:
@@ -82,6 +85,44 @@ def test_tokenize_join_roundtrip(parts):
 ])
 def test_atom_count_on_fixtures(s, atoms):
     assert atom_count(s) == atoms
+
+
+class TestNormalFormMemo:
+    # one normalizer for every example hypothesis draws, so its memo outlives each one
+    SESSION = ToyNormalizer()
+
+    @given(st.lists(st.sampled_from(MEMO_STRINGS) | st.text("CNO~.! ", max_size=4), max_size=30))
+    def test_long_lived_normalizer_answers_as_fresh_ones(self, strings):
+        for s in strings:
+            assert outcome(self.SESSION.normalize, s) == outcome(ToyNormalizer().normalize, s)
+
+    def test_a_rejection_is_not_remembered(self, monkeypatch):
+        n = ToyNormalizer()
+        for _ in range(2):
+            with pytest.raises(NotCanonicalizable, match="unparsable character '!'"):
+                n.normalize("C!")
+        # a rejection that does not recur (a scanner that fails once) is not repeated
+        scanned = []
+
+        def scan_failing_once(s):
+            scanned.append(s)
+            if len(scanned) == 1:
+                raise UnparsableCharacter(s, 0)
+            return real_scan(s)
+
+        real_scan = smiles._scan
+        monkeypatch.setattr(smiles, "_scan", scan_failing_once)
+        with pytest.raises(NotCanonicalizable):
+            n.normalize("O~C")
+        assert n.normalize("O~C") == n.normalize("O~C") == "C~O"
+        assert scanned == ["O~C", "O~C"]  # the normal form, once computed, is remembered
+
+    def test_a_full_memo_is_emptied(self, monkeypatch):
+        monkeypatch.setattr(smiles, "NORMAL_FORMS", 3)
+        n = ToyNormalizer()
+        for s in MEMO_STRINGS * 3:
+            assert outcome(n.normalize, s) == outcome(ToyNormalizer().normalize, s)
+            assert len(n._memo) <= 3
 
 
 def first_gap(s):
