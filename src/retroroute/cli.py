@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import time
+from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from .errors import ConfigError, EmptyEvaluation, NotCanonicalizable, RetroRouteError, expect, read_json, read_text, write_text
@@ -181,7 +182,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     print(f"{'rank':>4}  {'status':<9} {'steps':>5}  {'score':>12}")
     for i, p in enumerate(outcome.pathways[:20], 1):
         print(f"{i:>4}  {p.status:<9} {len(p.arcs):>5}  {p.cumulative_score:>12.6g}")
-    print(f"{len(solved)} solved route(s) of {len(outcome.pathways)} pathways -> {args.out}")
+    print(f"{len(solved)} solved route(s) of {len(outcome.pathways)} pathways -> {Path(args.out)}")
     return EXIT_OK if solved else EXIT_NO_ROUTE
 
 

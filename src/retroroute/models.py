@@ -125,7 +125,7 @@ class TokenSubstitution:
     Long common precursors are replaced by single molecule tokens on the way
     into the retro model and expanded back before any forward-model call.
     File format: one ``token<TAB>smiles`` pair per line, UTF-8. Each token and molecule
-    is non-empty, holds no ``.`` (it could never match a unit) and is unique in the file.
+    is non-empty, holds no ``.`` (it could never match a unit) and is on one line only.
     """
 
     def __init__(self, pairs: Dict[str, str]):
@@ -146,7 +146,7 @@ class TokenSubstitution:
             for kind, text in (("token", token), ("molecule", smiles)):
                 if not text or "." in text:
                     raise ConfigError(f"{path}:{lineno}: empty or '.'-bearing {kind} {text!r}")
-                if text in lines:
+                if lines.get(text, lineno) != lineno:  # an identity line maps its molecule to itself
                     raise ConfigError(f"{path}:{lineno}: {kind} {text!r} repeats line {lines[text]}")
                 lines[text] = lineno
             pairs[token] = smiles

@@ -18,7 +18,7 @@ from .errors import CycleRejected, DegenerateProduct, ModelError, ScorerUnavaila
 from .expand import ExpansionConfig, expansion
 from .graph import HyperGraph
 from .models import ChemModels, PrecursorSet
-from .smiles import NORMAL_FORMS, Normalizer, atom_count
+from .smiles import Normalizer, atom_count
 
 logger = logging.getLogger(__name__)
 
@@ -53,25 +53,16 @@ class ComplexityScorer:
 class HeavyTokenScorer(ComplexityScorer):
     """Deterministic surrogate: complexity grows with the atom-token count.
 
-    Preserves the pull toward simpler precursors without a learned model; a trained scorer
-    plugs in through the same interface. Each instance remembers its scores, not failures.
+    Preserves the pull toward simpler precursors without a learned model;
+    a trained scorer can be plugged in through the same interface.
     """
 
-    def __init__(self):
-        self._memo: Dict[str, float] = {}
-
     def sc(self, smiles: str) -> float:
-        score = self._memo.get(smiles)
-        if score is not None:
-            return score
         try:
             n = atom_count(smiles)
         except Exception as exc:
             raise ScorerUnavailable(f"cannot score {smiles!r}: {exc}") from exc
-        if len(self._memo) >= NORMAL_FORMS:
-            self._memo.clear()
-        score = self._memo[smiles] = min(SC_MAX, max(SC_MIN, 1.0 + 4.0 * n / SATURATING_ATOMS))
-        return score
+        return min(SC_MAX, max(SC_MIN, 1.0 + 4.0 * n / SATURATING_ATOMS))
 
 
 def simplicity(smiles: str, scorer: ComplexityScorer) -> float:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 from .errors import (
     IndexOutOfRange,
@@ -34,9 +35,6 @@ _ATOM_RE = re.compile(r"\[[^\]]+\]|Br|Cl|[NOSPFI]|B|C|[bcnosp]")
 
 # Same character set as str.isspace.
 _SPACE_RE = re.compile(r"\s")
-
-# Bound on each molecule memo (normal forms; complexity scores in search); a full memo is emptied.
-NORMAL_FORMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -204,35 +202,33 @@ class ToyNormalizer(Normalizer):
     """Sort-based normal form for the synthetic chemistry used in tests.
 
     Validates the token grammar, sorts ``~``-tied members inside each unit,
-    then sorts the units themselves. Idempotent by construction. Each instance
+    then sorts the units themselves. Idempotent by construction. The process
     remembers the normal forms it computed; a rejection is raised afresh each time.
     """
 
-    def __init__(self):
-        self._memo: Dict[str, str] = {}
-
     def normalize(self, s: str) -> str:
-        normal = self._memo.get(s)
-        if normal is not None:
-            return normal
-        if not s or _SPACE_RE.search(s):
-            raise NotCanonicalizable(f"empty or whitespace-bearing input: {s!r}")
-        try:
-            _scan(s)
-        except UnparsableCharacter as exc:
-            raise NotCanonicalizable(str(exc)) from exc
-        units = []
-        for unit in split_units(s):
-            members = unit.split("~")
-            if any(not m for m in members):
-                raise NotCanonicalizable(f"empty fragment in {s!r}")
-            units.append("~".join(sorted(members)))
-        if not units:
-            raise NotCanonicalizable(f"no fragments in {s!r}")
-        if len(self._memo) >= NORMAL_FORMS:
-            self._memo.clear()
-        normal = self._memo[s] = ".".join(sorted(units))
-        return normal
+        return _normal_form(s)
 
     def __repr__(self) -> str:
         return "ToyNormalizer()"
+
+
+# One memo of normal forms per process, of at most 16384 strings (least recently used
+# dropped first); lru_cache never stores an exception, so a rejection is raised again.
+@lru_cache(maxsize=1 << 14)
+def _normal_form(s: str) -> str:
+    if not s or _SPACE_RE.search(s):
+        raise NotCanonicalizable(f"empty or whitespace-bearing input: {s!r}")
+    try:
+        _scan(s)
+    except UnparsableCharacter as exc:
+        raise NotCanonicalizable(str(exc)) from exc
+    units = []
+    for unit in split_units(s):
+        members = unit.split("~")
+        if any(not m for m in members):
+            raise NotCanonicalizable(f"empty fragment in {s!r}")
+        units.append("~".join(sorted(members)))
+    if not units:
+        raise NotCanonicalizable(f"no fragments in {s!r}")
+    return ".".join(sorted(units))

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from retroroute.errors import RetroRouteError
 from retroroute.models import ReactionClass
 from retroroute.smiles import ToyNormalizer
 from retroroute.stock import StockSet
@@ -41,19 +40,6 @@ def make_templates(entries):
 def make_stock(molecules):
     normalizer = ToyNormalizer()
     return StockSet(entries=frozenset(normalizer.normalize(m) for m in molecules))
-
-
-# strings for the molecule memo tests: repeats, several spellings of one normal
-# form, and strings that the normalizer or the scorer rejects
-MEMO_STRINGS = ["C", "O~C", "C~O", "N.C", "C.N", "Cl.[NH3+]", "C" * 50, "C!", "", " C", "C..N", "x"]
-
-
-def outcome(f, s):
-    """What `f(s)` returns, or the type and message of the package error it raises."""
-    try:
-        return f(s)
-    except RetroRouteError as exc:
-        return type(exc), str(exc)
 
 
 @pytest.fixture

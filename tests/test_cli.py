@@ -297,8 +297,9 @@ class TestBadConfigValues:
 
     def test_token_dictionary_accepted(self, templates_file, stock_file, tmp_path):
         tokens = tmp_path / "tokens.tsv"
-        # the mock speaks full strings, so these molecules are ones no route here meets
-        tokens.write_text("# comment\n[T]\tFFFF\n\n [U] \t PPPP \n", "utf-8")
+        # the mock speaks full strings, so these molecules are ones no route here meets; an
+        # identity line maps a molecule that routes do meet to itself, which changes nothing
+        tokens.write_text("# comment\n[T]\tFFFF\n\n [U] \t PPPP \nCN\tCN\n", "utf-8")
         code = self.plan_over_subprocess({"token_dict_path": str(tokens)}, templates_file,
                                          stock_file, tmp_path)
         assert code == EXIT_OK

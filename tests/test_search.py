@@ -1,16 +1,14 @@
 import json
 import random
 import sys
-import threading
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
 
 from retroroute.cli import route_to_json
 from retroroute.errors import DegenerateProduct, ModelUnavailable, ScorerUnavailable
-from retroroute import expand, search, smiles
+from retroroute import expand, search
 from retroroute.expand import ExpansionConfig
 from retroroute.graph import HyperGraph
 from retroroute.models import ModelManifest, ReactionClass
@@ -36,12 +34,10 @@ from retroroute.toy import ToyOracle
 from retroroute.wire import build_models
 
 from conftest import (
-    MEMO_STRINGS,
     STOCK_MOLECULES,
     TOY_TEMPLATES,
     make_stock,
     make_templates,
-    outcome,
     random_chemistry,
 )
 from reference import reference_enumerate
@@ -89,77 +85,6 @@ class TestHeavyTokenScorer:
     def test_unscorable_raises(self):
         with pytest.raises(ScorerUnavailable):
             HeavyTokenScorer().sc("C !")
-
-
-class TestComplexityMemo:
-    # one scorer for every example hypothesis draws, so its memo outlives each one
-    SESSION = HeavyTokenScorer()
-
-    @given(st.lists(st.sampled_from(MEMO_STRINGS) | st.text("CNO~.! ()", max_size=4),
-                    max_size=30))
-    def test_long_lived_scorer_answers_as_fresh_ones(self, strings):
-        for s in strings:
-            assert outcome(self.SESSION.sc, s) == outcome(HeavyTokenScorer().sc, s)
-
-    def test_a_failure_is_not_remembered(self, monkeypatch):
-        scorer = HeavyTokenScorer()
-        for _ in range(2):
-            with pytest.raises(ScorerUnavailable, match="cannot score 'C !'"):
-                scorer.sc("C !")
-        # a failure that does not recur (a scorer outage, here once) is not repeated
-        counted = []
-
-        def count_failing_once(s):
-            counted.append(s)
-            if len(counted) == 1:
-                raise RuntimeError("scorer outage")
-            return real_count(s)
-
-        real_count, expected = search.atom_count, HeavyTokenScorer().sc("CNO")
-        monkeypatch.setattr(search, "atom_count", count_failing_once)
-        with pytest.raises(ScorerUnavailable, match="scorer outage"):
-            scorer.sc("CNO")
-        assert scorer.sc("CNO") == scorer.sc("CNO") == expected
-        assert counted == ["CNO", "CNO"]  # the score, once computed, is remembered
-
-    def test_a_full_memo_is_emptied(self, monkeypatch):
-        monkeypatch.setattr(search, "NORMAL_FORMS", 3)
-        scorer = HeavyTokenScorer()
-        for s in MEMO_STRINGS * 3:
-            assert outcome(scorer.sc, s) == outcome(HeavyTokenScorer().sc, s)
-            assert len(scorer._memo) <= 3
-
-    @pytest.mark.parametrize("bound", [None, 3])
-    def test_threads_sharing_both_memos_get_the_serial_results(self, bound, monkeypatch):
-        if bound is not None:
-            monkeypatch.setattr(smiles, "NORMAL_FORMS", bound)
-            monkeypatch.setattr(search, "NORMAL_FORMS", bound)
-        strings = MEMO_STRINGS * 300
-        serial = {s: (outcome(ToyNormalizer().normalize, s), outcome(HeavyTokenScorer().sc, s))
-                  for s in strings}
-        normalizer, scorer = ToyNormalizer(), HeavyTokenScorer()
-        results = [None] * 8
-
-        def work(i):
-            order = random.Random(i).sample(strings, len(strings))
-            results[i] = [(s, outcome(normalizer.normalize, s), outcome(scorer.sc, s))
-                          for s in order]
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        for rows in results:
-            assert rows is not None and len(rows) == len(strings)
-            for s, normal, score in rows:
-                assert (normal, score) == serial[s]
 
 
 class TestArcScore:

@@ -1,5 +1,8 @@
+import functools
 import random
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,8 +26,6 @@ from retroroute.smiles import (
     split_units,
     tokenize,
 )
-
-from conftest import MEMO_STRINGS, outcome
 
 
 class TestTokenize:
@@ -87,14 +88,34 @@ def test_atom_count_on_fixtures(s, atoms):
     assert atom_count(s) == atoms
 
 
+# strings for the memo tests: repeats, several spellings of one normal form, and rejects
+MEMO_STRINGS = ["C", "O~C", "C~O", "N.C", "C.N", "Cl.[NH3+]", "C" * 50, "C!", "", " C", "C..N", "x"]
+
+
+def outcome(f, s):
+    """What `f(s)` returns, or the type and message of the rejection it raises."""
+    try:
+        return f(s)
+    except NotCanonicalizable as exc:
+        return type(exc), str(exc)
+
+
+def uncached(s):
+    return outcome(smiles._normal_form.__wrapped__, s)
+
+
 class TestNormalFormMemo:
-    # one normalizer for every example hypothesis draws, so its memo outlives each one
-    SESSION = ToyNormalizer()
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        smiles._normal_form.cache_clear()
+        yield
+        smiles._normal_form.cache_clear()
 
     @given(st.lists(st.sampled_from(MEMO_STRINGS) | st.text("CNO~.! ", max_size=4), max_size=30))
-    def test_long_lived_normalizer_answers_as_fresh_ones(self, strings):
+    def test_memo_answers_as_the_uncached_normal_form(self, strings):
+        # the memo outlives each example hypothesis draws, and is shared by every instance
         for s in strings:
-            assert outcome(self.SESSION.normalize, s) == outcome(ToyNormalizer().normalize, s)
+            assert outcome(ToyNormalizer().normalize, s) == uncached(s)
 
     def test_a_rejection_is_not_remembered(self, monkeypatch):
         n = ToyNormalizer()
@@ -117,12 +138,44 @@ class TestNormalFormMemo:
         assert n.normalize("O~C") == n.normalize("O~C") == "C~O"
         assert scanned == ["O~C", "O~C"]  # the normal form, once computed, is remembered
 
-    def test_a_full_memo_is_emptied(self, monkeypatch):
-        monkeypatch.setattr(smiles, "NORMAL_FORMS", 3)
+    def test_a_full_memo_stays_bounded(self, monkeypatch):
+        assert smiles._normal_form.cache_info().maxsize == 1 << 14
+        monkeypatch.setattr(smiles, "_normal_form",
+                            functools.lru_cache(maxsize=3)(smiles._normal_form.__wrapped__))
         n = ToyNormalizer()
         for s in MEMO_STRINGS * 3:
-            assert outcome(n.normalize, s) == outcome(ToyNormalizer().normalize, s)
-            assert len(n._memo) <= 3
+            assert outcome(n.normalize, s) == uncached(s)
+            assert smiles._normal_form.cache_info().currsize <= 3
+
+    @pytest.mark.parametrize("bound", [None, 3])
+    def test_threads_sharing_the_memo_get_the_serial_results(self, bound, monkeypatch):
+        if bound is not None:
+            monkeypatch.setattr(smiles, "_normal_form",
+                                functools.lru_cache(maxsize=bound)(smiles._normal_form.__wrapped__))
+        strings = MEMO_STRINGS * 300
+        serial = {s: uncached(s) for s in strings}
+        normalizer = ToyNormalizer()
+        results = [None] * 8
+
+        def work(i):
+            order = random.Random(i).sample(strings, len(strings))
+            results[i] = [(s, outcome(normalizer.normalize, s)) for s in order]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for rows in results:
+            assert rows is not None and len(rows) == len(strings)
+            for s, normal in rows:
+                assert normal == serial[s]
 
 
 def first_gap(s):
