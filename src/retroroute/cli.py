@@ -85,18 +85,15 @@ def load_config_file(path: Optional[str]) -> Dict[str, Any]:
 
 
 def route_to_json(graph: HyperGraph, p: Pathway) -> dict:
+    nodes = graph.nodes
     steps = []
     for arc_id in p.arcs:
         arc = graph.arcs[arc_id]
         steps.append(
             {
-                "product": graph.node(arc.product).smiles,
-                "precursors": [
-                    graph.node(n).smiles
-                    for n in arc.precursors
-                    if n not in arc.reagents
-                ],
-                "reagents": sorted(graph.node(n).smiles for n in arc.reagents),
+                "product": nodes[arc.product].smiles,
+                "precursors": [nodes[n].smiles for n in arc.precursors if n not in arc.reagents],
+                "reagents": sorted(nodes[n].smiles for n in arc.reagents),
                 "likelihood": arc.forward_likelihood,
                 "class": arc.reaction_class.code,
                 "arc_score": arc.arc_score,

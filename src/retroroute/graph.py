@@ -151,7 +151,10 @@ class HyperGraph:
         be dense and in order, so a repeated smiles fails as a non-dense node id."""
         g = cls()
         nodes, index, by_product = g.nodes, g.index, g.arcs_by_product
-        node_entries, root, arc_entries = data["nodes"], data["root"], data["arcs"]
+        try:
+            node_entries, root, arc_entries = data["nodes"], data["root"], data["arcs"]
+        except KeyError as exc:
+            raise ValueError(f"snapshot has no {exc} key") from exc
         try:
             for node_id, entry in enumerate(node_entries):
                 smiles = entry["smiles"]

@@ -8,6 +8,7 @@ oracle (`retroroute.toy`) and the wire-protocol clients (`retroroute.wire`).
 from __future__ import annotations
 
 import math
+import re
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,9 +34,8 @@ class PrecursorSet:
             object.__setattr__(
                 self, "molecules", tuple(dict.fromkeys(self.molecules))
             )
-        object.__setattr__(
-            self, "reagents", frozenset(self.reagents) & set(self.molecules)
-        )
+        if type(self.reagents) is not frozenset or self.reagents:
+            object.__setattr__(self, "reagents", frozenset(self.reagents) & set(self.molecules))
 
     def normalized(self, normalizer: Normalizer) -> "PrecursorSet":
         """Each molecule normalized, reagent flags kept; raises NotCanonicalizable."""
@@ -71,6 +71,9 @@ class ForwardPrediction:
     rank: int
 
 
+_CLASS_CODE_RE = re.compile(r"([0-9]+)\.([0-9]+)\.([0-9]+)")  # ASCII digits only
+
+
 class ReactionClass(namedtuple("ReactionClass", "superclass category named_reaction label")):
     """NameRXN-style three-number identifier; superclass 0 = unrecognized.
 
@@ -85,10 +88,10 @@ class ReactionClass(namedtuple("ReactionClass", "superclass category named_react
 
     @classmethod
     def parse(cls, code: str, label: str = "") -> "ReactionClass":
-        parts = code.split(".") if isinstance(code, str) else []
-        if len(parts) != 3 or not all(map(str.isdigit, parts)):
+        m = _CLASS_CODE_RE.fullmatch(code) if isinstance(code, str) else None
+        if m is None:
             raise ValueError(f"bad reaction class code {code!r}")
-        return cls(int(parts[0]), int(parts[1]), int(parts[2]), label)
+        return cls(int(m[1]), int(m[2]), int(m[3]), label)
 
     @property
     def code(self) -> str:

@@ -11,8 +11,8 @@ terminated pathways until none remain open.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CycleRejected, DegenerateProduct, ModelError, ScorerUnavailable
 from .expand import ExpansionConfig, expansion
@@ -126,7 +126,7 @@ def expand_node(
     one arc per cluster representative is attached; an arc that would close
     a cycle is recorded as `cycle_rejected` instead.
     """
-    node = g.node(node_id)
+    node = g.nodes[node_id]
     if node.expanded or not node.expandable:
         raise ValueError(f"node {node.smiles!r} is not pending expansion")
     try:
@@ -135,15 +135,16 @@ def expand_node(
         logger.warning("retro model unavailable for %r: %s", node.smiles, exc)
         node.deferrals += 1
         return []
-    for record in records:
-        _trace(trace, node.smiles, *record)
+    if trace is not None:
+        for record in records:
+            _trace(trace, node.smiles, *record)
 
     attached: List[int] = []
     for candidate, likelihood, reaction_class in representatives:
         precursor_ids = [_molecule(g, m, scorer, stock) for m in candidate.molecules]
         reagent_ids = {g.index[m] for m in candidate.reagents}
         reactant_simplicities = [
-            g.node(pid).simplicity for pid in precursor_ids if pid not in reagent_ids
+            g.nodes[pid].simplicity for pid in precursor_ids if pid not in reagent_ids
         ]
         score = arc_score(likelihood, reactant_simplicities, node.simplicity)
         try:
@@ -186,8 +187,7 @@ def _trace(
 # --- pathways ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Pathway:
+class Pathway(NamedTuple):
     arcs: Tuple[int, ...]
     frontier: FrozenSet[int]
     cumulative_score: float
@@ -230,7 +230,7 @@ def terminate_check(g: HyperGraph, p: Pathway, max_steps: int) -> str:
     has_dead = False
     has_cyclic = False
     for node_id in p.frontier:
-        node = g.node(node_id)
+        node = g.nodes[node_id]
         if not node.expandable:
             has_dead = True
         elif node.expanded and not g.arcs_by_product.get(node_id):
@@ -250,21 +250,14 @@ def fork_pathway(g: HyperGraph, p: Pathway, arc_id: int) -> Pathway:
     arc = g.arcs[arc_id]
     arcs = p.arcs + (arc_id,)
     produced = {g.arcs[a].product for a in arcs}
+    nodes, reagents = g.nodes, arc.reagents
     frontier = set(p.frontier)
     frontier.discard(arc.product)
-    for prec in arc.precursors:
-        if prec in arc.reagents or prec in produced:
-            continue
-        if g.node(prec).in_stock:
-            continue
-        frontier.add(prec)
-    return Pathway(
-        arcs=arcs,
-        frontier=frozenset(frontier),
-        cumulative_score=p.cumulative_score * arc.arc_score,
-        steps=p.steps + 1,
-        status=OPEN,
+    frontier.update(
+        prec for prec in arc.precursors
+        if prec not in reagents and prec not in produced and not nodes[prec].in_stock
     )
+    return Pathway(arcs, frozenset(frontier), p.cumulative_score * arc.arc_score, p.steps + 1)
 
 
 def beam_search(
@@ -283,11 +276,12 @@ def beam_search(
     target_norm = normalizer.normalize(target)
 
     g = HyperGraph()
+    nodes = g.nodes
     root = _molecule(g, target_norm, scorer, stock)
 
     root_path = Pathway(
         arcs=(),
-        frontier=frozenset() if g.node(root).in_stock else frozenset({root}),
+        frontier=frozenset() if nodes[root].in_stock else frozenset({root}),
         cumulative_score=1.0,
         steps=0,
     )  # zero-arc score is the multiplicative identity
@@ -303,12 +297,12 @@ def beam_search(
                 for p in open_paths.values()
                 if p.steps < cfg.max_steps
                 for n in p.frontier
-                if not g.node(n).expanded and g.node(n).expandable
+                if not nodes[n].expanded and nodes[n].expandable
             }
         )
         for node_id in pending:
             expand_node(g, node_id, cfg.expansion, models, normalizer, scorer, stock, trace)
-            node = g.node(node_id)
+            node = nodes[node_id]
             if not node.expanded and node.deferrals >= MAX_DEFERRALS:
                 node.expandable = False
 
@@ -319,7 +313,7 @@ def beam_search(
             if status == OPEN:
                 survivors.append(p)
             else:
-                terminated.append(replace(p, status=status))
+                terminated.append(p._replace(status=status))
 
         # (2) fork one child pathway per available arc
         children: Dict[FrozenSet[int], Pathway] = {}
@@ -330,7 +324,7 @@ def beam_search(
             if not candidate_arcs:
                 # deferred node (model outage): carry the pathway, counting
                 # the phase so the step limit still terminates it
-                carried = replace(p, steps=p.steps + 1)
+                carried = p._replace(steps=p.steps + 1)
                 children.setdefault(frozenset(carried.arcs), carried)
                 continue
             for arc_id in candidate_arcs:

@@ -33,6 +33,11 @@ _TOKEN_RE = re.compile(TOKEN_PATTERN)
 # Tokens that represent an atom (used by the simplicity surrogate).
 _ATOM_RE = re.compile(r"\[[^\]]+\]|Br|Cl|[NOSPFI]|B|C|[bcnosp]")
 
+# A whole string of tokens. The lookahead fixes each token as _TOKEN_RE would and
+# \1 consumes it, so a reject takes linear time; a plain (?:TOKEN_PATTERN)+
+# backtracks exponentially over runs that split two ways, such as ">>>>".
+_TOKENS_RE = re.compile(rf"(?:(?={TOKEN_PATTERN})\1)+")
+
 # Same character set as str.isspace.
 _SPACE_RE = re.compile(r"\s")
 
@@ -85,8 +90,14 @@ def tokenize(s: str) -> TokenStream:
 
 
 def atom_count(s: str) -> int:
-    """Number of atom tokens in a molecule string."""
-    return sum(1 for text in _scan(s) if _ATOM_RE.fullmatch(text))
+    """Number of atom tokens in a molecule string.
+
+    Every atom token matches _ATOM_RE whole and no other token holds a letter
+    or ``[``, so one pass over a fully tokenized string counts the atoms.
+    """
+    if not _TOKENS_RE.fullmatch(s):
+        _scan(s)  # raises UnparsableCharacter at the first gap
+    return len(_ATOM_RE.findall(s))
 
 
 # --- fragment-group annotation ---------------------------------------------

@@ -48,12 +48,12 @@ RETRY_BACKOFF = 0.5
 
 # --- message encoding -------------------------------------------------------
 
+# compact, key-sorted JSON; one encoder for every message (json.dumps builds one per call)
+_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
 def encode_request(req_id: str, op: str, inputs: List[Any], params: Dict[str, Any]) -> str:
-    return json.dumps(
-        {"id": req_id, "op": op, "inputs": inputs, "params": params},
-        separators=(",", ":"),
-        sort_keys=True,
-    )
+    return _encode({"id": req_id, "op": op, "inputs": inputs, "params": params})
 
 
 def decode_request(line: str) -> Dict[str, Any]:
@@ -74,7 +74,7 @@ def encode_response(req_id: str, ok: bool, result: Any = None, error: Optional[s
     msg: Dict[str, Any] = {"id": req_id, "ok": ok, "result": result}
     if error is not None:
         msg["error"] = error
-    return json.dumps(msg, separators=(",", ":"), sort_keys=True)
+    return _encode(msg)
 
 
 def decode_response(line: str) -> Dict[str, Any]:

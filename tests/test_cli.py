@@ -324,11 +324,13 @@ class TestBadConfigValues:
     @pytest.mark.parametrize("command", ["plan", "mock-serve"])
     @pytest.mark.parametrize("field, value", [
         ("class", 5), ("rhs", 5),
+        # a class code of other digit systems' digits is not read as another code
+        ("class", "\u0661.\u0662.\u0663"), ("class", "1.2.\u00b2"),
         # a string where a list belongs is not read as its letters
         ("lhs", "CN"), ("reagents", "S"), ("lhs", ["C", 5]),
         ("weight", float("nan")), ("weight", float("inf")), ("weight", True),
-    ], ids=["class", "rhs", "lhs-string", "reagents-string", "lhs-int-item", "weight-nan",
-            "weight-inf", "weight-bool"])
+    ], ids=["class", "rhs", "class-arabic-indic", "class-superscript", "lhs-string",
+            "reagents-string", "lhs-int-item", "weight-nan", "weight-inf", "weight-bool"])
     def test_wrong_typed_template_field(self, field, value, command, templates_file,
                                         plan_args, capsys):
         templates_file.write_text(json.dumps([{**TOY_TEMPLATES[0], field: value}]), "utf-8")
@@ -383,6 +385,8 @@ class TestBadConfigValues:
         (lambda s: s["arcs"][0].update(precursors=[True]), None),
         (lambda s: s["arcs"][0].update(product=False), None),
         (lambda s: s["arcs"][0].update({"class": "12.1.1"}), None),
+        (lambda s: s["arcs"][0].update({"class": "\u0661.\u0662.\u0663"}), None),
+        (lambda s: s["arcs"][0].update({"class": "1.2.\u00b2"}), None),
         # a bool is not the node id 1, and a reagent must be one of the arc's precursors
         (lambda s: s.update(root=True), None),
         (lambda s: s["arcs"][0].update(reagents=[99]), None),
@@ -394,7 +398,8 @@ class TestBadConfigValues:
         (lambda s: s["nodes"][1].pop("smiles") and None, "node 1"),
     ], ids=["precursors-int", "simplicity-string", "class-int", "list", "root-string",
             "root-unknown", "likelihood-string", "score-string", "likelihood-bool",
-            "smiles-int", "precursors-bool", "product-bool", "superclass-12", "root-bool",
+            "smiles-int", "precursors-bool", "product-bool", "superclass-12",
+            "class-arabic-indic", "class-superscript", "root-bool",
             "reagents-not-precursors", "product-unknown", "precursor-unknown",
             "precursor-negative", "likelihood-missing", "smiles-missing"])
     def test_wrong_shaped_snapshot(self, corrupt, names, tmp_path, capsys):
@@ -408,6 +413,15 @@ class TestBadConfigValues:
         path.write_text(json.dumps(corrupt(snapshot) or snapshot), "utf-8")
         err = self.assert_config_error(main(["export", str(path)]), capsys)
         assert names is None or f"graph.json: {names}: " in err
+
+    @pytest.mark.parametrize("key", ["root", "nodes", "arcs"])
+    def test_snapshot_without_a_top_level_key(self, key, tmp_path, capsys):
+        snapshot = {"root": 0, "nodes": [{"id": 0, "smiles": "CN"}], "arcs": []}
+        del snapshot[key]
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(snapshot), "utf-8")
+        err = self.assert_config_error(main(["export", str(path)]), capsys)
+        assert err.endswith(f"graph.json: snapshot has no '{key}' key\n")
 
     @pytest.mark.parametrize("base", ["1", "0", "-2", "nan", "inf", "1e400"])
     @pytest.mark.parametrize("source", ["flag", "env", "config"])

@@ -190,6 +190,15 @@ class TestTerminateAndFork:
         p = Pathway((), frozenset({ids["CNO"]}), 1.0, 0)
         assert fork_pathway(g, p, a).frontier == frozenset()
 
+    def test_pathway_fields_cannot_be_assigned(self):
+        g, ids, (a1, _) = build_plain_graph()
+        p = fork_pathway(g, Pathway((), frozenset({ids["CNOS"]}), 1.0, 0), a1)
+        for name, value in [("arcs", ()), ("frontier", frozenset()), ("cumulative_score", 2.0),
+                            ("steps", 0), ("status", SOLVED)]:
+            with pytest.raises(AttributeError):
+                setattr(p, name, value)
+        assert p == Pathway((a1,), frozenset({ids["CNO"]}), 1.2, 1, OPEN)
+
 
 class TestBeamSearch:
     def run(self, oracle, stock, **kw):

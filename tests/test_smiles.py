@@ -1,6 +1,7 @@
 import functools
 import random
 import re
+import signal
 import sys
 import threading
 
@@ -86,6 +87,44 @@ def test_tokenize_join_roundtrip(parts):
 ])
 def test_atom_count_on_fixtures(s, atoms):
     assert atom_count(s) == atoms
+
+
+# every token kind of the grammar, plus stray letters and brackets that only some
+# neighbours make parsable ("C" + "l" is one token, "B" + "r" another)
+TOKEN_ALPHABET = SMILES_ALPHABET + [
+    "B", "P", "F", "I", "b", "o", "s", "p", "[Na+]", "[[C]", "-", "+", ":", "?", ">", ">>",
+    "*", "$", "%99", "9", "l", "r", "[", "]", "[]", "!", "x", " ", "%1",
+]
+
+
+@given(st.lists(st.sampled_from(TOKEN_ALPHABET), max_size=30))
+def test_atom_count_equals_the_per_token_count(parts):
+    s = "".join(parts)
+    gap = first_gap(s)
+    if s and gap is None:
+        per_token = sum(1 for t in smiles._TOKEN_RE.findall(s) if smiles._ATOM_RE.fullmatch(t))
+        assert atom_count(s) == per_token
+    else:
+        with pytest.raises(UnparsableCharacter) as exc:
+            atom_count(s)
+        assert str(exc.value) == str(UnparsableCharacter(s, gap or 0))
+
+
+def test_atom_count_rejects_a_long_ambiguous_run_in_linear_time():
+    """Runs of ">" split two ways (">>" or ">"); a backtracking whole-string
+    match would take exponential time to reject one."""
+    def too_slow(signum, frame):
+        raise TimeoutError("atom_count took over 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(UnparsableCharacter) as exc:
+            atom_count(">" * 5000 + "X")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert exc.value.position == 5000
 
 
 # strings for the memo tests: repeats, several spellings of one normal form, and rejects

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -116,6 +118,26 @@ def test_precursor_set_dedups_and_orders():
     assert p.molecules == ("C", "N")
     assert p.key() == "C.N"
     assert p.joined() == "C.N"
+
+
+@pytest.mark.parametrize("kind", [list, tuple, set, frozenset])
+@pytest.mark.parametrize("reagents", [(), ("O",), ("O", "X"), ("X",)])
+def test_precursor_set_reagents_are_a_frozenset_of_its_molecules(kind, reagents):
+    p = PrecursorSet(("C", "O", "C"), kind(reagents))
+    assert type(p.reagents) is frozenset and p.reagents == set(reagents) & {"C", "O"}
+    assert type(PrecursorSet(("C",)).reagents) is frozenset
+
+
+@pytest.mark.parametrize("code", [
+    "\u0661.\u0662.\u0663", "1.2.\u00b2", "1.2", "1.2.3.4", "1..2", "1.2.x", "1.2.-3",
+    "1.2.3\n", " 1.2.3", "", 123, None,
+])
+def test_reaction_class_parse_takes_three_ascii_numbers(code):
+    """Other digit systems would load as a different code, or fail in int()
+    with a message that names neither the code nor where it came from."""
+    with pytest.raises(ValueError, match=f"^bad reaction class code {re.escape(repr(code))}$"):
+        ReactionClass.parse(code)
+    assert ReactionClass.parse("11.04.2", "x") == (11, 4, 2, "x")
 
 
 # Molecules already in normal form, few enough that random template sets

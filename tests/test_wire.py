@@ -63,12 +63,22 @@ def test_request_roundtrip(req_id, op, inputs, params):
     assert (msg["id"], msg["op"], msg["inputs"], msg["params"]) == (
         req_id, op, inputs, params,
     )
+    assert line == compact_json({"id": req_id, "op": op, "inputs": inputs, "params": params})
 
 
-@given(st.text(min_size=1, max_size=12), st.booleans(), st.lists(json_scalars, max_size=4))
-def test_response_roundtrip(req_id, ok, result):
-    msg = decode_response(encode_response(req_id, ok, result))
-    assert (msg["id"], msg["ok"], msg["result"]) == (req_id, ok, result)
+@given(st.text(min_size=1, max_size=12), st.booleans(), st.lists(json_scalars, max_size=4),
+       st.one_of(st.none(), st.text(max_size=10)))
+def test_response_roundtrip(req_id, ok, result, error):
+    line = encode_response(req_id, ok, result, error)
+    msg = decode_response(line)
+    assert (msg["id"], msg["ok"], msg["result"], msg.get("error")) == (req_id, ok, result, error)
+    expected = {"id": req_id, "ok": ok, "result": result}
+    assert line == compact_json(expected if error is None else {**expected, "error": error})
+
+
+def compact_json(msg):
+    """The wire form: compact, keys sorted."""
+    return json.dumps(msg, separators=(",", ":"), sort_keys=True)
 
 
 def test_decode_request_rejects_garbage():
