@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from .errors import ConfigError, EmptyEvaluation, NotCanonicalizable, RetroRouteError, expect, read_json, read_text, write_text
+from .errors import ConfigError, EmptyEvaluation, NotCanonicalizable, RetroRouteError, expect, read_json, read_lines, read_text, write_text
 from .models import ModelManifest
 from .smiles import ToyNormalizer
 from .toy import ToyOracle, load_templates
@@ -57,8 +57,8 @@ DEFAULTS: Dict[str, Any] = {
 def resolve(name: str, flag_value: Any, file_config: Dict[str, Any]) -> Any:
     """flags > environment > config file > defaults.
 
-    An environment value is parsed from its string; a config file value
-    must already have the type of the setting's default.
+    An environment value is parsed from its string; a config file value must
+    have its default's type (an int will do for a float) and is converted to it.
     """
     if flag_value is not None:
         return flag_value
@@ -67,17 +67,14 @@ def resolve(name: str, flag_value: Any, file_config: Dict[str, Any]) -> Any:
     if env is not None:
         return type(default)(env)
     if name in file_config:
-        return expect(file_config[name], type(default), f"config: {name}")
+        return type(default)(expect(file_config[name], type(default), f"config: {name}"))
     return default
 
 
 def load_config_file(path: Optional[str]) -> Dict[str, Any]:
     if not path:
         return {}
-    data = read_json(path, dict)
-    unknown = set(data) - set(DEFAULTS) - {"stock", "models"}
-    if unknown:
-        raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
+    data = read_json(path, dict, {*DEFAULTS, "stock", "models"})
     for key, kind in (("stock", [str]), ("models", str)):
         if key in data:
             expect(data[key], kind, f"config {path}: {key}")
@@ -124,15 +121,15 @@ def cmd_plan(args: argparse.Namespace) -> int:
     normalizer = ToyNormalizer()
     stock = load_stocks(stock_paths, normalizer)
     scorer = HeavyTokenScorer()
+    # each setting under its flag's destination, which is also its key in metadata.config
+    names = ("beams", "max_steps", "retro_beams", "theta_hi", "gap", "forward_topk")
     try:
+        settings = {name: resolve(name, getattr(args, name), file_config) for name in names}
         cfg = SearchConfig(
-            n_beams=resolve("beams", args.beams, file_config),
-            max_steps=resolve("max_steps", args.max_steps, file_config),
+            n_beams=settings["beams"], max_steps=settings["max_steps"],
             expansion=ExpansionConfig(
-                retro_beams=resolve("retro_beams", args.retro_beams, file_config),
-                auto_accept_likelihood=float(resolve("theta_hi", args.theta_hi, file_config)),
-                selectivity_gap=float(resolve("gap", args.gap, file_config)),
-                forward_topk=resolve("forward_topk", args.forward_topk, file_config),
+                retro_beams=settings["retro_beams"], auto_accept_likelihood=settings["theta_hi"],
+                selectivity_gap=settings["gap"], forward_topk=settings["forward_topk"],
             ),
         )
     except ValueError as exc:
@@ -154,14 +151,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         "metadata": {
             "target": args.target,
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-            "config": {
-                "beams": cfg.n_beams,
-                "max_steps": cfg.max_steps,
-                "retro_beams": cfg.expansion.retro_beams,
-                "theta_hi": cfg.expansion.auto_accept_likelihood,
-                "gap": cfg.expansion.selectivity_gap,
-                "forward_topk": cfg.expansion.forward_topk,
-            },
+            "config": settings,
             "stock_size": len(stock),
         },
         "routes": [route_to_json(outcome.graph, p) for p in outcome.pathways],
@@ -184,18 +174,15 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def read_targets(path: str) -> List[str]:
+    """Targets of a line file (`errors.read_lines`); a ``{...}`` line holds a ``target``."""
     targets = []
-    for line in read_text(path).splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_lines(path):
         if line.startswith("{"):
             try:
-                targets.append(expect(json.loads(line)["target"], str, f"{path}: target"))
+                line = expect(json.loads(line)["target"], str, f"{path}:{lineno}: target")
             except (json.JSONDecodeError, KeyError) as exc:
-                raise ConfigError(f"bad JSONL test line {line!r}: {exc}") from exc
-        else:
-            targets.append(line)
+                raise ConfigError(f"{path}:{lineno}: bad JSONL test line {line!r}: {exc}") from exc
+        targets.append(line)
     return targets
 
 

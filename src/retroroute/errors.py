@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 import reprlib
 from pathlib import Path
 
@@ -114,6 +115,19 @@ def read_text(path) -> str:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
+_COMMENT_RE = re.compile(r"(?:^|\s)#")  # a '#' that begins a line or follows whitespace
+
+
+def read_lines(path):
+    """(line number, text) of each line of a UTF-8 file that holds something once its
+    comment is cut and it is stripped. No molecule string holds whitespace, so a '#'
+    inside an entry is a triple bond and stays."""
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+        text = _COMMENT_RE.split(line, 1)[0].strip()
+        if text:
+            yield lineno, text
+
+
 def write_text(path, text: str) -> None:
     """Write `text` to a file as UTF-8; an unwritable one is an IoError naming it."""
     try:
@@ -122,9 +136,13 @@ def write_text(path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def read_json(path, kind):
-    """The JSON value in a UTF-8 file, which must be of `kind` (see `expect`)."""
+def read_json(path, kind, keys=None):
+    """The JSON value in a UTF-8 file, which must be of `kind` (see `expect`); an
+    object with a key outside `keys`, when they are given, is a ConfigError."""
     try:
-        return expect(json.loads(read_text(path)), kind, str(path))
+        value = expect(json.loads(read_text(path)), kind, str(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if keys is not None and not set(keys).issuperset(value):
+        raise ConfigError(f"{path}: unknown keys {sorted(set(value).difference(keys))}")
+    return value

@@ -72,9 +72,6 @@ class HyperGraph:
             self.root = node_id
         return node_id
 
-    def node(self, node_id: int) -> MoleculeNode:
-        return self.nodes[node_id]
-
     # --- arcs ---------------------------------------------------------------
 
     def would_create_cycle(self, product: int, precursors: Iterable[int]) -> bool:
@@ -188,7 +185,10 @@ class HyperGraph:
                     raise ValueError(f"arc {arc_id}: reagents must be among its precursors")
                 if type(likelihood) not in _NUMBER or type(score) not in _NUMBER:
                     raise ValueError(f"arc {arc_id}: likelihood and score must be numbers")
-                reaction_class = ReactionClass.parse(entry["class"])
+                try:
+                    reaction_class = ReactionClass.parse(entry["class"])
+                except ValueError as exc:
+                    raise ValueError(f"arc {arc_id}: {exc}") from exc
                 if g.would_create_cycle(product, precursors):
                     raise g._cycle_error(product, precursors)
                 arcs[arc_id] = ReactionArc(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ConfigError, NotCanonicalizable, expect, read_json, read_text
+from .errors import ConfigError, NotCanonicalizable, expect, read_json, read_lines
 from .smiles import Normalizer, split_units
 
 
@@ -127,8 +127,8 @@ class TokenSubstitution:
 
     Long common precursors are replaced by single molecule tokens on the way
     into the retro model and expanded back before any forward-model call.
-    File format: one ``token<TAB>smiles`` pair per line, UTF-8. Each token and molecule
-    is non-empty, holds no ``.`` (it could never match a unit) and is on one line only.
+    File format: one ``token<TAB>smiles`` pair per line (see `errors.read_lines`). Each token
+    and molecule is non-empty, holds no ``.`` (it could never match a unit) and is on one line.
     """
 
     def __init__(self, pairs: Dict[str, str]):
@@ -139,9 +139,7 @@ class TokenSubstitution:
     def load(cls, path: str | Path) -> "TokenSubstitution":
         pairs: Dict[str, str] = {}
         lines: Dict[str, int] = {}  # each token and molecule -> its line
-        for lineno, line in enumerate(read_text(path).splitlines(), 1):
-            if not line.strip() or line.startswith("#"):
-                continue
+        for lineno, line in read_lines(path):
             try:
                 token, smiles = (part.strip() for part in line.split("\t"))
             except ValueError as exc:
@@ -195,10 +193,7 @@ class ModelManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "ModelManifest":
-        data = read_json(path, dict)
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"{path}: unknown manifest keys {sorted(unknown)}")
+        data = read_json(path, dict, cls.__dataclass_fields__)
         expect(data.get("transport"), str, f"{path}: transport")
         base = Path(path).parent
         for key in ("templates_path", "token_dict_path"):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Set
 
-from .errors import NotCanonicalizable, read_text
+from .errors import NotCanonicalizable, read_lines
 from .smiles import Normalizer
 
 logger = logging.getLogger(__name__)
@@ -30,34 +30,21 @@ class StockSet:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def union(self, other: "StockSet") -> "StockSet":
-        return StockSet(entries=self.entries | other.entries)
 
-
-def load_stock(path: str | Path, normalizer: Normalizer) -> StockSet:
-    """Read a stock file: one molecule per line, ``#`` comments allowed.
+def load_stocks(paths: Iterable[str | Path], normalizer: Normalizer) -> StockSet:
+    """The molecules of stock files: one per line, as `errors.read_lines` reads them.
 
     Lines the normalizer rejects are logged and left out, not fatal.
     """
     entries: Set[str] = set()
-    rejected = 0
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            entries.add(normalizer.normalize(line))
-        except NotCanonicalizable:
-            rejected += 1
-            logger.warning("%s:%d: skipping unnormalizable entry %r", path, lineno, line)
-    if rejected:
-        logger.warning("%s: rejected %d unnormalizable entries", path, rejected)
-    return StockSet(entries=frozenset(entries))
-
-
-def load_stocks(paths: Iterable[str | Path], normalizer: Normalizer) -> StockSet:
-    """Union of several stock files."""
-    result = StockSet(entries=frozenset())
     for path in paths:
-        result = result.union(load_stock(path, normalizer))
-    return result
+        rejected = 0
+        for lineno, line in read_lines(path):
+            try:
+                entries.add(normalizer.normalize(line))
+            except NotCanonicalizable:
+                rejected += 1
+                logger.warning("%s:%d: skipping unnormalizable entry %r", path, lineno, line)
+        if rejected:
+            logger.warning("%s: rejected %d unnormalizable entries", path, rejected)
+    return StockSet(entries=frozenset(entries))

@@ -59,7 +59,7 @@ def encode_request(req_id: str, op: str, inputs: List[Any], params: Dict[str, An
 def decode_request(line: str) -> Dict[str, Any]:
     try:
         msg = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise MalformedModelResponse(f"bad request line: {exc}") from exc
     if not isinstance(msg, dict) or msg.get("op") not in OPS:
         raise MalformedModelResponse(f"bad request message: {line!r}")
@@ -80,7 +80,7 @@ def encode_response(req_id: str, ok: bool, result: Any = None, error: Optional[s
 def decode_response(line: str) -> Dict[str, Any]:
     try:
         msg = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedModelResponse(f"bad response line: {exc}") from exc
     if not isinstance(msg, dict) or "id" not in msg or "ok" not in msg:
         raise MalformedModelResponse(f"bad response message: {line!r}")
@@ -90,7 +90,8 @@ def decode_response(line: str) -> Dict[str, Any]:
 # --- server side ------------------------------------------------------------
 
 def handle_request(models: ChemModels, msg: Dict[str, Any]) -> str:
-    """Dispatch one decoded request against a model implementation."""
+    """The answer to one decoded request. One the models cannot take gets ``ok: false``
+    and its own id, so that the client fails at once instead of waiting out its timeout."""
     op = msg["op"]
     inputs = msg["inputs"]
     params = msg["params"]
@@ -129,7 +130,8 @@ def handle_request(models: ChemModels, msg: Dict[str, Any]) -> str:
             }
         else:  # unreachable after decode_request
             raise MalformedModelResponse(f"unknown op {op!r}")
-    except (RetroRouteError, IndexError, TypeError, ValueError) as exc:
+    except (RetroRouteError, ArithmeticError, AttributeError, LookupError, TypeError,
+            ValueError) as exc:
         return encode_response(msg["id"], ok=False, error=f"{type(exc).__name__}: {exc}")
     return encode_response(msg["id"], ok=True, result=result)
 
@@ -174,7 +176,11 @@ def serve_http(models: ChemModels, host: str, port: int) -> "ThreadingHTTPServer
             if length > MAX_REQUEST_BYTES:
                 self.send_error(413, f"request body over {MAX_REQUEST_BYTES} bytes")
                 return
-            body = self.rfile.read(length).decode("utf-8")
+            try:
+                body = self.rfile.read(length).decode("utf-8")
+            except UnicodeDecodeError:
+                self.send_error(400, "the request body is not UTF-8")
+                return
             lines = [answer_line(models, raw) for raw in body.splitlines() if raw.strip()]
             payload = ("\n".join(lines) + "\n").encode("utf-8")
             self.send_response(200)

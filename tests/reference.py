@@ -128,7 +128,7 @@ def reference_enumerate(
     g = graph_builder.graph
     results: List[RefPathway] = []
     root = g.root
-    root_frontier = frozenset() if g.node(root).in_stock else frozenset({root})
+    root_frontier = frozenset() if g.nodes[root].in_stock else frozenset({root})
     states = {frozenset(): (tuple(), root_frontier, 1.0, 0)}
     while states:
         next_states = {}
@@ -146,7 +146,7 @@ def reference_enumerate(
             dead = False
             cyclic = False
             for n in frontier:
-                node = g.node(n)
+                node = g.nodes[n]
                 if not node.expandable:
                     dead = True
                 elif node.expanded and not g.arcs_by_product.get(n):
@@ -171,7 +171,7 @@ def reference_enumerate(
                         if (
                             p not in arc.reagents
                             and p not in produced
-                            and not g.node(p).in_stock
+                            and not g.nodes[p].in_stock
                         ):
                             child_frontier.add(p)
                     key = frozenset(child_arcs)

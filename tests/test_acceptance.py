@@ -64,8 +64,8 @@ from test_search import LazyBuilder
 
 def step_shapes(graph, arcs):
     return tuple(sorted(
-        (graph.node(graph.arcs[a].product).smiles,
-         tuple(sorted(graph.node(x).smiles for x in graph.arcs[a].precursors)))
+        (graph.nodes[graph.arcs[a].product].smiles,
+         tuple(sorted(graph.nodes[x].smiles for x in graph.arcs[a].precursors)))
         for a in arcs
     ))
 
@@ -104,7 +104,7 @@ def test_criterion_1_single_step_matches_reference_implementation():
             g.get_or_insert_node(target, simplicity=simplicity(target, scorer))
             arcs = expand_node(g, g.root, cfg, oracle, normalizer, scorer, make_stock(()))
             engine = sorted(
-                (tuple(sorted(g.node(p).smiles for p in g.arcs[a].precursors)),
+                (tuple(sorted(g.nodes[p].smiles for p in g.arcs[a].precursors)),
                  round(g.arcs[a].forward_likelihood, 12))
                 for a in arcs
             )
@@ -409,7 +409,7 @@ def test_criterion_9_end_to_end_stock_flip():
     solved = full.solved
     assert len(solved) == 1
     assert len(solved[0].arcs) == 3
-    products = {full.graph.node(full.graph.arcs[a].product).smiles
+    products = {full.graph.nodes[full.graph.arcs[a].product].smiles
                 for a in solved[0].arcs}
     assert products == {"CNOS", "CNO", "CN"}
 

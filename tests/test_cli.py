@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,7 +8,9 @@ import pytest
 
 import retroroute
 
+from retroroute import metrics
 from retroroute.cli import (
+    DEFAULTS,
     EXIT_CONFIG,
     EXIT_EMPTY_EVAL,
     EXIT_NO_ROUTE,
@@ -16,6 +19,8 @@ from retroroute.cli import (
     read_targets,
     resolve,
 )
+from retroroute.expand import ExpansionConfig
+from retroroute.search import SearchConfig
 
 from conftest import TOY_TEMPLATES
 
@@ -121,6 +126,22 @@ class TestEval:
         path.write_text("# comment\nCN\n\nCNO\n", "utf-8")
         assert read_targets(path) == ["CN", "CNO"]
 
+    def test_commented_target_line_is_its_target(self, toy_manifest, tmp_path, capsys):
+        args = self.eval_args(toy_manifest, tmp_path, "CN  # amine\nCC#N\t# nitrile\nCNO\n")
+        assert read_targets(tmp_path / "targets.txt") == ["CN", "CC#N", "CNO"]
+        assert main(args) == EXIT_OK
+        report = json.loads((tmp_path / "metrics.json").read_text("utf-8"))
+        # CC#N is a target the toy models know nothing of: evaluated, not excluded
+        assert (report["n_targets"], report["n_excluded_targets"]) == (3, 0)
+
+    @pytest.mark.parametrize("line", [
+        '{"target": "CN # amine"}', '{"target": 5}', '{"smiles": "CN"}', '{"target": "CN"',
+    ], ids=["comment-in-string", "int", "no-target", "unclosed"])
+    def test_bad_jsonl_line_names_its_line(self, line, toy_manifest, tmp_path, capsys):
+        args = self.eval_args(toy_manifest, tmp_path, f'{{"target": "CN"}}\n\n{line}\n')
+        assert main(args) == EXIT_CONFIG
+        assert "targets.txt:3: " in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("entry", [
     {"lhs": [], "rhs": "CN", "weight": 1.0, "class": "1.1.1"},
@@ -167,6 +188,21 @@ class TestConfigPrecedence:
         assert resolve("beams", None, {}) == 10
         assert resolve("theta_hi", None, {}) == 0.6
 
+    def test_defaults_are_the_library_defaults(self):
+        # `plan` plans at DEFAULTS and the bench at SearchConfig(): the two must agree
+        cfg = SearchConfig()
+        assert cfg.expansion == ExpansionConfig()
+        assert DEFAULTS == {
+            "beams": cfg.n_beams, "max_steps": cfg.max_steps,
+            "retro_beams": cfg.expansion.retro_beams,
+            "theta_hi": cfg.expansion.auto_accept_likelihood,
+            "gap": cfg.expansion.selectivity_gap, "forward_topk": cfg.expansion.forward_topk,
+            "eval_beams": metrics.DEFAULT_EVAL_BEAMS, "bins": metrics.DEFAULT_BINS,
+            "log_base": "e",
+        }
+        # the CLI's log base "e" is evaluate's None, the natural logarithm
+        assert inspect.signature(metrics.evaluate).parameters["log_base"].default is None
+
     def test_file_overrides_default(self):
         assert resolve("beams", None, {"beams": 25}) == 25
 
@@ -177,6 +213,11 @@ class TestConfigPrecedence:
     def test_flag_overrides_env(self, monkeypatch):
         monkeypatch.setenv("RETROROUTE_BEAMS", "7")
         assert resolve("beams", 3, {"beams": 25}) == 3
+
+    @pytest.mark.parametrize("name, value", [("theta_hi", 1), ("gap", 0)])
+    def test_file_value_typed_like_default(self, name, value):
+        resolved = resolve(name, None, {name: value})
+        assert resolved == value and type(resolved) is type(DEFAULTS[name])
 
     def test_env_typed_like_default(self, monkeypatch):
         monkeypatch.setenv("RETROROUTE_GAP", "0.25")
@@ -373,7 +414,7 @@ class TestBadConfigValues:
     @pytest.mark.parametrize("corrupt, names", [
         (lambda s: s["arcs"][0].update(precursors=5), None),
         (lambda s: s["nodes"][0].update(simplicity="x"), None),
-        (lambda s: s["arcs"][0].update({"class": 5}), None),
+        (lambda s: s["arcs"][0].update({"class": 5}), "arc 0"),
         (lambda s: [s], None),
         (lambda s: s.update(root="x"), None),
         (lambda s: s.update(root=7), None),
@@ -384,9 +425,9 @@ class TestBadConfigValues:
         (lambda s: s["nodes"][1].update(smiles=5), None),
         (lambda s: s["arcs"][0].update(precursors=[True]), None),
         (lambda s: s["arcs"][0].update(product=False), None),
-        (lambda s: s["arcs"][0].update({"class": "12.1.1"}), None),
-        (lambda s: s["arcs"][0].update({"class": "\u0661.\u0662.\u0663"}), None),
-        (lambda s: s["arcs"][0].update({"class": "1.2.\u00b2"}), None),
+        (lambda s: s["arcs"][0].update({"class": "12.1.1"}), "arc 0"),
+        (lambda s: s["arcs"][0].update({"class": "\u0661.\u0662.\u0663"}), "arc 0"),
+        (lambda s: s["arcs"][0].update({"class": "1.2.\u00b2"}), "arc 0"),
         # a bool is not the node id 1, and a reagent must be one of the arc's precursors
         (lambda s: s.update(root=True), None),
         (lambda s: s["arcs"][0].update(reagents=[99]), None),

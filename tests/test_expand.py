@@ -202,9 +202,9 @@ class TestExpandNode:
                            stock=toy_stock)
         assert len(arcs) == 1
         arc = g.arcs[arcs[0]]
-        assert {g.node(p).smiles for p in arc.precursors} == {"CNO", "S"}
-        assert g.node(g.root).expanded
-        assert g.node(g.index["S"]).in_stock
+        assert {g.nodes[p].smiles for p in arc.precursors} == {"CNO", "S"}
+        assert g.nodes[g.root].expanded
+        assert g.nodes[g.index["S"]].in_stock
 
     def test_self_precursor_discarded(self):
         oracle = ToyOracle(make_templates([
@@ -215,7 +215,7 @@ class TestExpandNode:
         trace = []
         arcs = expand_node(g, g.root, CFG, oracle, normalizer, scorer, NO_STOCK, trace)
         assert len(arcs) == 1
-        assert {g.node(p).smiles for p in g.arcs[arcs[0]].precursors} == {"C", "N"}
+        assert {g.nodes[p].smiles for p in g.arcs[arcs[0]].precursors} == {"C", "N"}
         assert any(r["outcome"] == "self_precursor" for r in trace)
 
     def test_uncanonicalizable_candidate_discarded(self):
@@ -257,7 +257,7 @@ class TestExpandNode:
         g, normalizer, scorer = self.setup_graph("CNP")
         arcs = expand_node(g, g.root, CFG, toy_oracle, normalizer, scorer, NO_STOCK)
         assert arcs == []
-        assert g.node(g.root).expanded
+        assert g.nodes[g.root].expanded
 
     def test_model_outage_defers_node(self):
         class Down(StubModels):
@@ -267,7 +267,7 @@ class TestExpandNode:
         g, normalizer, scorer = self.setup_graph("CN")
         arcs = expand_node(g, g.root, CFG, Down(), normalizer, scorer, NO_STOCK)
         assert arcs == []
-        node = g.node(g.root)
+        node = g.nodes[g.root]
         assert not node.expanded and node.deferrals == 1
 
     def test_trace_records_cluster_ids(self, toy_oracle):
@@ -287,7 +287,7 @@ class TestExpandNode:
             g, _, _ = self.setup_graph(target)
             arcs = expand_node(g, g.root, CFG, toy_oracle, normalizer, scorer, NO_STOCK)
             engine = sorted(
-                (tuple(sorted(g.node(p).smiles for p in g.arcs[a].precursors)),
+                (tuple(sorted(g.nodes[p].smiles for p in g.arcs[a].precursors)),
                  g.arcs[a].forward_likelihood)
                 for a in arcs
             )

@@ -141,33 +141,33 @@ class TestTerminateAndFork:
 
     def test_dead_unexpandable_node(self):
         g, ids, _ = build_plain_graph()
-        g.node(ids["CNOS"]).expandable = False
+        g.nodes[ids["CNOS"]].expandable = False
         p = Pathway((), frozenset({ids["CNOS"]}), 1.0, 0)
         assert terminate_check(g, p, 6) == DEAD
 
     def test_dead_expanded_without_arcs(self):
         g, ids, _ = build_plain_graph()
-        g.node(ids["CNO"]).expanded = True
+        g.nodes[ids["CNO"]].expanded = True
         lone = g.get_or_insert_node("P", simplicity=0.5)
-        g.node(lone).expanded = True
+        g.nodes[lone].expanded = True
         p = Pathway((), frozenset({lone}), 1.0, 1)
         assert terminate_check(g, p, 6) == DEAD
 
     def test_cyclic_when_only_rejections(self):
         g, ids, _ = build_plain_graph()
         lone = g.get_or_insert_node("P", simplicity=0.5)
-        g.node(lone).expanded = True
-        g.node(lone).cycle_rejections = 2
+        g.nodes[lone].expanded = True
+        g.nodes[lone].cycle_rejections = 2
         p = Pathway((), frozenset({lone}), 1.0, 1)
         assert terminate_check(g, p, 6) == CYCLIC
 
     def test_dead_outranks_cyclic(self):
         g, ids, _ = build_plain_graph()
         cyc = g.get_or_insert_node("P", simplicity=0.5)
-        g.node(cyc).expanded = True
-        g.node(cyc).cycle_rejections = 1
+        g.nodes[cyc].expanded = True
+        g.nodes[cyc].cycle_rejections = 1
         dead = g.get_or_insert_node("F", simplicity=0.5)
-        g.node(dead).expandable = False
+        g.nodes[dead].expandable = False
         p = Pathway((), frozenset({cyc, dead}), 1.0, 1)
         assert terminate_check(g, p, 6) == DEAD
 
@@ -219,7 +219,7 @@ class TestBeamSearch:
         best = outcome.pathways[0]
         assert best.status == SOLVED and len(best.arcs) == 3 and best.steps == 3
         products = [outcome.graph.arcs[a].product for a in best.arcs]
-        smiles = [outcome.graph.node(n).smiles for n in products]
+        smiles = [outcome.graph.nodes[n].smiles for n in products]
         assert set(smiles) == {"CNOS", "CNO", "CN"}
 
     def test_solved_leaves_all_in_stock(self):
@@ -242,7 +242,7 @@ class TestBeamSearch:
                     m for arc in route for m in arc.precursors
                     if m not in produced and m not in arc.reagents
                 }
-                assert leaves and all(g.node(m).in_stock for m in leaves), target
+                assert leaves and all(g.nodes[m].in_stock for m in leaves), target
 
     def test_scores_recomputable_from_arcs(self, toy_oracle, toy_stock):
         outcome = self.run(toy_oracle, toy_stock)
@@ -284,7 +284,7 @@ class TestBeamSearch:
         def shape(outcome):
             return [
                 (p.status,
-                 tuple(sorted(outcome.graph.node(outcome.graph.arcs[a].product).smiles
+                 tuple(sorted(outcome.graph.nodes[outcome.graph.arcs[a].product].smiles
                               for a in p.arcs)))
                 for p in outcome.pathways
             ]
@@ -301,7 +301,7 @@ class TestBeamSearch:
         outcome = beam_search("CNOS", SearchConfig(), oracle, toy_stock, ToyNormalizer())
         assert not outcome.solved
         assert all(p.status in (DEAD, MAX_STEPS) for p in outcome.pathways)
-        root = outcome.graph.node(outcome.graph.root)
+        root = outcome.graph.nodes[outcome.graph.root]
         assert root.deferrals >= 2 and not root.expandable
 
     def test_profiling_hooks_see_every_call(self, toy_oracle, toy_stock, monkeypatch):
@@ -346,7 +346,7 @@ class LazyBuilder:
         )
 
     def ensure_expanded(self, node_id):
-        node = self.graph.node(node_id)
+        node = self.graph.nodes[node_id]
         if not node.expanded and node.expandable:
             expand_node(
                 self.graph, node_id, self.cfg, self.oracle,
@@ -360,8 +360,8 @@ def pathway_shapes(graph, pathways):
             p.status,
             round(p.cumulative_score, 9),
             tuple(sorted(
-                (graph.node(graph.arcs[a].product).smiles,
-                 tuple(sorted(graph.node(x).smiles for x in graph.arcs[a].precursors)))
+                (graph.nodes[graph.arcs[a].product].smiles,
+                 tuple(sorted(graph.nodes[x].smiles for x in graph.arcs[a].precursors)))
                 for a in p.arcs
             )),
         )

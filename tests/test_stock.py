@@ -4,7 +4,7 @@ import pytest
 
 from retroroute.errors import IoError
 from retroroute.smiles import ToyNormalizer
-from retroroute.stock import StockSet, load_stock, load_stocks
+from retroroute.stock import load_stocks
 
 
 @pytest.fixture
@@ -19,38 +19,44 @@ def write_stock(tmp_path):
 
 class TestLoadStock:
     def test_basic(self, write_stock, normalizer):
-        stock = load_stock(write_stock("s.txt", "C\nN\nO\n"), normalizer)
+        stock = load_stocks([write_stock("s.txt", "C\nN\nO\n")], normalizer)
         assert len(stock) == 3
         assert stock.contains("C") and stock.contains("N")
         assert not stock.contains("S")
 
     def test_comments_and_blank_lines(self, write_stock, normalizer):
-        stock = load_stock(
-            write_stock("s.txt", "# header\nC\n\nN # inline\n   \n"), normalizer
+        stock = load_stocks(
+            [write_stock("s.txt", "# header\nC\n\nN # inline\n   \n")], normalizer
         )
         assert stock.entries == {"C", "N"}
 
+    def test_triple_bonds_are_not_comments(self, write_stock, normalizer):
+        text = "C#N\nCC#N  # acetonitrile\n\tCC#CC\t#\n"
+        stock = load_stocks([write_stock("s.txt", text)], normalizer)
+        assert stock.entries == {"C#N", "CC#N", "CC#CC"}
+
     def test_entries_normalized(self, write_stock, normalizer):
-        stock = load_stock(write_stock("s.txt", "O~C\n"), normalizer)
+        stock = load_stocks([write_stock("s.txt", "O~C\n")], normalizer)
         assert stock.contains("C~O")
         assert not stock.contains("O~C")  # exact-string lookup after normalization
 
     def test_duplicates_collapse(self, write_stock, normalizer):
-        stock = load_stock(write_stock("s.txt", "C\nC\nC\n"), normalizer)
+        stock = load_stocks([write_stock("s.txt", "C\nC\nC\n")], normalizer)
         assert len(stock) == 1
 
     def test_bad_lines_skipped_and_counted(self, write_stock, normalizer, caplog):
+        # a '#' joined to an entry belongs to it: N#note is an entry, and not a molecule
         with caplog.at_level(logging.WARNING):
-            stock = load_stock(
-                write_stock("s.txt", "C\nC!O\nN\nbad line\n"), normalizer
+            stock = load_stocks(
+                [write_stock("s.txt", "C\nC!O\nN\nbad line\nN#note\n")], normalizer
             )
         assert stock.entries == {"C", "N"}
-        assert any("skipping" in r.message for r in caplog.records)
-        assert caplog.records[-1].message.endswith("rejected 2 unnormalizable entries")
+        assert caplog.records[2].message.endswith("s.txt:5: skipping unnormalizable entry 'N#note'")
+        assert caplog.records[-1].message.endswith("rejected 3 unnormalizable entries")
 
     def test_missing_file(self, tmp_path, normalizer):
         with pytest.raises(IoError):
-            load_stock(tmp_path / "nope.txt", normalizer)
+            load_stocks([tmp_path / "nope.txt"], normalizer)
 
 
 class TestUnion:
@@ -62,9 +68,9 @@ class TestUnion:
         assert stock.entries == {"C", "N", "O"}
         assert caplog.records[-1].message.endswith("b.txt: rejected 1 unnormalizable entries")
 
-    def test_union_preserves_counts(self):
-        a = StockSet(entries=frozenset({"C", "O"}))
-        b = StockSet(entries=frozenset({"N", "O"}))
-        u = a.union(b)
+    def test_union_preserves_counts(self, write_stock, normalizer):
+        a = write_stock("a.txt", "C\nO\n")
+        b = write_stock("b.txt", "N\nO\n")
+        u = load_stocks([a, b], normalizer)
         assert u.entries == {"C", "N", "O"} and len(u) == 3
         assert u.contains("N") and not u.contains("S")

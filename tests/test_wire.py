@@ -35,6 +35,7 @@ from retroroute.wire import (
     HttpTransport,
     SubprocessTransport,
     WireClient,
+    answer_line,
     build_models,
     decode_request,
     decode_response,
@@ -86,6 +87,13 @@ def test_decode_request_rejects_garbage():
         decode_request("not json")
     with pytest.raises(MalformedModelResponse):
         decode_request('{"id":"x","op":"nope"}')
+
+
+@pytest.mark.parametrize("decode", [decode_request, decode_response])
+def test_line_nested_too_deeply_is_malformed(decode):
+    # json.loads raises RecursionError on this line: a server must answer it, not stop
+    with pytest.raises(MalformedModelResponse, match="maximum recursion depth"):
+        decode('{"id":"x","op":"retro","inputs":' + "[" * 100000)
 
 
 class TestHandleRequest:
@@ -142,6 +150,47 @@ def test_serve_stdio_golden(toy_oracle):
          "error": "bad request line: Expecting value: line 1 column 1 (char 0)"},
     ]
     assert [json.loads(l) for l in lines] == golden
+
+
+# requests the models cannot take: each is answered with its own id, and serving goes on
+MALFORMED_REQUESTS = [
+    '{"id":"1","op":"retro","inputs":{},"params":{}}',
+    '{"id":"2","op":"retro","inputs":["CN"],"params":[]}',
+    '{"id":"3","op":"retro","inputs":["CN"],"params":{"beams":Infinity}}',
+]
+GOOD_REQUEST = encode_request("4", "classify", ["C.N>>CN"], {})
+
+
+def assert_malformed_then_good_answered(replies):
+    msgs = [json.loads(r) for r in replies]
+    assert [(m["id"], m["ok"]) for m in msgs] == [("1", False), ("2", False), ("3", False),
+                                                  ("4", True)]
+    assert [m["error"].split(":")[0] for m in msgs[:3]] == [
+        "KeyError", "AttributeError", "OverflowError"]
+
+
+def test_serve_stdio_answers_malformed_requests(toy_oracle):
+    out = io.StringIO()
+    serve_stdio(toy_oracle, io.StringIO("\n".join([*MALFORMED_REQUESTS, GOOD_REQUEST]) + "\n"),
+                out)
+    assert_malformed_then_good_answered(out.getvalue().splitlines())
+
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+@given(st.sampled_from(["retro", "forward", "score", "classify"]), json_values,
+       st.one_of(json_values, st.dictionaries(
+           st.sampled_from(["beams", "topk", "reagents"]), json_values, max_size=3)))
+def test_any_request_is_answered_with_its_id(op, inputs, params):
+    oracle = ToyOracle(make_templates(TOY_TEMPLATES))
+    line = json.dumps({"id": "x", "op": op, "inputs": inputs, "params": params})
+    assert decode_response(answer_line(oracle, line))["id"] == "x"
 
 
 def mock_serve_command(templates_file):
@@ -722,6 +771,29 @@ def test_http_rejects_bad_content_length_unread(toy_oracle, length, status):
         server.server_close()
 
 
+def test_serve_http_answers_malformed_requests(toy_oracle):
+    server = serve_http(toy_oracle, "127.0.0.1", 0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    replies, statuses = [], []
+    try:
+        # a body that is not UTF-8 is refused; the connection closes after it
+        for body in [b"\xff\xfe\n", *(line.encode("utf-8") for line in MALFORMED_REQUESTS),
+                     GOOD_REQUEST.encode("utf-8")]:
+            conn = http.client.HTTPConnection("127.0.0.1", server.server_port, timeout=10)
+            try:
+                conn.request("POST", "/", body=body)
+                resp = conn.getresponse()
+                statuses.append(resp.status)
+                replies += resp.read().decode("utf-8").splitlines() if resp.status == 200 else []
+            finally:
+                conn.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert statuses == [400, 200, 200, 200, 200]
+    assert_malformed_then_good_answered(replies)
+
+
 def echo_handler(status, protocol_version="HTTP/1.0", result=lambda inputs: inputs, before=""):
     """A handler answering each request line with `status` and `result` of its inputs.
 
@@ -877,6 +949,12 @@ class TestTokenSubstitution:
         assert subst.encode("CCCCCCCC.O") == "[Long1].O"
         assert subst.decode("[Long1].O") == "CCCCCCCC.O"
         assert subst.decode(subst.encode("CCCCCCCC.NNNNNNNN")) == "CCCCCCCC.NNNNNNNN"
+
+    def test_comments_cut_as_in_every_line_file(self, tmp_path):
+        path = tmp_path / "tokens.tsv"
+        path.write_text("  # note\n[T]\tCC#N  # acetonitrile\n[U]\tN#N\n", "utf-8")
+        subst = TokenSubstitution.load(path)
+        assert subst.token_to_smiles == {"[T]": "CC#N", "[U]": "N#N"}
 
     def test_applied_at_gateway(self, templates_file, tmp_path):
         # the mock speaks full strings; an identity-free dictionary must not
