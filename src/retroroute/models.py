@@ -145,8 +145,8 @@ class TokenSubstitution:
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: expected token<TAB>smiles") from exc
             for kind, text in (("token", token), ("molecule", smiles)):
-                if not text or "." in text:
-                    raise ConfigError(f"{path}:{lineno}: empty or '.'-bearing {kind} {text!r}")
+                if "." in text:
+                    raise ConfigError(f"{path}:{lineno}: '.'-bearing {kind} {text!r}")
                 if lines.get(text, lineno) != lineno:  # an identity line maps its molecule to itself
                     raise ConfigError(f"{path}:{lineno}: {kind} {text!r} repeats line {lines[text]}")
                 lines[text] = lineno

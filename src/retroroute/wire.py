@@ -37,8 +37,6 @@ from .models import (
 
 logger = logging.getLogger(__name__)
 
-OPS = ("retro", "forward", "score", "classify")
-
 # largest HTTP request body serve_http reads; a longer one is refused unread
 MAX_REQUEST_BYTES = 8 * 1024 * 1024
 
@@ -61,7 +59,7 @@ def decode_request(line: str) -> Dict[str, Any]:
         msg = json.loads(line)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise MalformedModelResponse(f"bad request line: {exc}") from exc
-    if not isinstance(msg, dict) or msg.get("op") not in OPS:
+    if not isinstance(msg, dict) or not isinstance(msg.get("op"), str) or msg["op"] not in ANSWERS:
         raise MalformedModelResponse(f"bad request message: {line!r}")
     msg.setdefault("inputs", [])
     msg.setdefault("params", {})
@@ -89,47 +87,46 @@ def decode_response(line: str) -> Dict[str, Any]:
 
 # --- server side ------------------------------------------------------------
 
+def _precursors(inputs: List[Any], params: Dict[str, Any]) -> PrecursorSet:
+    return PrecursorSet(tuple(inputs[0]), frozenset(params.get("reagents", ())))
+
+
+def _count(params: Dict[str, Any], key: str, default: int) -> int:
+    """`params[key]`, or `default` when it is absent; anything but a positive integer is refused."""
+    value = params.get(key, default)
+    if type(value) is not int or value < 1:  # bools and floats too
+        raise MalformedModelResponse(f"{key} must be a positive integer: {value!r}")
+    return value
+
+
+# each op's result from the models, the request's inputs (a list) and its params (an object)
+ANSWERS: Dict[str, Callable[[ChemModels, List[Any], Dict[str, Any]], Any]] = {
+    "retro": lambda models, inputs, params: [
+        {"precursors": list(p.precursors.molecules), "reagents": sorted(p.precursors.reagents),
+         "confidence": p.model_confidence, "rank": p.rank}
+        for p in models.retro_predict(inputs[0], _count(params, "beams", 10))
+    ],
+    "forward": lambda models, inputs, params: [
+        {"product": f.product, "likelihood": f.likelihood, "rank": f.rank}
+        for f in models.forward_predict(_precursors(inputs, params), _count(params, "topk", 3))
+    ],
+    "score": lambda models, inputs, params: [
+        models.score_reaction(_precursors(inputs, params), inputs[1])
+    ],
+    "classify": lambda models, inputs, params: models.classify(inputs[0])._asdict(),
+}
+
+
 def handle_request(models: ChemModels, msg: Dict[str, Any]) -> str:
     """The answer to one decoded request. One the models cannot take gets ``ok: false``
     and its own id, so that the client fails at once instead of waiting out its timeout."""
-    op = msg["op"]
-    inputs = msg["inputs"]
-    params = msg["params"]
+    inputs, params = msg["inputs"], msg["params"]
     try:
-        if op == "retro":
-            predictions = models.retro_predict(inputs[0], int(params.get("beams", 10)))
-            result: Any = [
-                {
-                    "precursors": list(p.precursors.molecules),
-                    "reagents": sorted(p.precursors.reagents),
-                    "confidence": p.model_confidence,
-                    "rank": p.rank,
-                }
-                for p in predictions
-            ]
-        elif op == "forward":
-            ps = PrecursorSet(
-                tuple(inputs[0]), frozenset(params.get("reagents", ()))
-            )
-            result = [
-                {"product": f.product, "likelihood": f.likelihood, "rank": f.rank}
-                for f in models.forward_predict(ps, int(params.get("topk", 3)))
-            ]
-        elif op == "score":
-            ps = PrecursorSet(
-                tuple(inputs[0]), frozenset(params.get("reagents", ()))
-            )
-            result = [models.score_reaction(ps, inputs[1])]
-        elif op == "classify":
-            cls = models.classify(inputs[0])
-            result = {
-                "superclass": cls.superclass,
-                "category": cls.category,
-                "named_reaction": cls.named_reaction,
-                "label": cls.label,
-            }
-        else:  # unreachable after decode_request
-            raise MalformedModelResponse(f"unknown op {op!r}")
+        if not isinstance(inputs, list):
+            raise MalformedModelResponse(f"inputs must be a list: {inputs!r}")
+        if not isinstance(params, dict):
+            raise MalformedModelResponse(f"params must be an object: {params!r}")
+        result = ANSWERS[msg["op"]](models, inputs, params)
     except (RetroRouteError, ArithmeticError, AttributeError, LookupError, TypeError,
             ValueError) as exc:
         return encode_response(msg["id"], ok=False, error=f"{type(exc).__name__}: {exc}")

@@ -321,20 +321,25 @@ class TestBadConfigValues:
         code = self.plan_over_subprocess(entry, templates_file, stock_file, tmp_path)
         self.assert_config_error(code, capsys)
 
-    @pytest.mark.parametrize("text, line", [
-        ("\tCN\n", 1), ("[T]\t\n", 1), ("[T]\tCN\n[T]\tCNO\n", 2), ("[T]\tCN\n[U]\tCN\n", 2),
-        ("[T]\tC.N\n", 1), ("[T.U]\tCN\n", 1),
+    @pytest.mark.parametrize("text, error", [
+        # the line is stripped before it is split, so an empty side leaves no TAB inside it
+        ("\tCN\n", "1: expected token<TAB>smiles"), ("[T]\t\n", "1: expected token<TAB>smiles"),
+        ("[T]\tCN\n[T]\tCNO\n", "2: token '[T]' repeats line 1"),
+        ("[T]\tCN\n[U]\tCN\n", "2: molecule 'CN' repeats line 1"),
+        ("[T]\tC.N\n", "1: '.'-bearing molecule 'C.N'"),
+        ("[T.U]\tCN\n", "1: '.'-bearing token '[T.U]'"),
         # a token the models could also say as a molecule would be expanded wrongly
-        ("# comment\n[T]\tCN\nCN\tCNO\n", 3), ("[T]\tCN\n[U]\t[T]\n", 2),
+        ("# comment\n[T]\tCN\nCN\tCNO\n", "3: token 'CN' repeats line 2"),
+        ("[T]\tCN\n[U]\t[T]\n", "2: molecule '[T]' repeats line 1"),
     ], ids=["token-empty", "molecule-empty", "token-repeated", "molecule-repeated",
             "molecule-dot", "token-dot", "token-is-a-molecule", "molecule-is-a-token"])
-    def test_ambiguous_token_dictionary(self, text, line, templates_file, stock_file, tmp_path,
+    def test_ambiguous_token_dictionary(self, text, error, templates_file, stock_file, tmp_path,
                                         capsys):
         tokens = tmp_path / "tokens.tsv"
         tokens.write_text(text, "utf-8")
         code = self.plan_over_subprocess({"token_dict_path": str(tokens)}, templates_file,
                                          stock_file, tmp_path)
-        assert f"tokens.tsv:{line}: " in self.assert_config_error(code, capsys)
+        assert f"tokens.tsv:{error}" in self.assert_config_error(code, capsys)
 
     def test_token_dictionary_accepted(self, templates_file, stock_file, tmp_path):
         tokens = tmp_path / "tokens.tsv"

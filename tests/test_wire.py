@@ -87,6 +87,8 @@ def test_decode_request_rejects_garbage():
         decode_request("not json")
     with pytest.raises(MalformedModelResponse):
         decode_request('{"id":"x","op":"nope"}')
+    with pytest.raises(MalformedModelResponse):
+        decode_request('{"id":"x","op":["retro"]}')
 
 
 @pytest.mark.parametrize("decode", [decode_request, decode_response])
@@ -117,6 +119,19 @@ class TestHandleRequest:
             toy_oracle, decode_request(encode_request("3", "classify", ["C.N>>CN"], {}))
         )
         assert decode_response(reply)["result"]["superclass"] == 1
+
+    def test_absent_beams_and_topk_take_their_defaults(self):
+        # [Q] has 12 suggestions, and [A] 12 products
+        oracle = ToyOracle(make_templates([
+            {"lhs": [f"[B{i}]"], "rhs": "[Q]", "weight": 1 + i, "class": "1.1.1"} for i in range(12)
+        ] + [
+            {"lhs": ["[A]"], "rhs": f"[P{i}]", "weight": 1 + i, "class": "1.1.1"} for i in range(12)
+        ]))
+        for op, inputs, key, default in [("retro", ["[Q]"], "beams", 10),
+                                         ("forward", [["[A]"]], "topk", 3)]:
+            absent, explicit = (answer_line(oracle, encode_request("1", op, inputs, params))
+                                for params in ({}, {key: default}))
+            assert absent == explicit and len(decode_response(absent)["result"]) == default
 
     def test_error_reported(self, toy_oracle):
         reply = handle_request(
@@ -152,27 +167,34 @@ def test_serve_stdio_golden(toy_oracle):
     assert [json.loads(l) for l in lines] == golden
 
 
-# requests the models cannot take: each is answered with its own id, and serving goes on
+# requests the models cannot take, each with the field its error names: each is answered
+# with its own id, and serving goes on
 MALFORMED_REQUESTS = [
-    '{"id":"1","op":"retro","inputs":{},"params":{}}',
-    '{"id":"2","op":"retro","inputs":["CN"],"params":[]}',
-    '{"id":"3","op":"retro","inputs":["CN"],"params":{"beams":Infinity}}',
+    ('{"id":"1","op":"retro","inputs":{},"params":{}}', "inputs"),
+    ('{"id":"2","op":"retro","inputs":["CN"],"params":[]}', "params"),
+    ('{"id":"3","op":"retro","inputs":["CN"],"params":{"beams":Infinity}}', "beams"),
+    ('{"id":"4","op":"retro","inputs":["CNOS"],"params":{"beams":-1}}', "beams"),
+    ('{"id":"5","op":"retro","inputs":["CNOS"],"params":{"beams":true}}', "beams"),
+    ('{"id":"6","op":"retro","inputs":["CNOS"],"params":{"beams":1.9}}', "beams"),
+    ('{"id":"7","op":"forward","inputs":[["C","N"]],"params":{"topk":0}}', "topk"),
+    ('{"id":"8","op":"forward","inputs":[["C","N"]],"params":{"topk":-1}}', "topk"),
 ]
-GOOD_REQUEST = encode_request("4", "classify", ["C.N>>CN"], {})
+GOOD_REQUEST = encode_request("9", "classify", ["C.N>>CN"], {})
 
 
 def assert_malformed_then_good_answered(replies):
     msgs = [json.loads(r) for r in replies]
-    assert [(m["id"], m["ok"]) for m in msgs] == [("1", False), ("2", False), ("3", False),
-                                                  ("4", True)]
-    assert [m["error"].split(":")[0] for m in msgs[:3]] == [
-        "KeyError", "AttributeError", "OverflowError"]
+    n = len(MALFORMED_REQUESTS)
+    assert [(m["id"], m["ok"]) for m in msgs] == [
+        *((str(i), False) for i in range(1, n + 1)), (str(n + 1), True)]
+    for msg, (_, field) in zip(msgs, MALFORMED_REQUESTS):
+        assert msg["error"].startswith(f"MalformedModelResponse: {field} must be ")
 
 
 def test_serve_stdio_answers_malformed_requests(toy_oracle):
     out = io.StringIO()
-    serve_stdio(toy_oracle, io.StringIO("\n".join([*MALFORMED_REQUESTS, GOOD_REQUEST]) + "\n"),
-                out)
+    lines = [line for line, _ in MALFORMED_REQUESTS] + [GOOD_REQUEST]
+    serve_stdio(toy_oracle, io.StringIO("\n".join(lines) + "\n"), out)
     assert_malformed_then_good_answered(out.getvalue().splitlines())
 
 
@@ -191,6 +213,43 @@ def test_any_request_is_answered_with_its_id(op, inputs, params):
     oracle = ToyOracle(make_templates(TOY_TEMPLATES))
     line = json.dumps({"id": "x", "op": op, "inputs": inputs, "params": params})
     assert decode_response(answer_line(oracle, line))["id"] == "x"
+
+
+class Loopback:
+    """A transport whose server is `answer_line` over `models`, in this process."""
+
+    def __init__(self, models):
+        self.models = models
+
+    def call(self, line, req_id, timeout):
+        return answer_line(self.models, line)
+
+
+def test_loopback_client_answers_as_the_oracle():
+    # each op's server answer, read back by the client's parser for that op
+    rng, reagent_suggestions = random.Random(5), 0
+    for _ in range(10):
+        molecules, templates = random_chemistry(rng)
+        oracle = ToyOracle(templates)
+        client = WireClient(Loopback(oracle), retries=0)
+        suggested = []
+        for target in molecules:
+            for beams in (1, 3, 10):
+                assert client.retro_predict(target, beams) == oracle.retro_predict(target, beams)
+            suggested += [p.precursors for p in oracle.retro_predict(target, 10)]
+        reagent_suggestions += sum(bool(ps.reagents) for ps in suggested)
+        # and precursor sets drawn outside the templates, some with reagents
+        for _ in range(10):
+            drawn = rng.sample(molecules, rng.randint(1, 4))
+            suggested.append(PrecursorSet(tuple(drawn), frozenset(drawn[1:2])))
+        for ps in suggested:
+            for topk in (1, 2, 5):
+                assert client.forward_predict(ps, topk) == oracle.forward_predict(ps, topk)
+            for product in molecules:
+                assert client.score_reaction(ps, product) == oracle.score_reaction(ps, product)
+                rxn = f"{ps.joined()}>>{product}"
+                assert client.classify(rxn) == oracle.classify(rxn)
+    assert reagent_suggestions > 0
 
 
 def mock_serve_command(templates_file):
@@ -777,7 +836,7 @@ def test_serve_http_answers_malformed_requests(toy_oracle):
     replies, statuses = [], []
     try:
         # a body that is not UTF-8 is refused; the connection closes after it
-        for body in [b"\xff\xfe\n", *(line.encode("utf-8") for line in MALFORMED_REQUESTS),
+        for body in [b"\xff\xfe\n", *(line.encode("utf-8") for line, _ in MALFORMED_REQUESTS),
                      GOOD_REQUEST.encode("utf-8")]:
             conn = http.client.HTTPConnection("127.0.0.1", server.server_port, timeout=10)
             try:
@@ -790,7 +849,7 @@ def test_serve_http_answers_malformed_requests(toy_oracle):
     finally:
         server.shutdown()
         server.server_close()
-    assert statuses == [400, 200, 200, 200, 200]
+    assert statuses == [400] + [200] * (len(MALFORMED_REQUESTS) + 1)
     assert_malformed_then_good_answered(replies)
 
 
