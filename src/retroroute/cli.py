@@ -180,7 +180,7 @@ def read_targets(path: str) -> List[str]:
         if line.startswith("{"):
             try:
                 line = expect(json.loads(line)["target"], str, f"{path}:{lineno}: target")
-            except (json.JSONDecodeError, KeyError) as exc:
+            except (ValueError, KeyError, RecursionError) as exc:  # see `read_json`
                 raise ConfigError(f"{path}:{lineno}: bad JSONL test line {line!r}: {exc}") from exc
         targets.append(line)
     return targets

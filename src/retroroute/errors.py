@@ -141,7 +141,7 @@ def read_json(path, kind, keys=None):
     object with a key outside `keys`, when they are given, is a ConfigError."""
     try:
         value = expect(json.loads(read_text(path)), kind, str(path))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, too long an int, or nested too deeply
         raise ConfigError(f"{path}: {exc}") from exc
     if keys is not None and not set(keys).issuperset(value):
         raise ConfigError(f"{path}: unknown keys {sorted(set(value).difference(keys))}")

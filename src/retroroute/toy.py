@@ -26,7 +26,7 @@ from .models import (
 from .smiles import ToyNormalizer, split_reaction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Template:
     reactants: Tuple[str, ...]
     product: str
@@ -34,38 +34,41 @@ class Template:
     reaction_class: ReactionClass
     reagents: Tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if not 0 < self.weight < math.inf:
-            raise ConfigError(f"template weight must be positive and finite: {self}")
 
-    @property
-    def precursors(self) -> Tuple[str, ...]:
-        return self.reactants + self.reagents
-
-
-def load_templates(path: str | Path) -> List[Template]:
-    """Read a JSON template file: list of {lhs, rhs, weight, class[, reagents]}."""
+def parse_templates(entries: Sequence, source: str) -> List[Template]:
+    """Templates, molecules in normal form, from a template file's entries {lhs, rhs, weight,
+    class[, label, reagents]}; a bad entry is a ConfigError naming `source` and its index."""
+    norm = ToyNormalizer().normalize
     templates = []
-    for i, entry in enumerate(read_json(path, list)):
+    for i, entry in enumerate(entries):
         try:
+            weight = float(expect(entry["weight"], float, "weight"))
+            if not 0 < weight < math.inf:
+                raise ConfigError(f"weight must be positive and finite: {weight}")
             templates.append(Template(
-                reactants=tuple(expect(entry["lhs"], [str], "lhs")),
-                product=expect(entry["rhs"], str, "rhs"),
-                weight=float(expect(entry["weight"], float, "weight")),
-                reaction_class=ReactionClass.parse(entry["class"], entry.get("label", "")),
-                reagents=tuple(expect(entry.get("reagents", ()), [str], "reagents")),
+                tuple(map(norm, expect(entry["lhs"], [str], "lhs"))),
+                norm(expect(entry["rhs"], str, "rhs")),
+                weight,
+                ReactionClass.parse(entry["class"], entry.get("label", "")),
+                tuple(map(norm, expect(entry.get("reagents", ()), [str], "reagents"))),
             ))
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
-            raise ConfigError(f"{path}: template #{i}: {exc}") from exc
+        except (ArithmeticError, KeyError, TypeError, ValueError, ConfigError,
+                NotCanonicalizable) as exc:
+            raise ConfigError(f"{source}: template #{i}: {exc}") from exc
     return templates
 
 
+def load_templates(path: str | Path) -> List[Template]:
+    """Read a JSON template file (see `parse_templates`)."""
+    return parse_templates(read_json(path, list), str(path))
+
+
 class ToyOracle(ChemModels):
-    """All three model roles served consistently from one template set."""
+    """All three model roles served consistently from one template set in normal form."""
 
     def __init__(self, templates: Sequence[Template]):
         self.normalizer = ToyNormalizer()
-        self.templates = [self._normalized(t) for t in templates]
+        self.templates = list(templates)
         # Candidate indexes, each list in template-file order: lookups must
         # visit templates in that order so that likelihood sums and
         # classification ties come out exactly as in a full scan.
@@ -78,16 +81,6 @@ class ToyOracle(ChemModels):
                 self._by_first_reactant.setdefault(t.reactants[0], []).append(i)
             else:
                 self._reactantless.append(i)
-
-    def _normalized(self, t: Template) -> Template:
-        norm = self.normalizer.normalize
-        return Template(
-            reactants=tuple(norm(m) for m in t.reactants),
-            product=norm(t.product),
-            weight=t.weight,
-            reaction_class=t.reaction_class,
-            reagents=tuple(norm(m) for m in t.reagents),
-        )
 
     # --- forward role -------------------------------------------------------
 
@@ -138,9 +131,7 @@ class ToyOracle(ChemModels):
         suggestions = []
         for i in self._by_product.get(target, ()):
             t = self.templates[i]
-            candidate = PrecursorSet(
-                molecules=t.precursors, reagents=frozenset(t.reagents)
-            )
+            candidate = PrecursorSet(t.reactants + t.reagents, frozenset(t.reagents))
             confidence = self.score_reaction(candidate, target)
             suggestions.append((candidate, confidence))
         suggestions.sort(key=lambda item: (-item[1], item[0].key()))

@@ -13,10 +13,9 @@ import logging
 import math
 import os
 import select
-import subprocess
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     ConfigError,
@@ -57,7 +56,7 @@ def encode_request(req_id: str, op: str, inputs: List[Any], params: Dict[str, An
 def decode_request(line: str) -> Dict[str, Any]:
     try:
         msg = json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+    except (ValueError, RecursionError) as exc:  # not JSON, too long an int, or nested too deeply
         raise MalformedModelResponse(f"bad request line: {exc}") from exc
     if not isinstance(msg, dict) or not isinstance(msg.get("op"), str) or msg["op"] not in ANSWERS:
         raise MalformedModelResponse(f"bad request message: {line!r}")
@@ -78,7 +77,7 @@ def encode_response(req_id: str, ok: bool, result: Any = None, error: Optional[s
 def decode_response(line: str) -> Dict[str, Any]:
     try:
         msg = json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedModelResponse(f"bad response line: {exc}") from exc
     if not isinstance(msg, dict) or "id" not in msg or "ok" not in msg:
         raise MalformedModelResponse(f"bad response message: {line!r}")
@@ -87,8 +86,16 @@ def decode_response(line: str) -> Dict[str, Any]:
 
 # --- server side ------------------------------------------------------------
 
+def _strings(value: Any, field: str) -> List[str]:
+    """`value` if it is a list of strings; anything else, a string too, is refused."""
+    if type(value) is not list or not all(isinstance(m, str) for m in value):
+        raise MalformedModelResponse(f"{field} must be a list of strings: {value!r}")
+    return value
+
+
 def _precursors(inputs: List[Any], params: Dict[str, Any]) -> PrecursorSet:
-    return PrecursorSet(tuple(inputs[0]), frozenset(params.get("reagents", ())))
+    return PrecursorSet(tuple(_strings(inputs[0], "inputs[0]")),
+                        frozenset(_strings(params.get("reagents", []), "reagents")))
 
 
 def _count(params: Dict[str, Any], key: str, default: int) -> int:
@@ -99,34 +106,35 @@ def _count(params: Dict[str, Any], key: str, default: int) -> int:
     return value
 
 
-# each op's result from the models, the request's inputs (a list) and its params (an object)
-ANSWERS: Dict[str, Callable[[ChemModels, List[Any], Dict[str, Any]], Any]] = {
-    "retro": lambda models, inputs, params: [
+# each op's input count, and its result from the models, the inputs (a list) and the params
+ANSWERS: Dict[str, Tuple[int, Callable[[ChemModels, List[Any], Dict[str, Any]], Any]]] = {
+    "retro": (1, lambda models, inputs, params: [
         {"precursors": list(p.precursors.molecules), "reagents": sorted(p.precursors.reagents),
          "confidence": p.model_confidence, "rank": p.rank}
         for p in models.retro_predict(inputs[0], _count(params, "beams", 10))
-    ],
-    "forward": lambda models, inputs, params: [
+    ]),
+    "forward": (1, lambda models, inputs, params: [
         {"product": f.product, "likelihood": f.likelihood, "rank": f.rank}
         for f in models.forward_predict(_precursors(inputs, params), _count(params, "topk", 3))
-    ],
-    "score": lambda models, inputs, params: [
+    ]),
+    "score": (2, lambda models, inputs, params: [
         models.score_reaction(_precursors(inputs, params), inputs[1])
-    ],
-    "classify": lambda models, inputs, params: models.classify(inputs[0])._asdict(),
+    ]),
+    "classify": (1, lambda models, inputs, params: models.classify(inputs[0])._asdict()),
 }
 
 
 def handle_request(models: ChemModels, msg: Dict[str, Any]) -> str:
     """The answer to one decoded request. One the models cannot take gets ``ok: false``
     and its own id, so that the client fails at once instead of waiting out its timeout."""
-    inputs, params = msg["inputs"], msg["params"]
+    op, inputs, params = msg["op"], msg["inputs"], msg["params"]
+    n, answer = ANSWERS[op]
     try:
-        if not isinstance(inputs, list):
-            raise MalformedModelResponse(f"inputs must be a list: {inputs!r}")
+        if not isinstance(inputs, list) or len(inputs) != n:
+            raise MalformedModelResponse(f"inputs must be a list of {n} for {op}: {inputs!r}")
         if not isinstance(params, dict):
             raise MalformedModelResponse(f"params must be an object: {params!r}")
-        result = ANSWERS[msg["op"]](models, inputs, params)
+        result = answer(models, inputs, params)
     except (RetroRouteError, ArithmeticError, AttributeError, LookupError, TypeError,
             ValueError) as exc:
         return encode_response(msg["id"], ok=False, error=f"{type(exc).__name__}: {exc}")
@@ -189,8 +197,7 @@ def serve_http(models: ChemModels, host: str, port: int) -> "ThreadingHTTPServer
         def log_message(self, fmt, *args):
             logger.debug("http: " + fmt, *args)
 
-    server = ThreadingHTTPServer((host, port), Handler)
-    return server
+    return ThreadingHTTPServer((host, port), Handler)
 
 
 # --- transports -------------------------------------------------------------
@@ -223,7 +230,7 @@ class SubprocessTransport:
 
     def __init__(self, command: Sequence[str]):
         self.command = list(command)
-        self._proc: Optional[subprocess.Popen] = None
+        self._proc = None  # the child (a subprocess.Popen) while one runs
         self._poller = select.poll()
         self._buf = b""  # the child's output after its last complete line
 
@@ -231,6 +238,7 @@ class SubprocessTransport:
         deadline = time.monotonic() + timeout
         proc = self._proc
         if proc is None or proc.poll() is not None:
+            import subprocess  # here, so that the stdio model child never loads it
             self.close()
             try:
                 proc = self._proc = subprocess.Popen(
@@ -272,6 +280,7 @@ class SubprocessTransport:
         proc, self._proc = self._proc, None
         if proc is None:
             return
+        import subprocess
         proc.terminate()
         try:
             proc.wait(timeout=5)

@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from retroroute.models import ReactionClass
 from retroroute.smiles import ToyNormalizer
 from retroroute.stock import StockSet
-from retroroute.toy import Template, ToyOracle
+from retroroute.toy import ToyOracle, parse_templates
 
 # Six-template toy chemistry used by the workflow tests: a unique 3-step
 # route CNOS <- {CNO,S} <- {CN,O} <- {C,N} from the stock {C,N,O,S}, one
@@ -25,16 +24,7 @@ STOCK_MOLECULES = ("C", "N", "O", "S")
 
 
 def make_templates(entries):
-    return [
-        Template(
-            reactants=tuple(e["lhs"]),
-            product=e["rhs"],
-            weight=e["weight"],
-            reaction_class=ReactionClass.parse(e["class"]),
-            reagents=tuple(e.get("reagents", ())),
-        )
-        for e in entries
-    ]
+    return parse_templates(entries, "test templates")
 
 
 def make_stock(molecules):
@@ -85,25 +75,21 @@ def random_chemistry(rng: random.Random, n_molecules=8, n_templates=8, max_lhs=3
                      allow_reagents=True):
     """A random template set over bracket-atom molecule names."""
     molecules = [f"[M{i}]" for i in range(n_molecules)]
-    templates = []
+    entries = []
     for _ in range(n_templates):
         rhs = rng.choice(molecules)
         others = [m for m in molecules if m != rhs]
         lhs = rng.sample(others, rng.randint(1, min(max_lhs, len(others))))
-        reagents = ()
+        reagents = []
         if allow_reagents and rng.random() < 0.3:
             spare = [m for m in others if m not in lhs]
             if spare:
-                reagents = (rng.choice(spare),)
-        templates.append(
-            Template(
-                reactants=tuple(lhs),
-                product=rhs,
-                weight=round(rng.uniform(0.05, 1.0), 3),
-                reaction_class=ReactionClass.parse(
-                    f"{rng.randint(1, 11)}.{rng.randint(1, 9)}.{rng.randint(1, 9)}"
-                ),
-                reagents=reagents,
-            )
-        )
-    return molecules, templates
+                reagents = [rng.choice(spare)]
+        entries.append({
+            "lhs": lhs,
+            "rhs": rhs,
+            "weight": round(rng.uniform(0.05, 1.0), 3),
+            "class": f"{rng.randint(1, 11)}.{rng.randint(1, 9)}.{rng.randint(1, 9)}",
+            "reagents": reagents,
+        })
+    return molecules, make_templates(entries)

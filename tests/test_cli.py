@@ -375,21 +375,29 @@ class TestBadConfigValues:
         # a string where a list belongs is not read as its letters
         ("lhs", "CN"), ("reagents", "S"), ("lhs", ["C", 5]),
         ("weight", float("nan")), ("weight", float("inf")), ("weight", True),
+        ("weight", 10 ** 400),  # no float holds it
+        # a molecule with no normal form
+        ("rhs", "C N"), ("lhs", ["C", ""]),
     ], ids=["class", "rhs", "class-arabic-indic", "class-superscript", "lhs-string",
-            "reagents-string", "lhs-int-item", "weight-nan", "weight-inf", "weight-bool"])
+            "reagents-string", "lhs-int-item", "weight-nan", "weight-inf", "weight-bool",
+            "weight-huge-int", "rhs-space", "lhs-empty-item"])
     def test_wrong_typed_template_field(self, field, value, command, templates_file,
                                         plan_args, capsys):
-        templates_file.write_text(json.dumps([{**TOY_TEMPLATES[0], field: value}]), "utf-8")
+        entries = [TOY_TEMPLATES[1], {**TOY_TEMPLATES[0], field: value}]
+        templates_file.write_text(json.dumps(entries), "utf-8")
         args = plan_args() if command == "plan" else ["mock-serve", str(templates_file)]
-        self.assert_config_error(main(args), capsys)
+        err = self.assert_config_error(main(args), capsys)
+        assert f"{templates_file.name}: template #1: " in err
 
     @pytest.mark.parametrize("reader, content", [
         ("stock", LATIN_1), ("targets", LATIN_1), ("config", LATIN_1), ("manifest", LATIN_1),
         ("templates", LATIN_1), ("mock-serve", LATIN_1), ("token_dict", LATIN_1),
         ("manifest", b"[]"), ("manifest", b"{}"), ("targets", b'{"target": 5}\n'),
+        # integers json.loads will not convert
+        ("templates", b"[1" + b"0" * 5000 + b"]"), ("targets", b'{"target": 1' + b"0" * 5000 + b"}\n"),
     ], ids=["stock-latin1", "targets-latin1", "config-latin1", "manifest-latin1",
             "templates-latin1", "mock-serve-latin1", "token_dict-latin1", "manifest-list",
-            "manifest-empty", "targets-jsonl-int"])
+            "manifest-empty", "targets-jsonl-int", "templates-huge-int", "targets-jsonl-huge-int"])
     def test_unreadable_input_file(self, reader, content, plan_args, templates_file,
                                    toy_manifest, stock_file, tmp_path, capsys):
         """Each input file is read by one reader; what it cannot take exits 2."""
@@ -531,11 +539,14 @@ def run_python(*args):
 
 
 def test_cli_import_loads_neither_numpy_nor_requests():
-    # the stdio model child (mock-serve) imports the CLI and uses none of these
+    # the stdio model child (mock-serve) imports the CLI and uses none of these, nor the
+    # subprocess module, which only the client of a subprocess manifest needs
     code = (
-        "import retroroute.cli, sys\n"
+        "import sys\n"
+        "at_start = set(sys.modules)\n"
+        "import retroroute.cli\n"
         "planner = {f'retroroute.{m}' for m in ('expand', 'graph', 'search', 'stock', 'metrics')}\n"
-        "loaded = sorted(planner & set(sys.modules))\n"
+        "loaded = sorted((planner | {'subprocess'}) & (set(sys.modules) - at_start))\n"
         "import retroroute.metrics, retroroute.wire\n"
         "banned = {'numpy', 'requests', 'http.client', 'http.server'}\n"
         "sys.exit(loaded + sorted(banned & set(sys.modules)) or 0)\n"

@@ -24,6 +24,16 @@ def test_read_lines(text, entries, tmp_path):
     assert list(read_lines(path)) == entries
 
 
+@pytest.mark.parametrize("text", ["[1" + "0" * 5000 + "]", "[" * 100000],
+                         ids=["integer-too-long", "nested-too-deeply"])
+def test_read_json_names_a_file_json_cannot_take(tmp_path, text):
+    # json.loads raises ValueError and RecursionError, not JSONDecodeError, on these
+    path = tmp_path / "t.json"
+    path.write_text(text, "utf-8")
+    with pytest.raises(ConfigError, match=r"t\.json: "):
+        read_json(path, list)
+
+
 def test_read_json_names_unknown_keys(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"a": 1, "c": 2, "b": 3}), "utf-8")

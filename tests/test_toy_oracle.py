@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from retroroute.errors import MalformedModelResponse, NotCanonicalizable
 from retroroute.models import UNRECOGNIZED, PrecursorSet, ReactionClass
 from retroroute.smiles import ToyNormalizer
-from retroroute.toy import Template, ToyOracle
+from retroroute.toy import Template, ToyOracle, load_templates
 
 from conftest import TOY_TEMPLATES, make_templates
 from reference import ReferenceTemplateOracle
@@ -102,6 +103,20 @@ class TestConsistency:
         assert pred.precursors.reagents == {"O"}
         assert [m for m in pred.precursors.molecules if m not in pred.precursors.reagents] \
             == ["C", "N"]
+
+
+def test_templates_load_in_normal_form_and_are_kept_as_loaded(templates_file):
+    templates_file.write_text(json.dumps([
+        {"lhs": ["O~C", "N"], "rhs": "N.C", "weight": 2, "class": "1.2.3", "label": "x",
+         "reagents": ["S~O"]},
+        *TOY_TEMPLATES,
+    ]), "utf-8")
+    templates = load_templates(templates_file)
+    assert templates[0] == Template(("C~O", "N"), "C.N", 2.0, ReactionClass(1, 2, 3, "x"), ("O~S",))
+    assert type(templates[0].weight) is float
+    oracle = ToyOracle(templates)
+    assert len(oracle.templates) == len(templates)
+    assert all(oracle.templates[i] is templates[i] for i in range(len(templates)))
 
 
 def test_precursor_set_normalized_keeps_reagent_flags():

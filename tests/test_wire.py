@@ -92,6 +92,13 @@ def test_decode_request_rejects_garbage():
 
 
 @pytest.mark.parametrize("decode", [decode_request, decode_response])
+def test_integer_too_long_is_malformed(decode):
+    # json.loads raises ValueError on an integer of over 4300 digits: a server must answer it
+    with pytest.raises(MalformedModelResponse, match="Exceeds the limit"):
+        decode('{"id":"x","op":"retro","inputs":["CN"],"params":{"beams":1' + "0" * 5000 + "}}")
+
+
+@pytest.mark.parametrize("decode", [decode_request, decode_response])
 def test_line_nested_too_deeply_is_malformed(decode):
     # json.loads raises RecursionError on this line: a server must answer it, not stop
     with pytest.raises(MalformedModelResponse, match="maximum recursion depth"):
@@ -178,8 +185,10 @@ MALFORMED_REQUESTS = [
     ('{"id":"6","op":"retro","inputs":["CNOS"],"params":{"beams":1.9}}', "beams"),
     ('{"id":"7","op":"forward","inputs":[["C","N"]],"params":{"topk":0}}', "topk"),
     ('{"id":"8","op":"forward","inputs":[["C","N"]],"params":{"topk":-1}}', "topk"),
+    ('{"id":"9","op":"forward","inputs":["CN"],"params":{}}', "inputs[0]"),
+    ('{"id":"10","op":"retro","inputs":[],"params":{}}', "inputs"),
 ]
-GOOD_REQUEST = encode_request("9", "classify", ["C.N>>CN"], {})
+GOOD_REQUEST = encode_request(str(len(MALFORMED_REQUESTS) + 1), "classify", ["C.N>>CN"], {})
 
 
 def assert_malformed_then_good_answered(replies):
@@ -189,6 +198,24 @@ def assert_malformed_then_good_answered(replies):
         *((str(i), False) for i in range(1, n + 1)), (str(n + 1), True)]
     for msg, (_, field) in zip(msgs, MALFORMED_REQUESTS):
         assert msg["error"].startswith(f"MalformedModelResponse: {field} must be ")
+
+
+@pytest.mark.parametrize("op, inputs, params, error", [
+    # a string where a list of strings belongs is not read as its letters
+    ("forward", ["CN"], {}, "inputs[0] must be a list of strings: 'CN'"),
+    ("score", ["CN", "CN"], {}, "inputs[0] must be a list of strings: 'CN'"),
+    ("forward", [["C", "N"]], {"reagents": "N"}, "reagents must be a list of strings: 'N'"),
+    ("score", [["C", 5], "CN"], {}, "inputs[0] must be a list of strings: ['C', 5]"),
+    # each op takes as many inputs as its row of the op table
+    ("retro", [], {}, "inputs must be a list of 1 for retro: []"),
+    ("classify", ["C.N>>CN", "x"], {}, "inputs must be a list of 1 for classify: ['C.N>>CN', 'x']"),
+    ("score", [["C", "N"]], {}, "inputs must be a list of 2 for score: [['C', 'N']]"),
+], ids=["forward-string", "score-string", "reagents-string", "score-int-item", "retro-none",
+        "classify-two", "score-one"])
+def test_wrong_shaped_inputs_refused(toy_oracle, op, inputs, params, error):
+    reply = answer_line(toy_oracle, encode_request("7", op, inputs, params))
+    assert json.loads(reply) == {"id": "7", "ok": False, "result": None,
+                                 "error": f"MalformedModelResponse: {error}"}
 
 
 def test_serve_stdio_answers_malformed_requests(toy_oracle):
@@ -480,7 +507,7 @@ def started(monkeypatch):
         procs.append(proc)
         return proc
 
-    monkeypatch.setattr(wire.subprocess, "Popen", record)
+    monkeypatch.setattr(subprocess, "Popen", record)
     return procs
 
 
