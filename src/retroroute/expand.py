@@ -173,11 +173,11 @@ def expansion(smiles: str, cfg: ExpansionConfig, models: ChemModels, normalizer:
     records: List[tuple] = []
     candidates: List[PrecursorSet] = []
     seen_keys = set()
-    for pred in models.retro_predict(smiles, cfg.retro_beams):
+    for suggested in models.retro_predict(smiles, cfg.retro_beams):
         try:
-            candidate = pred.precursors.normalized(normalizer)
+            candidate = suggested.normalized(normalizer)
         except NotCanonicalizable:
-            records.append((pred.precursors, "not_canonicalizable", None))
+            records.append((suggested, "not_canonicalizable", None))
             continue
         if smiles in candidate.molecules:
             records.append((candidate, "self_precursor", None))

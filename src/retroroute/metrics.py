@@ -135,18 +135,16 @@ def evaluate_target(
     except NotCanonicalizable as exc:
         return EvalRecord(target=target, suggestions=(), error=str(exc))
     try:
-        predictions = models.retro_predict(target_norm, beams)
+        suggested = models.retro_predict(target_norm, beams)
     except ModelError as exc:
         return EvalRecord(target=target_norm, suggestions=(), error=str(exc))
 
     suggestions: List[Suggestion] = []
-    for pred in predictions:
+    for precursors in suggested:
         try:
-            candidate = pred.precursors.normalized(normalizer)
+            candidate = precursors.normalized(normalizer)
         except NotCanonicalizable:
-            suggestions.append(
-                Suggestion(pred.precursors, syntactically_valid=False, valid=False)
-            )
+            suggestions.append(Suggestion(precursors, syntactically_valid=False, valid=False))
             continue
         try:
             forward = models.forward_predict(candidate, 2)

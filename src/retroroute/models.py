@@ -58,17 +58,11 @@ class PrecursorSet:
 
 
 @dataclass(frozen=True)
-class RetroPrediction:
-    precursors: PrecursorSet
-    model_confidence: float
-    rank: int
-
-
-@dataclass(frozen=True)
 class ForwardPrediction:
+    """One forward product; a list of them is most likely first."""
+
     product: str
     likelihood: float
-    rank: int
 
 
 _CLASS_CODE_RE = re.compile(r"([0-9]+)\.([0-9]+)\.([0-9]+)")  # ASCII digits only
@@ -104,7 +98,8 @@ UNRECOGNIZED = ReactionClass(0, 0, 0, "unrecognized")
 class ChemModels:
     """Uniform access to retro, forward and classification models."""
 
-    def retro_predict(self, target: str, beams: int) -> List[RetroPrediction]:
+    def retro_predict(self, target: str, beams: int) -> List[PrecursorSet]:
+        """At most `beams` suggested precursor sets, best first."""
         raise NotImplementedError
 
     def forward_predict(

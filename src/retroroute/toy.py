@@ -2,9 +2,9 @@
 
 A template rewrites a set of reactant strings into one product string and
 carries a positive weight plus a reaction class. Forward likelihood of a
-product is the weight of its template normalized over all templates
-applicable to the given precursors, which makes every threshold in the
-expansion filter controllable from a fixture file.
+product is the weight of the templates that give it over the weight of all
+templates applicable to the given precursors, which makes every threshold
+in the expansion filter controllable from a fixture file.
 """
 
 from __future__ import annotations
@@ -15,14 +15,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConfigError, MalformedModelResponse, MalformedReaction, NotCanonicalizable, expect, read_json
-from .models import (
-    ChemModels,
-    ForwardPrediction,
-    PrecursorSet,
-    ReactionClass,
-    RetroPrediction,
-    UNRECOGNIZED,
-)
+from .models import ChemModels, ForwardPrediction, PrecursorSet, ReactionClass, UNRECOGNIZED
 from .smiles import ToyNormalizer, split_reaction
 
 
@@ -97,22 +90,18 @@ class ToyOracle(ChemModels):
 
     def _outcomes(self, precursors: PrecursorSet) -> List[Tuple[str, float]]:
         applicable = self._applicable(precursors.molecules)
-        if not applicable:
-            return []
         total = sum(t.weight for t in applicable)
         by_product: Dict[str, float] = {}
         for t in applicable:
-            by_product[t.product] = by_product.get(t.product, 0.0) + t.weight / total
-        return sorted(by_product.items(), key=lambda item: (-item[1], item[0]))
+            by_product[t.product] = by_product.get(t.product, 0.0) + t.weight
+        # each product's summed weight divided once: a sum of quotients can round above 1
+        return sorted(((p, w / total) for p, w in by_product.items()),
+                      key=lambda item: (-item[1], item[0]))
 
     def forward_predict(
         self, precursors: PrecursorSet, topk: int
     ) -> List[ForwardPrediction]:
-        outcomes = self._outcomes(precursors)
-        return [
-            ForwardPrediction(product=p, likelihood=l, rank=i + 1)
-            for i, (p, l) in enumerate(outcomes[:topk])
-        ]
+        return [ForwardPrediction(p, l) for p, l in self._outcomes(precursors)[:topk]]
 
     def score_reaction(self, precursors: PrecursorSet, product: str) -> float:
         try:
@@ -126,19 +115,16 @@ class ToyOracle(ChemModels):
 
     # --- retro role ---------------------------------------------------------
 
-    def retro_predict(self, target: str, beams: int) -> List[RetroPrediction]:
+    def retro_predict(self, target: str, beams: int) -> List[PrecursorSet]:
+        """Each template's precursors for `target`, by the forward score of its reaction."""
         target = self.normalizer.normalize(target)
         suggestions = []
         for i in self._by_product.get(target, ()):
             t = self.templates[i]
             candidate = PrecursorSet(t.reactants + t.reagents, frozenset(t.reagents))
-            confidence = self.score_reaction(candidate, target)
-            suggestions.append((candidate, confidence))
-        suggestions.sort(key=lambda item: (-item[1], item[0].key()))
-        return [
-            RetroPrediction(precursors=c, model_confidence=conf, rank=i + 1)
-            for i, (c, conf) in enumerate(suggestions[:beams])
-        ]
+            suggestions.append((self.score_reaction(candidate, target), candidate))
+        suggestions.sort(key=lambda item: (-item[0], item[1].key()))
+        return [candidate for _, candidate in suggestions[:beams]]
 
     # --- classification role ------------------------------------------------
 

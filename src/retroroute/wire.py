@@ -30,7 +30,6 @@ from .models import (
     ModelManifest,
     PrecursorSet,
     ReactionClass,
-    RetroPrediction,
     TokenSubstitution,
 )
 
@@ -84,7 +83,10 @@ def decode_response(line: str) -> Dict[str, Any]:
     return msg
 
 
-# --- server side ------------------------------------------------------------
+# --- the op table ----------------------------------------------------------
+#
+# The rules below read the fields of a request (server side) and of a reply
+# (client side) alike; each refuses what breaks it with a MalformedModelResponse.
 
 def _strings(value: Any, field: str) -> List[str]:
     """`value` if it is a list of strings; anything else, a string too, is refused."""
@@ -93,9 +95,13 @@ def _strings(value: Any, field: str) -> List[str]:
     return value
 
 
-def _precursors(inputs: List[Any], params: Dict[str, Any]) -> PrecursorSet:
-    return PrecursorSet(tuple(_strings(inputs[0], "inputs[0]")),
-                        frozenset(_strings(params.get("reagents", []), "reagents")))
+def _precursors(molecules: Any, holder: Dict[str, Any], field: str) -> PrecursorSet:
+    """The precursor set of a non-empty list of `molecules`, flagging the list of strings
+    `holder["reagents"]` (none when absent); `holder` is a request's params or a suggestion."""
+    if not _strings(molecules, field):
+        raise MalformedModelResponse(f"{field} must be a non-empty list: []")
+    reagents = _strings(holder.get("reagents", []), "reagents")
+    return PrecursorSet(tuple(molecules), frozenset(reagents))
 
 
 def _count(params: Dict[str, Any], key: str, default: int) -> int:
@@ -106,29 +112,83 @@ def _count(params: Dict[str, Any], key: str, default: int) -> int:
     return value
 
 
-# each op's input count, and its result from the models, the inputs (a list) and the params
-ANSWERS: Dict[str, Tuple[int, Callable[[ChemModels, List[Any], Dict[str, Any]], Any]]] = {
+def _unit(value: Any, field: str) -> float:
+    """`value` if it is a number in [0, 1], as a likelihood or a score is; NaN and bools are not."""
+    if type(value) not in (int, float) or not 0 <= value <= 1:
+        raise MalformedModelResponse(f"{field} must be a number in [0, 1]: {value!r}")
+    return float(value)
+
+
+def _objects(result: Any, params: Dict[str, Any], key: str, default: int) -> List[dict]:
+    """`result` if it is a list of at most as many objects as the request's `params[key]`."""
+    most = _count(params, key, default)
+    if type(result) is not list or len(result) > most or not all(type(e) is dict for e in result):
+        raise MalformedModelResponse(f"result must be a list of at most {most} objects: {result!r}")
+    return result
+
+
+def _read_retro(result: Any, params: Dict[str, Any]) -> List[PrecursorSet]:
+    return [_precursors(entry.get("precursors"), entry, "precursors")
+            for entry in _objects(result, params, "beams", 10)]
+
+
+def _read_forward(result: Any, params: Dict[str, Any]) -> List[ForwardPrediction]:
+    products = []
+    for entry in _objects(result, params, "topk", 3):
+        product = entry.get("product")
+        if type(product) is not str:
+            raise MalformedModelResponse(f"product must be a string: {product!r}")
+        products.append(ForwardPrediction(product, _unit(entry.get("likelihood"), "likelihood")))
+    return products
+
+
+def _read_score(result: Any, params: Dict[str, Any]) -> float:
+    if type(result) is not list or len(result) != 1:
+        raise MalformedModelResponse(f"result must be a list of one score: {result!r}")
+    return _unit(result[0], "score")
+
+
+def _read_class(result: Any, params: Dict[str, Any]) -> ReactionClass:
+    label = result.get("label", "") if type(result) is dict else None
+    if type(label) is not str:
+        raise MalformedModelResponse(f"result must be an object with a string label: {result!r}")
+    fields = [result.get(key) for key in ReactionClass._fields[:3]]
+    if not all(type(f) is int and f >= 0 for f in fields):  # bools too
+        raise MalformedModelResponse(f"class fields must be non-negative integers: {fields!r}")
+    try:
+        return ReactionClass(*fields, label)
+    except ValueError as exc:  # a superclass over 11
+        raise MalformedModelResponse(str(exc)) from exc
+
+
+# each op's input count; its answer, the result the server sends, from the models, the
+# inputs (a list) and the params; and its reader, the client's value of that result
+ANSWERS: Dict[str, Tuple[int, Callable[[ChemModels, List[Any], Dict[str, Any]], Any],
+                         Callable[[Any, Dict[str, Any]], Any]]] = {
     "retro": (1, lambda models, inputs, params: [
-        {"precursors": list(p.precursors.molecules), "reagents": sorted(p.precursors.reagents),
-         "confidence": p.model_confidence, "rank": p.rank}
+        {"precursors": list(p.molecules), "reagents": sorted(p.reagents)}
         for p in models.retro_predict(inputs[0], _count(params, "beams", 10))
-    ]),
+    ], _read_retro),
     "forward": (1, lambda models, inputs, params: [
-        {"product": f.product, "likelihood": f.likelihood, "rank": f.rank}
-        for f in models.forward_predict(_precursors(inputs, params), _count(params, "topk", 3))
-    ]),
+        {"product": f.product, "likelihood": f.likelihood}
+        for f in models.forward_predict(_precursors(inputs[0], params, "inputs[0]"),
+                                        _count(params, "topk", 3))
+    ], _read_forward),
     "score": (2, lambda models, inputs, params: [
-        models.score_reaction(_precursors(inputs, params), inputs[1])
-    ]),
-    "classify": (1, lambda models, inputs, params: models.classify(inputs[0])._asdict()),
+        models.score_reaction(_precursors(inputs[0], params, "inputs[0]"), inputs[1])
+    ], _read_score),
+    "classify": (1, lambda models, inputs, params: models.classify(inputs[0])._asdict(),
+                 _read_class),
 }
 
+
+# --- server side ------------------------------------------------------------
 
 def handle_request(models: ChemModels, msg: Dict[str, Any]) -> str:
     """The answer to one decoded request. One the models cannot take gets ``ok: false``
     and its own id, so that the client fails at once instead of waiting out its timeout."""
     op, inputs, params = msg["op"], msg["inputs"], msg["params"]
-    n, answer = ANSWERS[op]
+    n, answer, _ = ANSWERS[op]
     try:
         if not isinstance(inputs, list) or len(inputs) != n:
             raise MalformedModelResponse(f"inputs must be a list of {n} for {op}: {inputs!r}")
@@ -372,8 +432,9 @@ class WireClient(ChemModels):
         # held for a whole call, retries included, so calls never overlap on the transport
         self._lock = threading.Lock()
 
-    def _call(self, op: str, inputs: List[Any], params: Dict[str, Any], parse: Callable) -> Any:
-        """`parse` of the request's result; an unreadable result is a malformed response."""
+    def _call(self, op: str, inputs: List[Any], params: Dict[str, Any]) -> Any:
+        """The request's result, read by its op's row of `ANSWERS`. A reply whose `ok` is
+        not `true`, or whose result breaks a rule of that row, is a malformed response."""
         with self._lock:
             for attempt in range(self.retries + 1):
                 req_id = str(next(self._ids))
@@ -386,75 +447,32 @@ class WireClient(ChemModels):
                         raise
                     time.sleep(RETRY_BACKOFF * (2 ** attempt))
         msg = decode_response(reply)  # the transport returns only the reply to req_id
-        if not msg.get("ok"):
+        if msg["ok"] is not True:
             raise MalformedModelResponse(f"model error for op {op!r}: {msg.get('error')}")
-        result = msg.get("result")
+        _, _, read = ANSWERS[op]
         try:
-            return parse(result)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise MalformedModelResponse(f"bad {op} result: {result!r}") from exc
+            return read(msg.get("result"), params)
+        except MalformedModelResponse as exc:
+            raise MalformedModelResponse(f"bad {op} result: {exc}") from exc
 
-    def retro_predict(self, target: str, beams: int) -> List[RetroPrediction]:
+    def retro_predict(self, target: str, beams: int) -> List[PrecursorSet]:
         subst = self.substitution
-        if subst is not None:
-            target = subst.encode(target)
+        if subst is None:
+            return self._call("retro", [target], {"beams": beams})
+        decode = subst.decode
+        return [PrecursorSet(tuple(map(decode, p.molecules)), frozenset(map(decode, p.reagents)))
+                for p in self._call("retro", [subst.encode(target)], {"beams": beams})]
 
-        def parse(result: Any) -> List[RetroPrediction]:
-            predictions = []
-            for entry in result:
-                molecules = [str(m) for m in entry["precursors"]]
-                reagents = [str(m) for m in entry.get("reagents", ())]
-                if subst is not None:
-                    molecules = [subst.decode(m) for m in molecules]
-                    reagents = [subst.decode(m) for m in reagents]
-                predictions.append(
-                    RetroPrediction(
-                        precursors=PrecursorSet(tuple(molecules), frozenset(reagents)),
-                        model_confidence=float(entry["confidence"]),
-                        rank=int(entry["rank"]),
-                    )
-                )
-            return predictions
-
-        return self._call("retro", [target], {"beams": beams}, parse)
-
-    def forward_predict(
-        self, precursors: PrecursorSet, topk: int
-    ) -> List[ForwardPrediction]:
-        return self._call(
-            "forward",
-            [list(precursors.molecules)],
-            {"topk": topk, "reagents": sorted(precursors.reagents)},
-            lambda result: [
-                ForwardPrediction(
-                    product=str(entry["product"]),
-                    likelihood=float(entry["likelihood"]),
-                    rank=int(entry["rank"]),
-                )
-                for entry in result
-            ],
-        )
+    def forward_predict(self, precursors: PrecursorSet, topk: int) -> List[ForwardPrediction]:
+        return self._call("forward", [list(precursors.molecules)],
+                          {"topk": topk, "reagents": sorted(precursors.reagents)})
 
     def score_reaction(self, precursors: PrecursorSet, product: str) -> float:
-        return self._call(
-            "score",
-            [list(precursors.molecules), product],
-            {"reagents": sorted(precursors.reagents)},
-            lambda result: float(result[0]),
-        )
+        return self._call("score", [list(precursors.molecules), product],
+                          {"reagents": sorted(precursors.reagents)})
 
     def classify(self, rxn: str) -> ReactionClass:
-        return self._call(
-            "classify",
-            [rxn],
-            {},
-            lambda result: ReactionClass(
-                superclass=int(result["superclass"]),
-                category=int(result["category"]),
-                named_reaction=int(result["named_reaction"]),
-                label=str(result.get("label", "")),
-            ),
-        )
+        return self._call("classify", [rxn], {})
 
     def close(self) -> None:
         with self._lock:

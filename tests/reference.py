@@ -32,23 +32,23 @@ def reference_expansion(
     forward_topk: int = 3,
 ) -> List[RefAccepted]:
     """Filter + cluster one expansion, rule by rule, nothing shared."""
-    predictions = models.retro_predict(target, retro_beams)
+    suggested = models.retro_predict(target, retro_beams)
 
     # canonicalize, drop failures, drop self-referential, dedup
     candidates: List[PrecursorSet] = []
     seen: Set[str] = set()
-    for pred in predictions:
+    for precursors in suggested:
         molecules = []
         reagents = set()
         ok = True
-        for raw in pred.precursors.molecules:
+        for raw in precursors.molecules:
             try:
                 norm = normalizer.normalize(raw)
             except NotCanonicalizable:
                 ok = False
                 break
             molecules.append(norm)
-            if raw in pred.precursors.reagents:
+            if raw in precursors.reagents:
                 reagents.add(norm)
         if not ok:
             continue
@@ -206,8 +206,9 @@ class ReferenceTemplateOracle:
         total = sum(e["weight"] for e in applicable)
         likelihoods: Dict[str, float] = {}
         for e in applicable:
-            likelihoods[e["rhs"]] = likelihoods.get(e["rhs"], 0.0) + e["weight"] / total
-        return sorted(likelihoods.items(), key=lambda kv: (-kv[1], kv[0]))
+            likelihoods[e["rhs"]] = likelihoods.get(e["rhs"], 0.0) + e["weight"]
+        return sorted(((p, w / total) for p, w in likelihoods.items()),
+                      key=lambda kv: (-kv[1], kv[0]))
 
     def forward(self, molecules, topk: int) -> List[Tuple[str, float]]:
         return self.outcomes(molecules)[:topk]
@@ -216,7 +217,7 @@ class ReferenceTemplateOracle:
         return dict(self.outcomes(molecules)).get(product, 0.0)
 
     def retro(self, target: str, beams: int) -> List[Tuple[Tuple[str, ...], FrozenSet[str], float]]:
-        """(molecules, reagents, confidence) per suggestion, best first."""
+        """(molecules, reagents, score of the reaction) per suggestion, best first."""
         suggestions = []
         for e in self.entries:
             if e["rhs"] != target:

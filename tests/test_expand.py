@@ -14,7 +14,6 @@ from retroroute.models import (
     ForwardPrediction,
     PrecursorSet,
     ReactionClass,
-    RetroPrediction,
     UNRECOGNIZED,
 )
 from retroroute.search import HeavyTokenScorer, expand_node
@@ -41,18 +40,11 @@ class StubModels(ChemModels):
         self.retro = retro or {}
 
     def retro_predict(self, smiles, beams):
-        preds = self.retro.get(smiles, [])
-        return [
-            RetroPrediction(precursors=p, model_confidence=1.0 - 0.01 * i, rank=i + 1)
-            for i, p in enumerate(preds[:beams])
-        ]
+        return self.retro.get(smiles, [])[:beams]
 
     def forward_predict(self, precursors, topk):
         outcomes = self.forwards.get(precursors.key(), [])
-        return [
-            ForwardPrediction(product=prod, likelihood=lik, rank=i + 1)
-            for i, (prod, lik) in enumerate(outcomes[:topk])
-        ]
+        return [ForwardPrediction(prod, lik) for prod, lik in outcomes[:topk]]
 
     def score_reaction(self, precursors, product):
         return self.scores.get((precursors.key(), product), 0.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from retroroute.errors import MalformedModelResponse, NotCanonicalizable
-from retroroute.models import UNRECOGNIZED, PrecursorSet, ReactionClass
+from retroroute.models import UNRECOGNIZED, ForwardPrediction, PrecursorSet, ReactionClass
 from retroroute.smiles import ToyNormalizer
 from retroroute.toy import Template, ToyOracle, load_templates
 
@@ -20,18 +20,17 @@ def ps(*molecules, reagents=()):
 class TestRetro:
     def test_template_inversion(self, toy_oracle):
         predictions = toy_oracle.retro_predict("CN", beams=15)
-        assert predictions[0].rank == 1
-        assert set(predictions[0].precursors.molecules) == {"C", "N"}
+        assert set(predictions[0].molecules) == {"C", "N"}
 
     def test_fewer_predictions_than_beams(self, toy_oracle):
         predictions = toy_oracle.retro_predict("CNOS", beams=15)
         assert len(predictions) == 1
 
     def test_confidences_non_increasing(self, toy_oracle):
+        # best first: by the forward score of each suggestion's reaction
         predictions = toy_oracle.retro_predict("CN", beams=15)
-        confidences = [p.model_confidence for p in predictions]
-        assert confidences == sorted(confidences, reverse=True)
-        assert [p.rank for p in predictions] == list(range(1, len(predictions) + 1))
+        scores = [toy_oracle.score_reaction(p, "CN") for p in predictions]
+        assert len(scores) == 2 and scores == sorted(scores, reverse=True)
 
 
 class TestForward:
@@ -59,6 +58,15 @@ class TestForward:
     def test_score_unreachable_product(self, toy_oracle):
         assert toy_oracle.score_reaction(ps("C", "N"), "CNOS") == 0.0
 
+    def test_likelihood_of_templates_sharing_a_product_stays_within_one(self):
+        # these weights' quotients, added one by one, sum to 1.0000000000000002
+        weights = [0.64, 0.844, 0.117, 0.118, 0.336]
+        oracle = ToyOracle(make_templates([
+            {"lhs": ["C", "N"], "rhs": "CN", "weight": w, "class": "1.1.1"} for w in weights
+        ]))
+        assert oracle.forward_predict(ps("C", "N"), topk=3) == [ForwardPrediction("CN", 1.0)]
+        assert oracle.score_reaction(ps("C", "N"), "CN") == 1.0
+
     def test_minor_product_score(self):
         oracle = ToyOracle(make_templates([
             {"lhs": ["C", "N"], "rhs": "CN", "weight": 3.0, "class": "1.1.1"},
@@ -83,10 +91,8 @@ class TestClassify:
 class TestConsistency:
     def test_retro_forward_round_trip(self, toy_oracle):
         for product in ("CN", "CNO", "CNOS"):
-            for pred in toy_oracle.retro_predict(product, beams=15):
-                forward = toy_oracle.forward_predict(pred.precursors, topk=3)
-                if pred.rank == 1:
-                    assert forward[0].product == product
+            best = toy_oracle.retro_predict(product, beams=15)[0]
+            assert toy_oracle.forward_predict(best, topk=3)[0].product == product
 
     def test_deterministic(self, toy_oracle):
         a = toy_oracle.retro_predict("CN", beams=15)
@@ -99,10 +105,9 @@ class TestConsistency:
              "reagents": ["O"]},
         ]))
         pred = oracle.retro_predict("CN", beams=5)[0]
-        assert set(pred.precursors.molecules) == {"C", "N", "O"}
-        assert pred.precursors.reagents == {"O"}
-        assert [m for m in pred.precursors.molecules if m not in pred.precursors.reagents] \
-            == ["C", "N"]
+        assert set(pred.molecules) == {"C", "N", "O"}
+        assert pred.reagents == {"O"}
+        assert [m for m in pred.molecules if m not in pred.reagents] == ["C", "N"]
 
 
 def test_templates_load_in_normal_form_and_are_kept_as_loaded(templates_file):
@@ -193,15 +198,14 @@ def test_indexed_lookups_equal_full_scan(entries, pool, product, products, n):
     assert [(f.product, f.likelihood) for f in forward] == reference.forward(
         precursors.molecules, n
     )
-    assert [f.rank for f in forward] == list(range(1, len(forward) + 1))
+    assert all(0 < f.likelihood <= 1 for f in forward)
     assert oracle.score_reaction(precursors, product) == reference.score(
         precursors.molecules, product
     )
 
     retro = oracle.retro_predict(product, beams=n)
     assert [
-        (r.precursors.molecules, r.precursors.reagents, r.model_confidence)
-        for r in retro
+        (r.molecules, r.reagents, oracle.score_reaction(r, product)) for r in retro
     ] == reference.retro(product, n)
 
     # the random reaction, and each template's own reaction plus the pool

@@ -4,6 +4,7 @@ import http.client
 import io
 import json
 import logging
+import math
 import random
 import socket
 import subprocess
@@ -25,7 +26,14 @@ from retroroute.errors import (
 from retroroute.cli import route_to_json
 from retroroute.expand import ExpansionConfig
 from retroroute.graph import HyperGraph
-from retroroute.models import ChemModels, ModelManifest, PrecursorSet, TokenSubstitution
+from retroroute.models import (
+    ChemModels,
+    ForwardPrediction,
+    ModelManifest,
+    PrecursorSet,
+    ReactionClass,
+    TokenSubstitution,
+)
 from retroroute import expand, wire
 from retroroute.search import HeavyTokenScorer, SearchConfig, beam_search, expand_node
 from retroroute.smiles import ToyNormalizer
@@ -161,10 +169,8 @@ def test_serve_stdio_golden(toy_oracle):
     lines = out.getvalue().strip().splitlines()
     golden = [
         {"id": "a", "ok": True,
-         "result": [{"precursors": ["CNO", "S"], "reagents": [], "confidence": 1.0,
-                     "rank": 1}]},
-        {"id": "b", "ok": True,
-         "result": [{"product": "CN", "likelihood": 1.0, "rank": 1}]},
+         "result": [{"precursors": ["CNO", "S"], "reagents": []}]},
+        {"id": "b", "ok": True, "result": [{"product": "CN", "likelihood": 1.0}]},
         {"id": "c", "ok": True, "result": [1.0]},
         {"id": "d", "ok": True,
          "result": {"superclass": 3, "category": 2, "named_reaction": 1, "label": ""}},
@@ -253,7 +259,7 @@ class Loopback:
 
 
 def test_loopback_client_answers_as_the_oracle():
-    # each op's server answer, read back by the client's parser for that op
+    # each op's server answer, read back by the client through that op's row of wire.ANSWERS
     rng, reagent_suggestions = random.Random(5), 0
     for _ in range(10):
         molecules, templates = random_chemistry(rng)
@@ -263,7 +269,7 @@ def test_loopback_client_answers_as_the_oracle():
         for target in molecules:
             for beams in (1, 3, 10):
                 assert client.retro_predict(target, beams) == oracle.retro_predict(target, beams)
-            suggested += [p.precursors for p in oracle.retro_predict(target, 10)]
+            suggested += oracle.retro_predict(target, 10)
         reagent_suggestions += sum(bool(ps.reagents) for ps in suggested)
         # and precursor sets drawn outside the templates, some with reagents
         for _ in range(10):
@@ -277,6 +283,158 @@ def test_loopback_client_answers_as_the_oracle():
                 rxn = f"{ps.joined()}>>{product}"
                 assert client.classify(rxn) == oracle.classify(rxn)
     assert reagent_suggestions > 0
+
+
+class Canned:
+    """A transport that answers each request with its own id and `reply`, `ok: true` unless
+    `reply` says otherwise; NaN and infinities go out as `NaN` and `Infinity`."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def call(self, line, req_id, timeout):
+        return json.dumps({"id": req_id, "ok": True, **self.reply})
+
+
+# each with the confidence and rank that older model services send, read by no one
+SUGGESTION = {"precursors": ["C", "N"], "reagents": [], "confidence": 0.9, "rank": 1}
+PRODUCT = {"product": "CN", "likelihood": 0.9, "rank": 1}
+CLASS = {"superclass": 3, "category": 2, "named_reaction": 1, "label": "x"}
+BEAMS, TOPK = 5, 3
+# each op's call, at BEAMS and TOPK
+CALLS = {
+    "retro": lambda client: client.retro_predict("CN", BEAMS),
+    "forward": lambda client: client.forward_predict(PrecursorSet(("C", "N")), TOPK),
+    "score": lambda client: client.score_reaction(PrecursorSet(("C", "N")), "CN"),
+    "classify": lambda client: client.classify("C.N>>CN"),
+}
+
+# replies that break a rule of their op's row in wire.ANSWERS, each with what it was
+# read as before the client checked them
+MALFORMED_REPLIES = {
+    "retro-string": ("retro", {"result": [{**SUGGESTION, "precursors": "CN"}]}),  # C and N
+    "retro-not-strings": ("retro", {"result": [{**SUGGESTION, "precursors": [1, None]}]}),
+    "retro-empty": ("retro", {"result": [{**SUGGESTION, "precursors": []}]}),
+    "retro-no-precursors": ("retro", {"result": [{"reagents": []}]}),
+    "reagents-string": ("retro", {"result": [{**SUGGESTION, "reagents": "NO"}]}),  # {'N', 'O'}
+    "retro-over-beams": ("retro", {"result": [SUGGESTION] * 20}),
+    "retro-object": ("retro", {"result": SUGGESTION}),
+    "retro-not-objects": ("retro", {"result": [["C", "N"]]}),
+    "product-list": ("forward", {"result": [{**PRODUCT, "product": ["C"]}]}),  # "['C']"
+    "likelihood-string": ("forward", {"result": [{**PRODUCT, "likelihood": "0.9"}]}),  # 0.9
+    "likelihood-over-one": ("forward", {"result": [{**PRODUCT, "likelihood": 1.5}]}),
+    "likelihood-absent": ("forward", {"result": [{"product": "CN", "rank": 1}]}),
+    "forward-over-topk": ("forward", {"result": [PRODUCT] * 9}),
+    "score-infinity": ("score", {"result": [math.inf]}),
+    "score-nan": ("score", {"result": [math.nan]}),
+    "score-bool": ("score", {"result": [True]}),  # 1.0
+    "score-negative": ("score", {"result": [-0.5]}),
+    "score-bare": ("score", {"result": 0.5}),
+    "score-two": ("score", {"result": [0.5, 0.5]}),
+    "superclass-string": ("classify", {"result": {**CLASS, "superclass": "3"}}),
+    "superclass-float": ("classify", {"result": {**CLASS, "superclass": 1.9}}),
+    "superclass-12": ("classify", {"result": {**CLASS, "superclass": 12}}),
+    "category-negative": ("classify", {"result": {**CLASS, "category": -4}}),
+    "named-reaction-bool": ("classify", {"result": {**CLASS, "named_reaction": True}}),
+    "label-int": ("classify", {"result": {**CLASS, "label": 5}}),
+    "classify-list": ("classify", {"result": [3, 2, 1]}),
+    # a call that failed: `ok` is anything but the JSON true
+    "ok-string": ("score", {"ok": "false", "result": [0.5], "error": "boom"}),
+    "ok-one": ("score", {"ok": 1, "result": [0.5], "error": "boom"}),
+    "ok-list": ("score", {"ok": [0], "result": [0.5], "error": "boom"}),
+}
+
+
+@pytest.mark.parametrize("op, reply", MALFORMED_REPLIES.values(), ids=MALFORMED_REPLIES)
+def test_reply_that_breaks_its_op_row_is_refused(op, reply):
+    error = "model error .*: boom" if "ok" in reply else f"bad {op} result: "
+    with pytest.raises(MalformedModelResponse, match=error):
+        CALLS[op](WireClient(Canned(reply), retries=0))
+
+
+def test_reply_keys_the_op_row_does_not_name_are_ignored():
+    def read(op, result):
+        return CALLS[op](WireClient(Canned({"result": result}), retries=0))
+
+    assert read("retro", [SUGGESTION] * BEAMS) == [PrecursorSet(("C", "N"))] * BEAMS
+    assert read("retro", [{"precursors": ["C", "N"]}]) == [PrecursorSet(("C", "N"))]
+    assert read("forward", [PRODUCT] * TOPK) == [ForwardPrediction("CN", 0.9)] * TOPK
+    assert read("score", [1]) == 1.0 and type(read("score", [0])) is float
+    # an absent label is the empty one
+    assert read("classify", {k: v for k, v in CLASS.items() if k != "label"}) == \
+        ReactionClass(3, 2, 1, "")
+
+
+def in_unit(value):
+    return type(value) is float and 0 <= value <= 1
+
+
+def strings(values):
+    return all(type(v) is str for v in values)
+
+
+# what each op's call may return
+WELL_TYPED = {
+    "retro": lambda v: type(v) is list and len(v) <= BEAMS and all(
+        type(p) is PrecursorSet and p.molecules and strings(p.molecules) and strings(p.reagents)
+        for p in v),
+    "forward": lambda v: type(v) is list and len(v) <= TOPK and all(
+        type(f) is ForwardPrediction and type(f.product) is str and in_unit(f.likelihood)
+        for f in v),
+    "score": in_unit,
+    "classify": lambda v: type(v) is ReactionClass and type(v.label) is str
+    and all(type(f) is int and f >= 0 for f in v[:3]) and v.superclass <= 11,
+}
+
+reply_leaves = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(), st.text(max_size=4),
+    st.sampled_from([0, 1, 11, 12, -1, 10 ** 400, 2 ** 64, math.inf, -math.inf, math.nan]),
+)
+reply_values = st.recursive(
+    reply_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=BEAMS + 2),
+        st.dictionaries(st.sampled_from([*SUGGESTION, *PRODUCT, *CLASS]) | st.text(max_size=3),
+                        inner, max_size=5),
+    ),
+    max_leaves=16,
+)
+
+
+def op_results(other):
+    """Results of each op's shape, each field of its JSON type or drawn from `other`."""
+    molecules = st.lists(st.text(max_size=3), min_size=1) | other
+    units = st.floats(min_value=0, max_value=1) | other
+    return {
+        "retro": st.lists(st.fixed_dictionaries(
+            {"precursors": molecules}, optional={"reagents": molecules, "rank": other}),
+            max_size=BEAMS + 2),
+        "forward": st.lists(st.fixed_dictionaries(
+            {"product": st.text(max_size=3) | other, "likelihood": units}), max_size=TOPK + 2),
+        "score": st.lists(units, min_size=1, max_size=2),
+        "classify": st.fixed_dictionaries(
+            {key: st.integers(min_value=-1, max_value=12) | other
+             for key in ReactionClass._fields[:3]},
+            optional={"label": st.text(max_size=3) | other}),
+    }
+
+
+# values that a field of some op's result must not take
+near_misses = st.sampled_from([-1, 12, True, 1.5, -0.5, "0.5", "C", [], [1], None, math.nan,
+                               math.inf])
+well_shaped_results = op_results(st.nothing())
+shaped_results = op_results(near_misses | reply_values)
+
+
+@pytest.mark.parametrize("op", CALLS)
+@given(data=st.data())
+def test_any_result_is_read_well_typed_or_refused(op, data):
+    result = data.draw(reply_values | well_shaped_results[op] | shaped_results[op])
+    try:
+        value = CALLS[op](WireClient(Canned({"result": result}), retries=0))
+    except MalformedModelResponse:
+        return
+    assert WELL_TYPED[op](value), value
 
 
 def mock_serve_command(templates_file):
@@ -1053,8 +1211,7 @@ class TestTokenSubstitution:
             timeout=20,
         )
         try:
-            pred = client.retro_predict("CNOS", 5)[0]
-            assert pred.precursors.molecules == ("CNO", "S")
+            assert client.retro_predict("CNOS", 5)[0].molecules == ("CNO", "S")
         finally:
             client.close()
 
@@ -1062,4 +1219,4 @@ class TestTokenSubstitution:
 def test_build_models_toy(toy_manifest):
     models = build_models(ModelManifest.load(toy_manifest))
     assert isinstance(models, ToyOracle)
-    assert models.retro_predict("CN", 5)[0].precursors.molecules == ("C", "N")
+    assert models.retro_predict("CN", 5)[0].molecules == ("C", "N")
