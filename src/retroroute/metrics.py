@@ -13,7 +13,8 @@ import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import compress, count
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import AllEmpty, EmptyEvaluation, ModelError, NotCanonicalizable
 from .models import ChemModels, PrecursorSet, ReactionClass, UNRECOGNIZED
@@ -27,8 +28,7 @@ DEFAULT_BINS = 50
 DEFAULT_EVAL_BEAMS = 10
 
 
-@dataclass(frozen=True)
-class Suggestion:
+class Suggestion(NamedTuple):  # tuples, as immutable as frozen dataclasses and quicker to build
     precursors: PrecursorSet
     syntactically_valid: bool
     valid: bool
@@ -47,8 +47,7 @@ class Suggestion:
         }
 
 
-@dataclass(frozen=True)
-class EvalRecord:
+class EvalRecord(NamedTuple):
     target: str
     suggestions: Tuple[Suggestion, ...]
     error: Optional[str] = None
@@ -293,9 +292,16 @@ def jsd(
     ]
     if not participating:
         raise AllEmpty("every class likelihood distribution is empty")
-    probs = [d.probabilities() for d in participating]
-    mixture = [sum(column) / len(probs) for column in zip(*probs)]
-    value = _entropy(mixture, base) - sum(_entropy(p, base) for p in probs) / len(probs)
+    # only nonzero probabilities: a zero changes no sum and no entropy
+    columns: Dict[int, List[float]] = {}  # bin -> its probabilities, in class order
+    entropies = []
+    for d in participating:
+        p = [c / d.count for c in filter(None, d.counts)]
+        entropies.append(_entropy(p, base))
+        for j, x in zip(compress(count(), d.counts), p):
+            columns.setdefault(j, []).append(x)
+    k = len(participating)
+    value = _entropy([sum(c) / k for c in columns.values()], base) - sum(entropies) / k
     value = max(value, 0.0)
     inverse = math.inf if value == 0.0 else 1.0 / value
     return value, inverse, [d.superclass for d in participating]
@@ -328,13 +334,7 @@ def evaluate(
         jsd_value, inv, participating = None, None, []
         jsd_defined = False
     n_excluded_targets = sum(1 for r in records if r.error is not None)
-    n_excluded_suggestions = sum(
-        1
-        for r in records
-        if r.error is None
-        for s in r.suggestions
-        if s.error is not None
-    )
+    n_excluded_suggestions = sum(len(r.suggestions) for r in records if r.error is None) - len(counted)
     report = MetricsReport(
         round_trip=round_trip(records),
         coverage=coverage(records),

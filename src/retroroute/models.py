@@ -12,7 +12,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConfigError, NotCanonicalizable, expect, read_json, read_lines
 from .smiles import Normalizer, split_units
@@ -42,6 +42,8 @@ class PrecursorSet:
         if len(self.reagents) == len(self.molecules):
             raise NotCanonicalizable("precursor set without a reactant")
         molecules = tuple(normalizer.normalize(m) for m in self.molecules)
+        if molecules == self.molecules:  # already in normal form
+            return self
         if not self.reagents:
             return PrecursorSet(molecules)
         return PrecursorSet(
@@ -57,8 +59,7 @@ class PrecursorSet:
         return ".".join(self.molecules)
 
 
-@dataclass(frozen=True)
-class ForwardPrediction:
+class ForwardPrediction(NamedTuple):  # as immutable as a frozen dataclass, quicker to build
     """One forward product; a list of them is most likely first."""
 
     product: str

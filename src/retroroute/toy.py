@@ -10,22 +10,29 @@ in the expansion filter controllable from a fixture file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from itertools import islice
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConfigError, MalformedModelResponse, MalformedReaction, NotCanonicalizable, expect, read_json
 from .models import ChemModels, ForwardPrediction, PrecursorSet, ReactionClass, UNRECOGNIZED
 from .smiles import ToyNormalizer, split_reaction
 
 
-@dataclass(frozen=True, slots=True)
-class Template:
+class Template(NamedTuple):  # a tuple is as immutable as a frozen dataclass, and quicker to build
     reactants: Tuple[str, ...]
     product: str
     weight: float
     reaction_class: ReactionClass
     reagents: Tuple[str, ...] = ()
+
+
+class _Table(NamedTuple):
+    """A pool's forward table: applicable templates in file order, likelihoods best first."""
+
+    applicable: List[Template]
+    likelihoods: Dict[str, float]
 
 
 def parse_templates(entries: Sequence, source: str) -> List[Template]:
@@ -38,13 +45,16 @@ def parse_templates(entries: Sequence, source: str) -> List[Template]:
             weight = float(expect(entry["weight"], float, "weight"))
             if not 0 < weight < math.inf:
                 raise ConfigError(f"weight must be positive and finite: {weight}")
-            templates.append(Template(
+            t = Template(
                 tuple(map(norm, expect(entry["lhs"], [str], "lhs"))),
                 norm(expect(entry["rhs"], str, "rhs")),
                 weight,
                 ReactionClass.parse(entry["class"], entry.get("label", "")),
                 tuple(map(norm, expect(entry.get("reagents", ()), [str], "reagents"))),
-            ))
+            )
+            if not t.reactants + t.reagents:  # its suggestion would be empty
+                raise ConfigError("template has neither reactants (lhs) nor reagents")
+            templates.append(t)
         except (ArithmeticError, KeyError, TypeError, ValueError, ConfigError,
                 NotCanonicalizable) as exc:
             raise ConfigError(f"{source}: template #{i}: {exc}") from exc
@@ -64,65 +74,63 @@ class ToyOracle(ChemModels):
         self.templates = list(templates)
         # Candidate indexes, each list in template-file order: lookups must
         # visit templates in that order so that likelihood sums and
-        # classification ties come out exactly as in a full scan.
-        self._by_product: Dict[str, List[int]] = {}
-        self._by_first_reactant: Dict[str, List[int]] = {}
-        self._reactantless: List[int] = []
+        # classification ties come out exactly as in a full scan. A template
+        # is keyed by its reactant that the fewest templates use (any key would
+        # do: candidates are subset-checked), a reagent-only one by None.
+        self._by_product: Dict[str, List[Template]] = {}
+        self._by_reactant: Dict[Optional[str], List[int]] = {}
+        uses = Counter(m for t in self.templates for m in t.reactants).__getitem__
         for i, t in enumerate(self.templates):
-            self._by_product.setdefault(t.product, []).append(i)
-            if t.reactants:
-                self._by_first_reactant.setdefault(t.reactants[0], []).append(i)
-            else:
-                self._reactantless.append(i)
+            self._by_product.setdefault(t.product, []).append(t)
+            self._by_reactant.setdefault(min(t.reactants, key=uses, default=None), []).append(i)
+        # the last retro call's tables: the calls on its suggestions that follow build none
+        self._tables: Dict[frozenset, _Table] = {}
 
-    # --- forward role -------------------------------------------------------
+    def _table(self, molecules: Iterable[str]) -> _Table:
+        pool = frozenset(molecules)  # a table depends only on its pool
+        return self._tables.get(pool) or self._build(pool)
 
-    def _applicable(self, molecules: Sequence[str]) -> List[Template]:
-        pool = set(molecules)
-        candidates = list(self._reactantless)
+    def _build(self, pool: frozenset) -> _Table:
+        candidates = list(self._by_reactant.get(None, ()))
         for m in pool:
-            candidates.extend(self._by_first_reactant.get(m, ()))
+            candidates += self._by_reactant.get(m, ())
         templates = self.templates
-        return [
-            templates[i] for i in sorted(candidates)
-            if pool.issuperset(templates[i].reactants)
-        ]
-
-    def _outcomes(self, precursors: PrecursorSet) -> List[Tuple[str, float]]:
-        applicable = self._applicable(precursors.molecules)
+        applicable = [templates[i] for i in sorted(candidates)
+                      if pool.issuperset(templates[i].reactants)]
         total = sum(t.weight for t in applicable)
         by_product: Dict[str, float] = {}
         for t in applicable:
             by_product[t.product] = by_product.get(t.product, 0.0) + t.weight
         # each product's summed weight divided once: a sum of quotients can round above 1
-        return sorted(((p, w / total) for p, w in by_product.items()),
-                      key=lambda item: (-item[1], item[0]))
+        return _Table(applicable, dict(sorted(((p, w / total) for p, w in by_product.items()),
+                                              key=lambda item: (-item[1], item[0]))))
 
-    def forward_predict(
-        self, precursors: PrecursorSet, topk: int
-    ) -> List[ForwardPrediction]:
-        return [ForwardPrediction(p, l) for p, l in self._outcomes(precursors)[:topk]]
+    # --- forward role -------------------------------------------------------
+
+    def forward_predict(self, precursors: PrecursorSet, topk: int) -> List[ForwardPrediction]:
+        ranked = self._table(precursors.molecules).likelihoods.items()
+        return [ForwardPrediction(p, l) for p, l in islice(ranked, topk)]
 
     def score_reaction(self, precursors: PrecursorSet, product: str) -> float:
         try:
             product = self.normalizer.normalize(product)
         except NotCanonicalizable:
             return 0.0
-        for p, likelihood in self._outcomes(precursors):
-            if p == product:
-                return likelihood
-        return 0.0
+        return self._table(precursors.molecules).likelihoods.get(product, 0.0)
 
     # --- retro role ---------------------------------------------------------
 
     def retro_predict(self, target: str, beams: int) -> List[PrecursorSet]:
         """Each template's precursors for `target`, by the forward score of its reaction."""
         target = self.normalizer.normalize(target)
+        tables: Dict[frozenset, _Table] = {}
         suggestions = []
-        for i in self._by_product.get(target, ()):
-            t = self.templates[i]
+        for t in self._by_product.get(target, ()):
             candidate = PrecursorSet(t.reactants + t.reagents, frozenset(t.reagents))
-            suggestions.append((self.score_reaction(candidate, target), candidate))
+            pool = frozenset(candidate.molecules)
+            table = tables[pool] = tables.get(pool) or self._table(pool)
+            suggestions.append((table.likelihoods.get(target, 0.0), candidate))
+        self._tables = tables
         suggestions.sort(key=lambda item: (-item[0], item[1].key()))
         return [candidate for _, candidate in suggestions[:beams]]
 
@@ -132,15 +140,12 @@ class ToyOracle(ChemModels):
         try:
             lhs, rhs = split_reaction(rxn)
             lhs = [self.normalizer.normalize(m) for m in lhs]
-            rhs = [self.normalizer.normalize(m) for m in rhs]
+            rhs = {self.normalizer.normalize(m) for m in rhs}
         except (MalformedReaction, NotCanonicalizable) as exc:
             raise MalformedModelResponse(f"cannot classify {rxn!r}: {exc}") from exc
-        pool = set(lhs)
-        candidates = sorted(i for p in set(rhs) for i in self._by_product.get(p, ()))
+        # the heaviest template applicable to the left side that gives a right-side molecule
         best: Optional[Template] = None
-        for i in candidates:
-            t = self.templates[i]
-            if pool.issuperset(t.reactants):
-                if best is None or t.weight > best.weight:
-                    best = t
+        for t in self._table(lhs).applicable:
+            if t.product in rhs and (best is None or t.weight > best.weight):
+                best = t
         return best.reaction_class if best is not None else UNRECOGNIZED

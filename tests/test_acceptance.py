@@ -401,6 +401,41 @@ def test_plan_over_http_matches_in_process(toy_manifest, templates_file, stock_f
     assert over_http == run("toy_routes.json", toy_manifest)
 
 
+def test_eval_runs_byte_identical_across_transports(tmp_path):
+    """Criterion 8 for `eval`: the report, audit and histogram CSV over a mock-serve child
+    equal the in-process ones byte for byte, on a random chemistry with reagents."""
+    from retroroute.cli import main
+
+    molecules, templates = random_chemistry(random.Random(8), n_molecules=10, n_templates=16)
+    assert any(t.reagents for t in templates)
+    templates_path = tmp_path / "templates.json"
+    templates_path.write_text(json.dumps([
+        {"lhs": list(t.reactants), "rhs": t.product, "weight": t.weight,
+         "class": t.reaction_class.code, "reagents": list(t.reagents)} for t in templates
+    ]), "utf-8")
+    targets = tmp_path / "targets.txt"
+    targets.write_text("\n".join(molecules) + "\n", "utf-8")
+    manifests = {
+        "toy": {"transport": "toy", "templates_path": str(templates_path)},
+        "wire": {"transport": "subprocess", "timeout": 30, "command": [
+            sys.executable, "-m", "retroroute.cli", "mock-serve", str(templates_path)]},
+    }
+
+    def run(name, beams):
+        manifest = tmp_path / f"{name}.json"
+        manifest.write_text(json.dumps(manifests[name]), "utf-8")
+        outputs = [tmp_path / f"{name}-{beams}.{kind}" for kind in ("json", "jsonl", "csv")]
+        assert main(["eval", "--test", str(targets), "--models", str(manifest), "--beams", beams,
+                     "--report", str(outputs[0]), "--audit", str(outputs[1]),
+                     "--hist-csv", str(outputs[2])]) == 0
+        return [path.read_bytes() for path in outputs]
+
+    for beams in ("1", "10"):
+        in_process = run("toy", beams)
+        assert json.loads(in_process[0])["n_suggestions"] > 0
+        assert run("wire", beams) == in_process
+
+
 def test_criterion_9_end_to_end_stock_flip():
     oracle = ToyOracle(make_templates(TOY_TEMPLATES))
     full = beam_search(

@@ -144,11 +144,12 @@ class TestEval:
 
 
 @pytest.mark.parametrize("entry", [
-    {"lhs": [], "rhs": "CN", "weight": 1.0, "class": "1.1.1"},
+    {"lhs": [], "rhs": "CN", "reagents": ["S"], "weight": 1.0, "class": "1.1.1"},
     {"lhs": ["S"], "rhs": "CNO", "reagents": ["S"], "weight": 1.0, "class": "1.1.1"},
 ], ids=["reactantless", "reagent-only"])
 class TestReactantlessTemplate:
-    """A suggestion with no reactant, only reagents or nothing, is not canonicalizable."""
+    """A suggestion with no reactant, only reagents, is not canonicalizable. (A template
+    with neither reactants nor reagents is refused: see `test_wrong_typed_template_field`.)"""
 
     @pytest.fixture(autouse=True)
     def reactantless(self, entry, templates_file):
@@ -378,9 +379,11 @@ class TestBadConfigValues:
         ("weight", 10 ** 400),  # no float holds it
         # a molecule with no normal form
         ("rhs", "C N"), ("lhs", ["C", ""]),
+        # neither reactants nor reagents: its suggestion would be empty
+        ("lhs", []),
     ], ids=["class", "rhs", "class-arabic-indic", "class-superscript", "lhs-string",
             "reagents-string", "lhs-int-item", "weight-nan", "weight-inf", "weight-bool",
-            "weight-huge-int", "rhs-space", "lhs-empty-item"])
+            "weight-huge-int", "rhs-space", "lhs-empty-item", "lhs-empty-no-reagents"])
     def test_wrong_typed_template_field(self, field, value, command, templates_file,
                                         plan_args, capsys):
         entries = [TOY_TEMPLATES[1], {**TOY_TEMPLATES[0], field: value}]

@@ -294,7 +294,20 @@ def numpy_jsd(dists, base=None):
     return max(value, 0.0)
 
 
+def dense_jsd(dists, base=None):
+    """The divergence summed over every bin of every class, empty bins too."""
+    probs = [[c / d.count for c in d.counts] for d in dists]
+
+    def entropy(p):
+        h = -math.fsum(x * math.log(x) for x in p if x > 0)
+        return h / math.log(base) if base is not None else h
+
+    mixture = [sum(column) / len(probs) for column in zip(*probs)]
+    return max(entropy(mixture) - sum(entropy(p) for p in probs) / len(probs), 0.0)
+
+
 def test_jsd_matches_numpy_on_random_histograms():
+    """Within 1e-12 of numpy, and bit for bit the dense sum: `jsd` skips only zeros."""
     rng = random.Random(11)
     for _ in range(300):
         bins = rng.randint(1, 50)
@@ -307,6 +320,7 @@ def test_jsd_matches_numpy_on_random_histograms():
             continue
         base = rng.choice((None, 2.0, 10.0))
         assert abs(jsd(dists, base=base)[0] - numpy_jsd(dists, base)) <= 1e-12
+        assert jsd(dists, base=base)[0] == dense_jsd(dists, base)
 
 
 class TestEvaluateOrchestration:

@@ -167,7 +167,7 @@ molecule_lists = st.lists(st.sampled_from(MOLECULES), max_size=3)
 template_entries = st.lists(
     st.fixed_dictionaries(
         {
-            "lhs": molecule_lists,  # may be empty: a reactant-less template
+            "lhs": molecule_lists,  # may be empty: a reactant-less, reagent-only template
             "rhs": st.sampled_from(MOLECULES),
             "weight": st.one_of(
                 st.sampled_from([0.5, 1.0, 2.0]),  # equal weights tie
@@ -176,7 +176,7 @@ template_entries = st.lists(
             "class": st.sampled_from(["1.1.1", "2.1.1", "3.2.1", "11.4.2"]),
             "reagents": molecule_lists,
         }
-    ),
+    ).filter(lambda e: e["lhs"] or e["reagents"]),  # an empty template is refused at load
     max_size=12,
 )
 
@@ -187,9 +187,10 @@ template_entries = st.lists(
     pool=molecule_lists,
     product=st.sampled_from(MOLECULES),
     products=st.lists(st.sampled_from(MOLECULES), max_size=2),
+    other=st.sampled_from(MOLECULES),
     n=st.integers(min_value=1, max_value=15),
 )
-def test_indexed_lookups_equal_full_scan(entries, pool, product, products, n):
+def test_indexed_lookups_equal_full_scan(entries, pool, product, products, other, n):
     oracle = ToyOracle(make_templates(entries))
     reference = ReferenceTemplateOracle(entries)
     precursors = PrecursorSet(tuple(pool))
@@ -208,6 +209,22 @@ def test_indexed_lookups_equal_full_scan(entries, pool, product, products, n):
         (r.molecules, r.reagents, oracle.score_reaction(r, product)) for r in retro
     ] == reference.retro(product, n)
 
+    # in the order evaluation and expansion call them: on the tables retro kept, and
+    # again once a retro call for another target has replaced them
+    for _ in range(2):
+        for r in retro:
+            forward = oracle.forward_predict(r, topk=n)
+            assert [(f.product, f.likelihood) for f in forward] == reference.forward(
+                r.molecules, n
+            )
+            for p in (product, other):
+                assert oracle.score_reaction(r, p) == reference.score(r.molecules, p)
+            expected = reference.classify(set(r.molecules), {product})
+            assert oracle.classify(f"{r.joined()}>>{product}") == (
+                ReactionClass.parse(expected) if expected else UNRECOGNIZED
+            )
+        oracle.retro_predict(other, beams=n)
+
     # the random reaction, and each template's own reaction plus the pool
     reactions = [(pool, products)] + [
         (e["lhs"] + e["reagents"] + pool, [e["rhs"]] + products) for e in entries
@@ -216,3 +233,33 @@ def test_indexed_lookups_equal_full_scan(entries, pool, product, products, n):
         cls = oracle.classify(".".join(lhs) + ">>" + ".".join(rhs))
         expected = reference.classify(set(lhs), set(rhs))
         assert cls == (ReactionClass.parse(expected) if expected else UNRECOGNIZED)
+
+
+def test_retro_tables_serve_the_calls_that_follow(monkeypatch):
+    """A retro call builds one forward table per distinct precursor pool it ranks; the
+    score, forward and classify calls on its suggestions read them and build none."""
+    oracle = ToyOracle(make_templates(TOY_TEMPLATES + [
+        # the pool of CN <- {C, N} again, and that pool with a reagent
+        {"lhs": ["N", "C"], "rhs": "CN", "weight": 0.2, "class": "6.1.1"},
+        {"lhs": ["C", "N"], "rhs": "CN", "weight": 0.4, "class": "7.1.1", "reagents": ["O"]},
+    ]))
+    pools = []
+    build = oracle._build
+    monkeypatch.setattr(oracle, "_build", lambda pool: pools.append(pool) or build(pool))
+
+    suggested = oracle.retro_predict("CN", beams=10)
+    assert len(suggested) == 4
+    assert sorted(map(sorted, pools)) == [["C", "N"], ["C", "N", "O"], ["F", "P"]]
+    for p in suggested:
+        oracle.score_reaction(p, "CN")
+        oracle.forward_predict(p, topk=3)
+        oracle.classify(f"{p.joined()}>>CN")
+    assert len(pools) == 3
+
+    # any other pool builds its table on each call, and keeps none
+    for _ in range(2):
+        oracle.forward_predict(ps("CN", "O"), topk=3)
+    assert len(pools) == 5
+    oracle.retro_predict("CNOS", beams=10)  # its one pool, {CNO, S}
+    oracle.classify(f"{suggested[0].joined()}>>CN")
+    assert len(pools) == 7
