@@ -1,0 +1,127 @@
+"""Golden outputs: the bytes `plan`, `eval` and `export` write, pinned by digest.
+
+Every invocation of the corpus runs in-process through `cli.main` over toy
+manifests. Its digest covers its exit code, its stdout with the run
+directory masked, and each file it writes with `generated_at` masked. On a
+mismatch the test names the first invocation that differs; the outputs of
+every invocation stay under the test's `tmp_path`.
+
+After a deliberate change of output, rewrite the digests with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import random
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+from retroroute.cli import main
+
+from conftest import STOCK_MOLECULES, TOY_TEMPLATES, random_chemistry
+
+GOLDEN = Path(__file__).with_name("golden.json")
+# seeded random chemistries whose plans reject cycles and whose templates carry reagents
+CHEMISTRY_SEEDS = (33, 34)
+GENERATED_AT = re.compile(rb'"generated_at": "[^"]*"')
+PLAN_OUTPUTS = ("routes.json", "trace.jsonl", "graph.json", "graph.dot")
+
+
+def chemistry(root: Path, name: str, entries, stock):
+    """A toy manifest over `entries` and a stock file, written under `root`."""
+    (root / f"{name}-templates.json").write_text(json.dumps(entries), "utf-8")
+    manifest = root / f"{name}-manifest.json"
+    manifest.write_text(
+        json.dumps({"transport": "toy", "templates_path": f"{name}-templates.json"}), "utf-8"
+    )
+    stock_path = root / f"{name}-stock.txt"
+    stock_path.write_text("".join(f"{m}\n" for m in stock), "utf-8")
+    return manifest, stock_path
+
+
+def invocations(root: Path):
+    """(name, argv, output paths) of each invocation, in order, its inputs written under `root`."""
+
+    def plan(name, target, manifest, stock, *extra):
+        out = root / name
+        out.mkdir()
+        paths = [out / f for f in PLAN_OUTPUTS]
+        argv = ["plan", target, "--models", str(manifest), "--stock", str(stock),
+                "--out", str(paths[0]), "--trace", str(paths[1]),
+                "--graph-out", str(paths[2]), "--dot-out", str(paths[3]), *extra]
+        return name, argv, paths
+
+    toy = chemistry(root, "toy", TOY_TEMPLATES, STOCK_MOLECULES)
+    yield plan("plan-CNOS", "CNOS", *toy)
+    yield plan("plan-CNOS-narrow", "CNOS", *toy, "--beams", "1", "--max-steps", "2")
+    yield plan("plan-dead", "P", *toy)
+    yield plan("plan-unparsable", "C !", *toy)
+    export = root / "export.dot"
+    yield "export", ["export", str(root / "plan-CNOS" / "graph.json"), "--out", str(export)], [export]
+
+    for seed in CHEMISTRY_SEEDS:
+        rng = random.Random(seed)
+        molecules, templates = random_chemistry(rng, n_molecules=8, n_templates=10)
+        entries = [{"lhs": list(t.reactants), "rhs": t.product, "weight": t.weight,
+                    "class": t.reaction_class.code, "reagents": list(t.reagents)}
+                   for t in templates]
+        manifest, stock = chemistry(root, f"seed{seed}", entries, rng.sample(molecules, 3))
+        for i, target in enumerate(molecules):
+            yield plan(f"plan-seed{seed}-{i}", target, manifest, stock)
+
+    targets = root / "targets.txt"
+    targets.write_text("\n".join(molecules) + "\n", "utf-8")
+    for beams in ("1", "10"):
+        out = root / f"eval-beams{beams}"
+        out.mkdir()
+        paths = [out / f for f in ("report.json", "audit.jsonl", "hist.csv")]
+        yield f"eval-beams{beams}", [
+            "eval", "--test", str(targets), "--models", str(manifest), "--beams", beams,
+            "--report", str(paths[0]), "--audit", str(paths[1]), "--hist-csv", str(paths[2]),
+        ], paths
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def run_corpus(root: Path) -> dict:
+    """Each invocation's name -> its exit code and the digests of its stdout and files."""
+    digests = {}
+    for name, argv, outputs in invocations(root):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+        entry = {"exit": code, "stdout": digest(stdout.getvalue().replace(str(root), "<tmp>").encode())}
+        for path in outputs:
+            if path.exists():
+                entry[path.name] = digest(GENERATED_AT.sub(b'"generated_at": ""', path.read_bytes()))
+        digests[name] = entry
+    return digests
+
+
+def test_golden_outputs(tmp_path):
+    golden = json.loads(GOLDEN.read_text("utf-8"))
+    digests = run_corpus(tmp_path)
+    assert list(digests) == list(golden), "the corpus changed; rewrite the digests (--write)"
+    for name, expected in golden.items():
+        assert digests[name] == expected, f"{name} differs; its outputs are in {tmp_path}"
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true", help=f"rewrite {GOLDEN.name}")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = run_corpus(Path(tmp))
+    text = json.dumps(digests, indent=1) + "\n"
+    if args.write:
+        GOLDEN.write_text(text, "utf-8")
+    else:
+        sys.stdout.write(text)
