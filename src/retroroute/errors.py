@@ -67,10 +67,6 @@ class CycleRejected(RetroRouteError):
     """Attaching the arc would create a directed cycle."""
 
 
-class DegenerateProduct(RetroRouteError):
-    """Product simplicity is invalid for arc scoring."""
-
-
 # --- evaluation -------------------------------------------------------------
 
 class EmptyEvaluation(RetroRouteError):

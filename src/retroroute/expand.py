@@ -28,7 +28,7 @@ logger = logging.getLogger(__name__)
 AUTO_ACCEPT_LIKELIHOOD = 0.6
 SELECTIVITY_GAP = 0.2
 
-# expansions a models object keeps (about 1.9 kB each, 8 MB in all); the oldest goes first
+# expansions a models object keeps (about 2.9 kB each, 12 MB in all); the oldest goes first
 STORED_EXPANSIONS = 1 << 12
 
 # models object (held weakly) -> {(config, normalizer, molecule): expansion}, oldest first
@@ -155,14 +155,27 @@ def cluster_candidates(
     return clusters
 
 
+def record(target: str, candidate: PrecursorSet, outcome: str, likelihood=None, cluster=None):
+    """The trace record of what became of `candidate` when `target` was expanded. Its
+    values are immutable, so a copy of the dict shares nothing that can change."""
+    return {
+        "target": target,
+        "precursors": tuple(candidate.molecules),
+        "reagents": tuple(sorted(candidate.reagents)),
+        "outcome": outcome,
+        "likelihood": likelihood,
+        "cluster": cluster,
+    }
+
+
 def expansion(smiles: str, cfg: ExpansionConfig, models: ChemModels, normalizer: Normalizer):
     """What `smiles` expands to, up to attach; a failed retro call raises `ModelError`.
 
-    An expansion is its trace records, as (candidate, outcome, likelihood[,
-    cluster]), and its cluster representatives, best first, as (candidate,
-    likelihood, reaction class). It reads no graph, so an expansion that met
-    no model failure is stored with `models` and given to the next caller
-    that asks for the same molecule.
+    An expansion is its trace records (see `record`) and its cluster
+    representatives, best first, as (candidate, likelihood, reaction class).
+    It reads no graph, so an expansion that met no model failure is stored
+    with `models` and given to the next caller that asks for the same
+    molecule; a caller copies the records before it hands them on.
     """
     key = (cfg, normalizer, smiles)
     with _stores_lock:
@@ -170,20 +183,20 @@ def expansion(smiles: str, cfg: ExpansionConfig, models: ChemModels, normalizer:
         stored = store.get(key)
     if stored is not None:
         return stored
-    records: List[tuple] = []
+    records: List[dict] = []
     candidates: List[PrecursorSet] = []
     seen_keys = set()
     for suggested in models.retro_predict(smiles, cfg.retro_beams):
         try:
             candidate = suggested.normalized(normalizer)
         except NotCanonicalizable:
-            records.append((suggested, "not_canonicalizable", None))
+            records.append(record(smiles, suggested, "not_canonicalizable"))
             continue
         if smiles in candidate.molecules:
-            records.append((candidate, "self_precursor", None))
+            records.append(record(smiles, candidate, "self_precursor"))
             continue
         if candidate.key() in seen_keys:
-            records.append((candidate, "duplicate", None))
+            records.append(record(smiles, candidate, "duplicate"))
             continue
         seen_keys.add(candidate.key())
         candidates.append(candidate)
@@ -197,7 +210,8 @@ def expansion(smiles: str, cfg: ExpansionConfig, models: ChemModels, normalizer:
         for member in cluster.members
     }
     for v in verdicts:
-        records.append((v.candidate, v.outcome, v.likelihood, cluster_of.get(v.candidate.key())))
+        cluster = cluster_of.get(v.candidate.key())
+        records.append(record(smiles, v.candidate, v.outcome, v.likelihood, cluster))
     clusters.sort(key=lambda c: (-c.representative.likelihood, c.representative.candidate.joined()))
     stored = (
         tuple(records),

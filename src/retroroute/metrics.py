@@ -68,11 +68,6 @@ class ClassLikelihoodDistribution:
     counts: Tuple[int, ...]
     count: int
 
-    def probabilities(self) -> List[float]:
-        if self.count == 0:
-            raise AllEmpty(f"superclass {self.superclass} has no samples")
-        return [c / self.count for c in self.counts]
-
 
 @dataclass
 class MetricsReport:

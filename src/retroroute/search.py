@@ -14,10 +14,10 @@ import logging
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import CycleRejected, DegenerateProduct, ModelError, ScorerUnavailable
-from .expand import ExpansionConfig, expansion
+from .errors import CycleRejected, ModelError, ScorerUnavailable
+from .expand import ExpansionConfig, expansion, record
 from .graph import HyperGraph
-from .models import ChemModels, PrecursorSet
+from .models import ChemModels
 from .smiles import Normalizer, atom_count
 
 logger = logging.getLogger(__name__)
@@ -83,8 +83,6 @@ def arc_score(
     product's simplicity. Reagent-flagged precursors must already be
     excluded by the caller.
     """
-    if not 0.0 <= product_simplicity <= 1.0:
-        raise DegenerateProduct(f"product simplicity {product_simplicity} outside [0,1]")
     numerator = likelihood
     for s in precursor_simplicities:
         numerator *= s
@@ -121,10 +119,11 @@ def expand_node(
 ) -> List[int]:
     """Expand one node; returns attached arc ids in deterministic order.
 
-    A model outage defers the node (it stays unexpanded and is retried by
-    the driver). Otherwise the expansion's trace records go to `trace` and
-    one arc per cluster representative is attached; an arc that would close
-    a cycle is recorded as `cycle_rejected` instead.
+    A model outage defers the node: it stays unexpanded, to be retried by
+    the driver, until its `MAX_DEFERRALS`-th outage makes it unexpandable.
+    Otherwise copies of the expansion's trace records go to `trace` and one
+    arc per cluster representative is attached; an arc that would close a
+    cycle is recorded as `cycle_rejected` instead.
     """
     node = g.nodes[node_id]
     if node.expanded or not node.expandable:
@@ -134,10 +133,10 @@ def expand_node(
     except ModelError as exc:
         logger.warning("retro model unavailable for %r: %s", node.smiles, exc)
         node.deferrals += 1
+        node.expandable = node.deferrals < MAX_DEFERRALS
         return []
     if trace is not None:
-        for record in records:
-            _trace(trace, node.smiles, *record)
+        trace.extend(map(dict, records))
 
     attached: List[int] = []
     for candidate, likelihood, reaction_class in representatives:
@@ -154,34 +153,13 @@ def expand_node(
             )
         except CycleRejected:
             node.cycle_rejections += 1
-            _trace(trace, node.smiles, candidate, "cycle_rejected", likelihood)
+            if trace is not None:
+                trace.append(record(node.smiles, candidate, "cycle_rejected", likelihood))
             continue
         attached.append(arc_id)
 
     node.expanded = True
     return attached
-
-
-def _trace(
-    trace: Optional[List[dict]],
-    target: str,
-    candidate: PrecursorSet,
-    outcome: str,
-    likelihood: Optional[float],
-    cluster: Optional[int] = None,
-) -> None:
-    if trace is None:
-        return
-    trace.append(
-        {
-            "target": target,
-            "precursors": list(candidate.molecules),
-            "reagents": sorted(candidate.reagents),
-            "outcome": outcome,
-            "likelihood": likelihood,
-            "cluster": cluster,
-        }
-    )
 
 
 # --- pathways ---------------------------------------------------------------
@@ -227,22 +205,16 @@ def terminate_check(g: HyperGraph, p: Pathway, max_steps: int) -> str:
         return SOLVED
     if p.steps >= max_steps:
         return MAX_STEPS
-    has_dead = False
-    has_cyclic = False
+    cyclic = False  # a dead node outranks a cyclic one
     for node_id in p.frontier:
         node = g.nodes[node_id]
         if not node.expandable:
-            has_dead = True
-        elif node.expanded and not g.arcs_by_product.get(node_id):
-            if node.cycle_rejections > 0:
-                has_cyclic = True
-            else:
-                has_dead = True
-    if has_dead:
-        return DEAD
-    if has_cyclic:
-        return CYCLIC
-    return OPEN
+            return DEAD
+        if node.expanded and not g.arcs_by_product[node_id]:
+            if not node.cycle_rejections:
+                return DEAD
+            cyclic = True
+    return CYCLIC if cyclic else OPEN
 
 
 def fork_pathway(g: HyperGraph, p: Pathway, arc_id: int) -> Pathway:
@@ -286,7 +258,7 @@ def beam_search(
         steps=0,
     )  # zero-arc score is the multiplicative identity
     terminated: List[Pathway] = []
-    open_paths: Dict[FrozenSet[int], Pathway] = {frozenset(): root_path}
+    open_paths = [root_path]  # best first
 
     while open_paths:
         # (1) expand every not-yet-expanded node on a live pathway (pathways
@@ -294,7 +266,7 @@ def beam_search(
         pending = sorted(
             {
                 n
-                for p in open_paths.values()
+                for p in open_paths
                 if p.steps < cfg.max_steps
                 for n in p.frontier
                 if not nodes[n].expanded and nodes[n].expandable
@@ -302,13 +274,10 @@ def beam_search(
         )
         for node_id in pending:
             expand_node(g, node_id, cfg.expansion, models, normalizer, scorer, stock, trace)
-            node = nodes[node_id]
-            if not node.expanded and node.deferrals >= MAX_DEFERRALS:
-                node.expandable = False
 
         # terminate-check now that the expansion state is known
         survivors: List[Pathway] = []
-        for p in sorted(open_paths.values(), key=Pathway.sort_key):
+        for p in open_paths:
             status = terminate_check(g, p, cfg.max_steps)
             if status == OPEN:
                 survivors.append(p)
@@ -318,9 +287,7 @@ def beam_search(
         # (2) fork one child pathway per available arc
         children: Dict[FrozenSet[int], Pathway] = {}
         for p in survivors:
-            candidate_arcs = [
-                a for n in sorted(p.frontier) for a in g.arcs_by_product.get(n, ())
-            ]
+            candidate_arcs = [a for n in sorted(p.frontier) for a in g.arcs_by_product[n]]
             if not candidate_arcs:
                 # deferred node (model outage): carry the pathway, counting
                 # the phase so the step limit still terminates it
@@ -332,8 +299,7 @@ def beam_search(
                 children.setdefault(frozenset(child.arcs), child)
 
         # (4) prune open pathways to the beam width, (5) repeat
-        pruned = sorted(children.values(), key=Pathway.sort_key)
-        open_paths = {frozenset(p.arcs): p for p in pruned[: cfg.n_beams]}
+        open_paths = sorted(children.values(), key=Pathway.sort_key)[: cfg.n_beams]
 
     terminated.sort(key=Pathway.sort_key)
     unique: Dict[FrozenSet[int], Pathway] = {}

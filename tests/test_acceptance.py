@@ -293,7 +293,7 @@ def test_criterion_6_metrics_match_independent_recomputation():
     # JSD against a brute-force mean-KL evaluation of the same histograms
     dists = build_distributions(records)
     value, inverse, participating = jsd(dists)
-    probs = [d.probabilities() for d in dists
+    probs = [[c / d.count for c in d.counts] for d in dists
              if d.count > 0 and d.superclass != 0]
     mixture = np.asarray(probs).sum(axis=0) / len(probs)
     brute = 0.0

@@ -1,5 +1,6 @@
 import pytest
 
+from retroroute import search
 from retroroute.errors import ModelError, ModelUnavailable
 from retroroute.expand import (
     Cluster,
@@ -54,6 +55,11 @@ class StubModels(ChemModels):
         if isinstance(cls, Exception):
             raise cls
         return cls if cls is not None else ReactionClass.parse("1.1.1")
+
+
+class RetroDown(StubModels):
+    def retro_predict(self, smiles, beams):
+        raise ModelUnavailable("poof")
 
 
 class TestFilterCandidate:
@@ -230,7 +236,7 @@ class TestExpandNode:
         trace = []
         arcs = expand_node(g, g.root, CFG, models, normalizer, scorer, NO_STOCK, trace)
         assert len(arcs) == 1
-        assert [r["precursors"] for r in trace if r["outcome"] == "not_canonicalizable"] == [[]]
+        assert [r["precursors"] for r in trace if r["outcome"] == "not_canonicalizable"] == [()]
 
     def test_duplicate_candidates_collapse(self):
         models = StubModels(
@@ -252,15 +258,25 @@ class TestExpandNode:
         assert g.nodes[g.root].expanded
 
     def test_model_outage_defers_node(self):
-        class Down(StubModels):
-            def retro_predict(self, smiles, beams):
-                raise ModelUnavailable("poof")
-
         g, normalizer, scorer = self.setup_graph("CN")
-        arcs = expand_node(g, g.root, CFG, Down(), normalizer, scorer, NO_STOCK)
+        arcs = expand_node(g, g.root, CFG, RetroDown(), normalizer, scorer, NO_STOCK)
         assert arcs == []
         node = g.nodes[g.root]
         assert not node.expanded and node.deferrals == 1
+
+    @pytest.mark.parametrize("limit", [search.MAX_DEFERRALS, 2])
+    def test_last_deferral_makes_node_unexpandable(self, limit, monkeypatch):
+        monkeypatch.setattr(search, "MAX_DEFERRALS", limit)
+        g, normalizer, scorer = self.setup_graph("CN")
+        node = g.nodes[g.root]
+        expandable = []
+        for _ in range(limit):
+            expand_node(g, g.root, CFG, RetroDown(), normalizer, scorer, NO_STOCK)
+            expandable.append(node.expandable)
+        assert expandable == [True] * (limit - 1) + [False]
+        assert node.deferrals == limit and not node.expanded
+        with pytest.raises(ValueError, match="not pending expansion"):
+            expand_node(g, g.root, CFG, RetroDown(), normalizer, scorer, NO_STOCK)
 
     def test_trace_records_cluster_ids(self, toy_oracle):
         g, normalizer, scorer = self.setup_graph("CN")

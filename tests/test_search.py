@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from retroroute.cli import route_to_json
-from retroroute.errors import DegenerateProduct, ModelUnavailable, ScorerUnavailable
+from retroroute.errors import ModelUnavailable, ScorerUnavailable
 from retroroute import expand, search
 from retroroute.expand import ExpansionConfig
 from retroroute.graph import HyperGraph
@@ -99,10 +99,6 @@ class TestArcScore:
 
     def test_product_simplicity_floored(self):
         assert arc_score(1.0, [1.0], 0.0) == pytest.approx(100.0)
-
-    def test_degenerate_product(self):
-        with pytest.raises(DegenerateProduct):
-            arc_score(1.0, [1.0], 1.5)
 
     def test_rewards_simplification(self):
         gain = arc_score(0.9, [0.9, 0.9], 0.3)
@@ -438,6 +434,21 @@ class TestSessionIndependence:
             shuffled = rng.sample(molecules, len(molecules))
             fresh = {t: self.plan(t, ToyOracle(templates), stock) for t in molecules}
             yield templates, stock, shuffled, fresh
+
+    def test_stored_records_outlive_a_mutated_trace(self, toy_stock):
+        """The trace gets copies of the records the expansion store keeps."""
+        templates = make_templates(TOY_TEMPLATES)
+        fresh = {t: self.plan(t, ToyOracle(templates), toy_stock) for t in ("CNO", "CNOS")}
+        models = ToyOracle(templates)
+        first = []
+        beam_search("CNOS", SearchConfig(), models, toy_stock, self.normalizer, trace=first)
+        assert {"CNO", "CN"} <= {key[2] for key in expand._stores[models]}
+        for record in first:
+            for key in record:
+                record[key] = "mutated"
+        # CNO's expansions come from the store, and so do all of the third plan's
+        assert self.plan("CNO", models, toy_stock) == fresh["CNO"]
+        assert self.plan("CNOS", models, toy_stock) == fresh["CNOS"]
 
     def test_in_process_sessions(self):
         cyclic = 0

@@ -710,13 +710,18 @@ class TestFailedCall:
             client.close()
         assert len(client.transport.sent) == 2
 
-    @pytest.mark.parametrize("body, error", [
-        ("sys.stdin.read()\n", ModelTimeout),  # never answers
-        ("sys.stdin.readline()\n", ModelUnavailable),  # exits without answering
+    @pytest.mark.parametrize("body, error, timeout", [
+        # never answers, so the call waits out its timeout
+        pytest.param("sys.stdin.read()\n", ModelTimeout, 0.2,
+                     id="sys.stdin.read()\n-ModelTimeout"),
+        # exits without answering; the call fails when the child exits, so the long
+        # timeout only leaves room for the child's interpreter to start
+        pytest.param("sys.stdin.readline()\n", ModelUnavailable, 10,
+                     id="sys.stdin.readline()\n-ModelUnavailable"),
     ])
-    def test_failed_request(self, body, error):
+    def test_failed_request(self, body, error, timeout):
         client = WireClient(recorded(SubprocessTransport(fake_child(body))),
-                            timeout=0.2, retries=0)
+                            timeout=timeout, retries=0)
         try:
             for _ in range(2):
                 with pytest.raises(error):
