@@ -1,10 +1,11 @@
-"""Golden outputs: the bytes `plan`, `eval` and `export` write, pinned by digest.
+"""Golden outputs: the bytes `plan`, `eval`, `export` and `mock-serve` write, pinned by digest.
 
 Every invocation of the corpus runs in-process through `cli.main` over toy
 manifests. Its digest covers its exit code, its stdout with the run
 directory masked, and each file it writes with `generated_at` masked. On a
 mismatch the test names the first invocation that differs; the outputs of
-every invocation stay under the test's `tmp_path`.
+every invocation stay under the test's `tmp_path`. The mock-serve replay
+answers `REPLAY` through `wire.answer_line` and digests the replies.
 
 After a deliberate change of output, rewrite the digests with
 
@@ -23,14 +24,31 @@ import tempfile
 from pathlib import Path
 
 from retroroute.cli import main
+from retroroute.toy import ToyOracle
+from retroroute.wire import answer_line
 
-from conftest import STOCK_MOLECULES, TOY_TEMPLATES, random_chemistry
+from conftest import STOCK_MOLECULES, TOY_TEMPLATES, make_templates, random_chemistry
 
 GOLDEN = Path(__file__).with_name("golden.json")
 # seeded random chemistries whose plans reject cycles and whose templates carry reagents
 CHEMISTRY_SEEDS = (33, 34)
 GENERATED_AT = re.compile(rb'"generated_at": "[^"]*"')
 PLAN_OUTPUTS = ("routes.json", "trace.jsonl", "graph.json", "graph.dot")
+# mock-serve request lines: one well-formed request per op, then the lines CI sends its
+# model child. None is answered with text of the interpreter's own (a JSON decoder's
+# message), which may differ between Python versions.
+REPLAY = (
+    '{"id":"r","op":"retro","inputs":["CNOS"],"params":{"beams":10}}',
+    '{"id":"f","op":"forward","inputs":[["CN","O"]],"params":{"topk":3}}',
+    '{"id":"s","op":"score","inputs":[["CN","O"],"CNO"],"params":{}}',
+    '{"id":"c","op":"classify","inputs":["CN.O>>CNO"],"params":{}}',
+    '{"id":"1","op":"retro","inputs":{},"params":{}}',
+    '{"id":"2","op":"retro","inputs":["CN"],"params":[]}',
+    '{"id":"3","op":"retro","inputs":["CN"],"params":{"beams":Infinity}}',
+    '{"id":"4","op":"forward","inputs":["CN"],"params":{}}',
+    '{"id":"5","op":"retro","inputs":[],"params":{}}',
+    '{"id":"6","op":"classify","inputs":["C.N>>CN"],"params":{}}',
+)
 
 
 def chemistry(root: Path, name: str, entries, stock):
@@ -103,6 +121,9 @@ def run_corpus(root: Path) -> dict:
             if path.exists():
                 entry[path.name] = digest(GENERATED_AT.sub(b'"generated_at": ""', path.read_bytes()))
         digests[name] = entry
+    models = ToyOracle(make_templates(TOY_TEMPLATES))
+    replies = "".join(answer_line(models, line) + "\n" for line in REPLAY)
+    digests["mock-serve-replay"] = {"replies": digest(replies.encode())}
     return digests
 
 
