@@ -2,9 +2,7 @@
 
 Configuration precedence: command-line flags, then ``RETROROUTE_*``
 environment variables, then the ``--config`` file (flat JSON mirroring the
-flag names), then built-in defaults. Defaults match the planner's standard
-operating point (retro beams 15, auto-accept 0.6, gap 0.2, forward top-3,
-10 evaluation predictions).
+flag names), then the built-in ``DEFAULTS``.
 
 Exit codes: 0 success, 2 configuration error, 3 no route found, 4 empty
 evaluation.
@@ -13,16 +11,16 @@ evaluation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
-import math
 import os
 import sys
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from .errors import ConfigError, EmptyEvaluation, NotCanonicalizable, RetroRouteError, expect, read_json, read_lines, read_text, write_text
+from .errors import ConfigError, EmptyEvaluation, NotCanonicalizable, RetroRouteError, expect, parse_json, read_json, read_lines, read_text, write_text
 from .models import ModelManifest
 from .smiles import ToyNormalizer
 from .toy import ToyOracle, load_templates
@@ -81,6 +79,14 @@ def load_config_file(path: Optional[str]) -> Dict[str, Any]:
     return data
 
 
+def load_manifest(args: argparse.Namespace, file_config: Dict[str, Any]) -> ModelManifest:
+    """The model manifest named by ``--models``, else by the config file; neither is a ConfigError."""
+    path = args.models or file_config.get("models")
+    if not path:
+        raise ConfigError("a model manifest is required (--models)")
+    return ModelManifest.load(path)
+
+
 def route_to_json(graph: HyperGraph, p: Pathway) -> dict:
     nodes = graph.nodes
     steps = []
@@ -111,13 +117,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
     from .stock import load_stocks
 
     file_config = load_config_file(args.config)
+    manifest = load_manifest(args, file_config)
     stock_paths = args.stock or file_config.get("stock") or []
-    manifest_path = args.models or file_config.get("models")
-    if not manifest_path:
-        raise ConfigError("a model manifest is required (--models)")
     if not stock_paths:
         raise ConfigError("at least one stock file is required (--stock)")
-    manifest = ModelManifest.load(manifest_path)
     normalizer = ToyNormalizer()
     stock = load_stocks(stock_paths, normalizer)
     scorer = HeavyTokenScorer()
@@ -136,16 +139,14 @@ def cmd_plan(args: argparse.Namespace) -> int:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
     trace: Optional[List[dict]] = [] if args.trace else None
-    models = build_models(manifest)
-    try:
-        outcome = beam_search(
-            args.target, cfg, models, stock, normalizer=normalizer, scorer=scorer,
-            trace=trace,
-        )
-    except NotCanonicalizable as exc:
-        raise ConfigError(f"target is not canonicalizable: {exc}") from exc
-    finally:
-        models.close()
+    with contextlib.closing(build_models(manifest)) as models:
+        try:
+            outcome = beam_search(
+                args.target, cfg, models, stock, normalizer=normalizer, scorer=scorer,
+                trace=trace,
+            )
+        except NotCanonicalizable as exc:
+            raise ConfigError(f"target is not canonicalizable: {exc}") from exc
 
     payload = {
         "metadata": {
@@ -178,44 +179,36 @@ def read_targets(path: str) -> List[str]:
     targets = []
     for lineno, line in read_lines(path):
         if line.startswith("{"):
+            where = f"{path}:{lineno}: bad JSONL test line {line!r}"
             try:
-                line = expect(json.loads(line)["target"], str, f"{path}:{lineno}: target")
-            except (ValueError, KeyError, RecursionError) as exc:  # see `read_json`
-                raise ConfigError(f"{path}:{lineno}: bad JSONL test line {line!r}: {exc}") from exc
+                line = expect(parse_json(line, where)["target"], str, f"{path}:{lineno}: target")
+            except KeyError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
         targets.append(line)
     return targets
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     # imported here so that the mock-serve model child never loads it
-    from .metrics import evaluate
+    from .metrics import check_settings, evaluate
 
     file_config = load_config_file(args.config)
-    manifest_path = args.models or file_config.get("models")
-    if not manifest_path:
-        raise ConfigError("a model manifest is required (--models)")
-    manifest = ModelManifest.load(manifest_path)
+    manifest = load_manifest(args, file_config)
     normalizer = ToyNormalizer()
     targets = read_targets(args.test)
     try:
         base_label = resolve("log_base", args.log_base, file_config)
         log_base = None if base_label == "e" else float(base_label)
-        if log_base is not None and not (0 < log_base < math.inf and log_base != 1):
-            raise ValueError(f"log base must be finite, above 0 and not 1, got {base_label}")
         beams = resolve("eval_beams", args.beams, file_config)
         bins = resolve("bins", args.bins, file_config)
-        if beams < 1 or bins < 1:
-            raise ValueError(f"beams and bins must be at least 1, got {beams} and {bins}")
+        check_settings(beams, bins, log_base)
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-    models = build_models(manifest)
-    try:
+    with contextlib.closing(build_models(manifest)) as models:
         report, records = evaluate(
             targets, models, normalizer, beams=beams, bins=bins, log_base=log_base,
             include_unrecognized=args.include_unrecognized,
         )
-    finally:
-        models.close()
 
     write_text(args.report, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
     if args.audit:
@@ -244,7 +237,10 @@ def cmd_mock_serve(args: argparse.Namespace) -> int:
     if args.transport == "stdio":
         serve_stdio(oracle, sys.stdin, sys.stdout)
         return EXIT_OK
-    server = serve_http(oracle, args.host, args.port)
+    try:
+        server = serve_http(oracle, args.host, args.port)
+    except (OSError, OverflowError) as exc:  # the address is taken, or not one at all
+        raise ConfigError(f"cannot serve on {args.host}:{args.port}: {exc}") from exc
     print(f"serving {len(templates)} templates on http://{args.host}:{server.server_port}/")
     try:
         server.serve_forever()
@@ -261,7 +257,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
     try:
         graph = HyperGraph.loads(read_text(args.graph))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"cannot load graph snapshot {args.graph}: {exc}") from exc
     dot = graph.to_dot()
     if args.out:

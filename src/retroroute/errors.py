@@ -132,13 +132,19 @@ def write_text(path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+def parse_json(text: str, where: str, error=ConfigError):
+    """The JSON value of `text`. Text that is not JSON, an integer too long to convert
+    or nesting too deep for the decoder is an `error` whose message begins with `where`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: {exc}") from exc
+
+
 def read_json(path, kind, keys=None):
     """The JSON value in a UTF-8 file, which must be of `kind` (see `expect`); an
     object with a key outside `keys`, when they are given, is a ConfigError."""
-    try:
-        value = expect(json.loads(read_text(path)), kind, str(path))
-    except (ValueError, RecursionError) as exc:  # not JSON, too long an int, or nested too deeply
-        raise ConfigError(f"{path}: {exc}") from exc
+    value = expect(parse_json(read_text(path), str(path)), kind, str(path))
     if keys is not None and not set(keys).issuperset(value):
         raise ConfigError(f"{path}: unknown keys {sorted(set(value).difference(keys))}")
     return value

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-from .errors import CycleRejected
+from .errors import CycleRejected, parse_json
 from .models import ReactionClass
 
 
@@ -204,7 +204,7 @@ class HyperGraph:
 
     @classmethod
     def loads(cls, text: str) -> "HyperGraph":
-        return cls.from_json(json.loads(text))
+        return cls.from_json(parse_json(text, "bad JSON", ValueError))
 
     # --- visualization ------------------------------------------------------
 

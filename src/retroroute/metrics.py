@@ -167,22 +167,17 @@ def evaluate_target(
 
 
 def _counted(records: Sequence[EvalRecord]) -> List[Suggestion]:
-    """Suggestions that enter metric denominators (model errors excluded)."""
-    return [
-        s
-        for r in records
-        if r.error is None
-        for s in r.suggestions
-        if s.error is None
-    ]
+    """Suggestions that enter metric denominators (model errors excluded); none is an EmptyEvaluation."""
+    counted = [s for r in records if r.error is None for s in r.suggestions if s.error is None]
+    if not counted:
+        raise EmptyEvaluation("no usable suggestions were generated")
+    return counted
 
 
 # --- the four metrics + invalid rate ---------------------------------------
 
 def round_trip(records: Sequence[EvalRecord]) -> float:
     counted = _counted(records)
-    if not counted:
-        raise EmptyEvaluation("no suggestions to evaluate")
     return 100.0 * sum(1 for s in counted if s.valid) / len(counted)
 
 
@@ -220,8 +215,6 @@ def class_diversity(records: Sequence[EvalRecord]) -> Tuple[float, bool]:
 
 def invalid_rate(records: Sequence[EvalRecord]) -> float:
     counted = _counted(records)
-    if not counted:
-        raise EmptyEvaluation("no suggestions to evaluate")
     return 100.0 * sum(1 for s in counted if not s.syntactically_valid) / len(counted)
 
 
@@ -304,6 +297,14 @@ def jsd(
 
 # --- orchestration ----------------------------------------------------------
 
+def check_settings(beams: int, bins: int, log_base: Optional[float]) -> None:
+    """A ValueError unless beams and bins are at least 1 and log_base is None or finite, above 0 and not 1."""
+    if log_base is not None and not (0 < log_base < math.inf and log_base != 1):
+        raise ValueError(f"log base must be finite, above 0 and not 1, got {log_base:g}")
+    if beams < 1 or bins < 1:
+        raise ValueError(f"beams and bins must be at least 1, got {beams} and {bins}")
+
+
 def evaluate(
     targets: Sequence[str],
     models: ChemModels,
@@ -313,11 +314,11 @@ def evaluate(
     log_base: Optional[float] = None,
     include_unrecognized: bool = False,
 ) -> Tuple[MetricsReport, List[EvalRecord]]:
-    """Run the full single-step evaluation over a target list."""
+    """Run the full single-step evaluation over a target list; bad settings (`check_settings`) are
+    a ValueError before the first model call."""
+    check_settings(beams, bins, log_base)
     records = [evaluate_target(t, models, normalizer, beams) for t in targets]
     counted = _counted(records)
-    if not counted:
-        raise EmptyEvaluation("no usable suggestions were generated")
     cd, cd_defined = class_diversity(records)
     histograms = build_distributions(records, bins)
     try:

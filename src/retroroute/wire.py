@@ -23,6 +23,7 @@ from .errors import (
     ModelTimeout,
     ModelUnavailable,
     RetroRouteError,
+    parse_json,
 )
 from .models import (
     ChemModels,
@@ -53,10 +54,7 @@ def encode_request(req_id: str, op: str, inputs: List[Any], params: Dict[str, An
 
 
 def decode_request(line: str) -> Dict[str, Any]:
-    try:
-        msg = json.loads(line)
-    except (ValueError, RecursionError) as exc:  # not JSON, too long an int, or nested too deeply
-        raise MalformedModelResponse(f"bad request line: {exc}") from exc
+    msg = parse_json(line, "bad request line", MalformedModelResponse)
     if not isinstance(msg, dict) or not isinstance(msg.get("op"), str) or msg["op"] not in ANSWERS:
         raise MalformedModelResponse(f"bad request message: {line!r}")
     msg.setdefault("inputs", [])
@@ -74,10 +72,7 @@ def encode_response(req_id: str, ok: bool, result: Any = None, error: Optional[s
 
 
 def decode_response(line: str) -> Dict[str, Any]:
-    try:
-        msg = json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        raise MalformedModelResponse(f"bad response line: {exc}") from exc
+    msg = parse_json(line, "bad response line", MalformedModelResponse)
     if not isinstance(msg, dict) or "id" not in msg or "ok" not in msg:
         raise MalformedModelResponse(f"bad response message: {line!r}")
     return msg

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import socket
 import subprocess
 import sys
 
@@ -26,6 +27,8 @@ from conftest import TOY_TEMPLATES
 
 # "CNé" in Latin-1: every reader takes UTF-8 only
 LATIN_1 = "CN\u00e9\n".encode("latin-1")
+# nested deeper than the JSON decoder can recurse
+NESTED = b"[" * 100_000
 
 
 @pytest.fixture
@@ -395,12 +398,18 @@ class TestBadConfigValues:
     @pytest.mark.parametrize("reader, content", [
         ("stock", LATIN_1), ("targets", LATIN_1), ("config", LATIN_1), ("manifest", LATIN_1),
         ("templates", LATIN_1), ("mock-serve", LATIN_1), ("token_dict", LATIN_1),
+        ("export", LATIN_1),
         ("manifest", b"[]"), ("manifest", b"{}"), ("targets", b'{"target": 5}\n'),
         # integers json.loads will not convert
         ("templates", b"[1" + b"0" * 5000 + b"]"), ("targets", b'{"target": 1' + b"0" * 5000 + b"}\n"),
+        ("export", b"[1" + b"0" * 5000 + b"]"),
+        ("templates", NESTED), ("manifest", NESTED), ("config", NESTED),
+        ("targets", b'{"target": ' + NESTED + b"\n"), ("export", NESTED),
     ], ids=["stock-latin1", "targets-latin1", "config-latin1", "manifest-latin1",
-            "templates-latin1", "mock-serve-latin1", "token_dict-latin1", "manifest-list",
-            "manifest-empty", "targets-jsonl-int", "templates-huge-int", "targets-jsonl-huge-int"])
+            "templates-latin1", "mock-serve-latin1", "token_dict-latin1", "export-latin1",
+            "manifest-list", "manifest-empty", "targets-jsonl-int", "templates-huge-int",
+            "targets-jsonl-huge-int", "export-huge-int", "templates-nested", "manifest-nested",
+            "config-nested", "targets-jsonl-nested", "export-nested"])
     def test_unreadable_input_file(self, reader, content, plan_args, templates_file,
                                    toy_manifest, stock_file, tmp_path, capsys):
         """Each input file is read by one reader; what it cannot take exits 2."""
@@ -423,9 +432,21 @@ class TestBadConfigValues:
             "token_dict": (tmp_path / "tokens.tsv",
                            ["plan", "CNOS", "--models", str(token_manifest), "--stock",
                             str(stock_file), "--out", str(tmp_path / "r.json")]),
+            "export": (tmp_path / "graph.json", ["export", str(tmp_path / "graph.json")]),
         }[reader]
         path.write_bytes(content)
         self.assert_config_error(main(args), capsys)
+
+    @pytest.mark.parametrize("in_use", [False, True], ids=["port-out-of-range", "port-in-use"])
+    def test_mock_serve_cannot_bind(self, in_use, templates_file, capsys):
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1] if in_use else 99999
+            code = main(["mock-serve", str(templates_file), "--transport", "http",
+                         "--port", str(port)])
+        err = self.assert_config_error(code, capsys)
+        assert err.startswith(f"error: cannot serve on 127.0.0.1:{port}: ")
 
     @pytest.mark.parametrize("corrupt, names", [
         (lambda s: s["arcs"][0].update(precursors=5), None),

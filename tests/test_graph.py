@@ -158,6 +158,13 @@ class TestSerialization:
         assert g3.dumps() == g2.dumps()
         assert g3.arcs[arc_id].precursors == (ids["O"], node)
 
+    # not JSON, an integer the decoder will not convert, nesting deeper than it can recurse
+    @pytest.mark.parametrize("text", ["not JSON", "[1" + "0" * 5000 + "]", "[" * 100_000],
+                             ids=["not-json", "huge-int", "nested"])
+    def test_loads_refuses_unparsable_text(self, text):
+        with pytest.raises(ValueError, match="^bad JSON: "):
+            HyperGraph.loads(text)
+
     def test_load_rejects_two_cycle(self):
         snapshot = self.snapshot(["CO", "C"], [(0, [1]), (1, [0])])
         with pytest.raises(CycleRejected):

@@ -341,6 +341,24 @@ class TestEvaluateOrchestration:
         report, _ = evaluate(["CN"], oracle, normalizer)
         assert report.jsd == 0.0 and report.inv_jsd is None
 
+    @pytest.mark.parametrize("setting", [
+        {"bins": 0}, {"beams": 0}, {"log_base": 1.0}, {"log_base": 0.0}, {"log_base": -2.0},
+        {"log_base": math.nan}, {"log_base": math.inf},
+    ], ids=["bins-0", "beams-0", "log-base-1", "log-base-0", "log-base-negative",
+            "log-base-nan", "log-base-inf"])
+    def test_bad_settings_refused_before_any_model_call(self, setting, normalizer):
+        calls = []
+
+        class CountingOracle(ToyOracle):
+            def retro_predict(self, target, beams):
+                calls.append(target)
+                return super().retro_predict(target, beams)
+
+        oracle = CountingOracle(make_templates(TOY_TEMPLATES))
+        with pytest.raises(ValueError):
+            evaluate(["CN", "CNO"], oracle, normalizer, **setting)
+        assert calls == []
+
     def test_all_targets_bad_raises(self, toy_oracle, normalizer):
         with pytest.raises(EmptyEvaluation):
             evaluate(["C !", "also bad !"], toy_oracle, normalizer)
