@@ -93,16 +93,35 @@ def invocations(root: Path):
         for i, target in enumerate(molecules):
             yield plan(f"plan-seed{seed}-{i}", target, manifest, stock)
 
-    targets = root / "targets.txt"
-    targets.write_text("\n".join(molecules) + "\n", "utf-8")
-    for beams in ("1", "10"):
-        out = root / f"eval-beams{beams}"
+    def evaluate(name, targets, manifest, *extra):
+        out = root / name
         out.mkdir()
+        test = out / "targets.txt"
+        test.write_text("".join(f"{t}\n" for t in targets), "utf-8")
         paths = [out / f for f in ("report.json", "audit.jsonl", "hist.csv")]
-        yield f"eval-beams{beams}", [
-            "eval", "--test", str(targets), "--models", str(manifest), "--beams", beams,
-            "--report", str(paths[0]), "--audit", str(paths[1]), "--hist-csv", str(paths[2]),
+        return name, [
+            "eval", "--test", str(test), "--models", str(manifest), "--report", str(paths[0]),
+            "--audit", str(paths[1]), "--hist-csv", str(paths[2]), *extra,
         ], paths
+
+    for beams in ("1", "10"):
+        yield evaluate(f"eval-beams{beams}", molecules, manifest, "--beams", beams)
+
+    # an excluded target, a syntactically invalid suggestion (reagents only) with a null
+    # class, and one participating class, so 1/JSD is infinite
+    shapes, _ = chemistry(root, "eval-shapes", [
+        {"lhs": ["C", "N"], "rhs": "CN", "weight": 1.0, "class": "1.1.1"},
+        {"lhs": [], "reagents": ["O"], "rhs": "CN", "weight": 1.0, "class": "2.1.1"},
+    ], ())
+    yield evaluate("eval-shapes", ("CN", "C !"), shapes, "--log-base", "2",
+                   "--include-unrecognized")
+    # two products of C.N at equal weight: every valid likelihood is 0.5, so JSD is undefined
+    ties, _ = chemistry(root, "eval-ties", [
+        {"lhs": ["C", "N"], "rhs": "CN", "weight": 1.0, "class": "1.1.1"},
+        {"lhs": ["C", "N"], "rhs": "NC", "weight": 1.0, "class": "2.1.1"},
+    ], ())
+    yield evaluate("eval-undefined-jsd", ("CN",), ties)
+    yield evaluate("eval-empty", ("C !",), shapes)
 
 
 def digest(data: bytes) -> str:

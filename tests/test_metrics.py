@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retroroute.errors import AllEmpty, EmptyEvaluation
+from retroroute.errors import AllEmpty, EmptyEvaluation, ModelUnavailable
 from retroroute.metrics import (
     ClassLikelihoodDistribution,
     EvalRecord,
@@ -96,6 +96,20 @@ class TestEvaluateTarget:
         models = StubModels(retro={"CN": [PrecursorSet(())]}, forwards={"": [("CN", 1.0)]})
         s = evaluate_target("CN", models, normalizer, beams=10).suggestions[0]
         assert not s.syntactically_valid and not s.valid
+
+    def test_model_error_pinned_in_audit_line(self, normalizer):
+        from test_expand import StubModels
+
+        class ForwardDown(StubModels):
+            def forward_predict(self, precursors, topk):
+                raise ModelUnavailable("forward model down")
+
+        models = ForwardDown(retro={"CN": [PrecursorSet(("C", "N"))]})
+        record = evaluate_target("CN", models, normalizer, beams=10)
+        assert record.to_json() == {"target": "CN", "error": None, "suggestions": [{
+            "precursors": ["C", "N"], "syntactically_valid": True, "valid": False,
+            "forward_likelihood": None, "reaction_class": None, "error": "forward model down",
+        }]}
 
     def test_minor_product_not_valid(self, toy_oracle, normalizer):
         # CNP's only disconnection forwards to CNO, so round-trip fails
