@@ -223,8 +223,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
     print(f"{'RT [%]':>8} {'Cov. [%]':>9} {'CD':>6} {'1/JSD':>8} {'invalid smi [%]':>16}")
     print(
-        f"{report.round_trip:>8.1f} {report.coverage:>9.1f} "
-        f"{report.class_diversity:>6.2f} {inv:>8} {report.invalid_smiles:>16.2f}"
+        f"{report.round_trip_pct:>8.1f} {report.coverage_pct:>9.1f} "
+        f"{report.class_diversity:>6.2f} {inv:>8} {report.invalid_smiles_pct:>16.2f}"
     )
     print(f"(log base {report.log_base}, {report.bins} bins, "
           f"classes {report.participating_classes}) -> {args.report}")

@@ -37,13 +37,11 @@ class Suggestion(NamedTuple):  # tuples, as immutable as frozen dataclasses and 
     error: Optional[str] = None
 
     def to_json(self) -> dict:
+        """Its audit JSON: the fields, the precursors as their molecules and the class as its code."""
         return {
+            **self._asdict(),
             "precursors": list(self.precursors.molecules),
-            "syntactically_valid": self.syntactically_valid,
-            "valid": self.valid,
-            "forward_likelihood": self.forward_likelihood,
             "reaction_class": self.reaction_class.code if self.reaction_class else None,
-            "error": self.error,
         }
 
 
@@ -53,11 +51,7 @@ class EvalRecord(NamedTuple):
     error: Optional[str] = None
 
     def to_json(self) -> dict:
-        return {
-            "target": self.target,
-            "suggestions": [s.to_json() for s in self.suggestions],
-            "error": self.error,
-        }
+        return {**self._asdict(), "suggestions": [s.to_json() for s in self.suggestions]}
 
 
 @dataclass(frozen=True)
@@ -71,14 +65,16 @@ class ClassLikelihoodDistribution:
 
 @dataclass
 class MetricsReport:
-    round_trip: float
-    coverage: float
+    """The report `eval` writes; its fields are the JSON keys."""
+
+    round_trip_pct: float
+    coverage_pct: float
     class_diversity: float
     class_diversity_defined: bool
     jsd: Optional[float]
     inv_jsd: Optional[float]  # None means infinite (identical distributions)
     jsd_defined: bool
-    invalid_smiles: float
+    invalid_smiles_pct: float
     n_targets: int
     n_suggestions: int
     n_excluded_targets: int
@@ -89,31 +85,7 @@ class MetricsReport:
     histograms: List[ClassLikelihoodDistribution]
 
     def to_json(self) -> dict:
-        return {
-            "round_trip_pct": self.round_trip,
-            "coverage_pct": self.coverage,
-            "class_diversity": self.class_diversity,
-            "class_diversity_defined": self.class_diversity_defined,
-            "jsd": self.jsd,
-            "inv_jsd": self.inv_jsd,
-            "jsd_defined": self.jsd_defined,
-            "invalid_smiles_pct": self.invalid_smiles,
-            "n_targets": self.n_targets,
-            "n_suggestions": self.n_suggestions,
-            "n_excluded_targets": self.n_excluded_targets,
-            "n_excluded_suggestions": self.n_excluded_suggestions,
-            "participating_classes": self.participating_classes,
-            "bins": self.bins,
-            "log_base": self.log_base,
-            "histograms": [
-                {
-                    "superclass": h.superclass,
-                    "count": h.count,
-                    "counts": list(h.counts),
-                }
-                for h in self.histograms
-            ],
-        }
+        return {**vars(self), "histograms": [dict(vars(h)) for h in self.histograms]}
 
 
 # --- record generation ------------------------------------------------------
@@ -332,19 +304,19 @@ def evaluate(
     n_excluded_targets = sum(1 for r in records if r.error is not None)
     n_excluded_suggestions = sum(len(r.suggestions) for r in records if r.error is None) - len(counted)
     report = MetricsReport(
-        round_trip=round_trip(records),
-        coverage=coverage(records),
+        round_trip_pct=round_trip(records),
+        coverage_pct=coverage(records),
         class_diversity=cd,
         class_diversity_defined=cd_defined,
         jsd=jsd_value,
         inv_jsd=None if inv is None or math.isinf(inv) else inv,
         jsd_defined=jsd_defined,
-        invalid_smiles=invalid_rate(records),
+        invalid_smiles_pct=invalid_rate(records),
         n_targets=len(records) - n_excluded_targets,
         n_suggestions=len(counted),
         n_excluded_targets=n_excluded_targets,
         n_excluded_suggestions=n_excluded_suggestions,
-        participating_classes=participating or [],
+        participating_classes=participating,
         bins=bins,
         log_base="e" if log_base is None else str(log_base),
         histograms=histograms,

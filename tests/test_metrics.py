@@ -338,9 +338,9 @@ class TestEvaluateOrchestration:
             ["CN", "CNO", "CNOS", "OS"], toy_oracle, normalizer, beams=10
         )
         assert report.n_targets == 4
-        assert report.coverage == 100.0
-        assert report.round_trip > 80.0
-        assert report.invalid_smiles == 0.0
+        assert report.coverage_pct == 100.0
+        assert report.round_trip_pct > 80.0
+        assert report.invalid_smiles_pct == 0.0
         assert report.class_diversity_defined
         assert report.jsd_defined
         payload = report.to_json()
