@@ -262,7 +262,7 @@ def jsd(
             columns.setdefault(j, []).append(x)
     k = len(participating)
     value = _entropy([sum(c) / k for c in columns.values()], base) - sum(entropies) / k
-    value = max(value, 0.0)
+    value = value if value > 0.0 else 0.0  # rounding may leave it below zero, or at -0.0
     inverse = math.inf if value == 0.0 else 1.0 / value
     return value, inverse, [d.superclass for d in participating]
 

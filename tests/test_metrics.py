@@ -252,6 +252,12 @@ class TestJsd:
         assert math.isinf(inverse)
         assert classes == [1, 2]
 
+    @pytest.mark.parametrize("base", [None, 2.0])
+    def test_identical_distributions_give_positive_zero(self, base):
+        # a lone point mass has entropy -0.0, the negated sum of a log of 1.0
+        value, inverse, _ = jsd([dist(1, [2, 0])], base=base)
+        assert math.copysign(1.0, value) == 1.0 and math.isinf(inverse)
+
     def test_disjoint_point_masses_give_log2(self):
         value, inverse, _ = jsd([dist(1, [4, 0]), dist(2, [0, 7])])
         assert value == pytest.approx(math.log(2), abs=1e-9)
