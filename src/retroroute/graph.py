@@ -145,7 +145,8 @@ class HyperGraph:
     @classmethod
     def from_json(cls, data: dict) -> "HyperGraph":
         """Replay a snapshot in one pass with the checks of `attach_arc`. Ids must
-        be dense and in order, so a repeated smiles fails as a non-dense node id."""
+        be dense and in order, so a repeated smiles fails as a non-dense node id, and
+        a node's in_stock, expanded and expandable flags, when given, must be booleans."""
         g = cls()
         nodes, index, by_product = g.nodes, g.index, g.arcs_by_product
         try:
@@ -159,9 +160,13 @@ class HyperGraph:
                     raise ValueError(f"node {node_id}: smiles {smiles!r} is not a string")
                 if entry["id"] != node_id or index.setdefault(smiles, node_id) != node_id:
                     raise ValueError("node ids must be dense and ordered in snapshots")
+                in_stock = entry.get("in_stock", False)
+                expanded, expandable = entry.get("expanded", False), entry.get("expandable", True)
+                if not (type(in_stock) is type(expanded) is type(expandable) is bool):
+                    raise ValueError(f"node {node_id}: in_stock, expanded and expandable must be "
+                                     "booleans")
                 nodes[node_id] = MoleculeNode(
-                    node_id, smiles, entry.get("in_stock", False), entry.get("simplicity", 1.0),
-                    entry.get("expanded", False), entry.get("expandable", True),
+                    node_id, smiles, in_stock, entry.get("simplicity", 1.0), expanded, expandable,
                 )
                 by_product[node_id] = []
         except KeyError as exc:

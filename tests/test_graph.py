@@ -277,6 +277,19 @@ class TestSnapshotReplay:
             assert raw_adjacency(HyperGraph.from_json(prefix)) == adjacency
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("flag, value", [
+        ("in_stock", "no"), ("in_stock", None), ("expanded", []), ("expandable", 1),
+    ], ids=["in_stock-string", "in_stock-null", "expanded-list", "expandable-int"])
+    def test_node_flags_must_be_booleans(self, flag, value):
+        snapshot = random_snapshot(random.Random(6))
+        snapshot["nodes"][3][flag] = value
+        with pytest.raises(ValueError, match="^node 3: "):
+            HyperGraph.from_json(snapshot)
+        # the flags may be left out: each then takes its default
+        snapshot["nodes"][3] = {"id": 3, "smiles": "[M3]"}
+        node = HyperGraph.from_json(snapshot).nodes[3]
+        assert (node.in_stock, node.expanded, node.expandable) == (False, False, True)
+
     def test_repeated_smiles_rejected(self):
         rng = random.Random(5)
         for _ in range(10):
