@@ -15,6 +15,7 @@ import contextlib
 import json
 import logging
 import os
+import reprlib
 import sys
 import time
 from pathlib import Path
@@ -179,7 +180,7 @@ def read_targets(path: str) -> List[str]:
     targets = []
     for lineno, line in read_lines(path):
         if line.startswith("{"):
-            where = f"{path}:{lineno}: bad JSONL test line {line!r}"
+            where = f"{path}:{lineno}: bad JSONL test line {reprlib.repr(line)}"
             try:
                 line = expect(parse_json(line, where)["target"], str, f"{path}:{lineno}: target")
             except KeyError as exc:

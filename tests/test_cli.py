@@ -435,7 +435,8 @@ class TestBadConfigValues:
             "export": (tmp_path / "graph.json", ["export", str(tmp_path / "graph.json")]),
         }[reader]
         path.write_bytes(content)
-        self.assert_config_error(main(args), capsys)
+        # the error quotes no more of the input than a short excerpt
+        assert len(self.assert_config_error(main(args), capsys).encode()) < 300
 
     @pytest.mark.parametrize("in_use", [False, True], ids=["port-out-of-range", "port-in-use"])
     def test_mock_serve_cannot_bind(self, in_use, templates_file, capsys):
@@ -474,12 +475,16 @@ class TestBadConfigValues:
         (lambda s: s["arcs"][0].update(precursors=[-1]), "arc 0"),
         (lambda s: s["arcs"][0].pop("likelihood") and None, "arc 0"),
         (lambda s: s["nodes"][1].pop("smiles") and None, "node 1"),
+        # a node flag is a boolean: "no" would otherwise draw the node as in stock
+        (lambda s: s["nodes"][1].update(in_stock="no"), "node 1"),
+        (lambda s: s["nodes"][1].update(expanded=[]), "node 1"),
     ], ids=["precursors-int", "simplicity-string", "class-int", "list", "root-string",
             "root-unknown", "likelihood-string", "score-string", "likelihood-bool",
             "smiles-int", "precursors-bool", "product-bool", "superclass-12",
             "class-arabic-indic", "class-superscript", "root-bool",
             "reagents-not-precursors", "product-unknown", "precursor-unknown",
-            "precursor-negative", "likelihood-missing", "smiles-missing"])
+            "precursor-negative", "likelihood-missing", "smiles-missing", "in_stock-string",
+            "expanded-list"])
     def test_wrong_shaped_snapshot(self, corrupt, names, tmp_path, capsys):
         snapshot = {
             "root": 0,
