@@ -37,7 +37,6 @@ class Suggestion(NamedTuple):  # tuples, as immutable as frozen dataclasses and 
     error: Optional[str] = None
 
     def to_json(self) -> dict:
-        """Its audit JSON: the fields, the precursors as their molecules and the class as its code."""
         return {
             **self._asdict(),
             "precursors": list(self.precursors.molecules),
@@ -72,7 +71,7 @@ class MetricsReport:
     class_diversity: float
     class_diversity_defined: bool
     jsd: Optional[float]
-    inv_jsd: Optional[float]  # None means infinite (identical distributions)
+    inv_jsd: Optional[float]  # None when infinite (identical distributions) or undefined
     jsd_defined: bool
     invalid_smiles_pct: float
     n_targets: int
