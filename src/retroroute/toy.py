@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache, partial
 from itertools import islice
 from pathlib import Path
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -18,6 +19,9 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from .errors import ConfigError, MalformedModelResponse, MalformedReaction, NotCanonicalizable, expect, read_json
 from .models import ChemModels, ForwardPrediction, PrecursorSet, ReactionClass, UNRECOGNIZED
 from .smiles import ToyNormalizer, split_reaction
+
+# forward tables an oracle keeps (about 720 B each, 2.9 MB in all); least recently used go first
+STORED_TABLES = 1 << 12
 
 
 class Template(NamedTuple):  # a tuple is as immutable as a frozen dataclass, and quicker to build
@@ -66,6 +70,21 @@ def load_templates(path: str | Path) -> List[Template]:
     return parse_templates(read_json(path, list), str(path))
 
 
+def _build(templates: List[Template], by_reactant: Dict[Optional[str], List[int]],
+           pool: frozenset) -> _Table:
+    candidates = list(by_reactant.get(None, ()))
+    for m in pool:
+        candidates += by_reactant.get(m, ())
+    applicable = [templates[i] for i in sorted(candidates) if pool.issuperset(templates[i].reactants)]
+    total = sum(t.weight for t in applicable)
+    by_product: Dict[str, float] = {}
+    for t in applicable:
+        by_product[t.product] = by_product.get(t.product, 0.0) + t.weight
+    # each product's summed weight divided once: a sum of quotients can round above 1
+    return _Table(applicable, dict(sorted(((p, w / total) for p, w in by_product.items()),
+                                          key=lambda item: (-item[1], item[0]))))
+
+
 class ToyOracle(ChemModels):
     """All three model roles served consistently from one template set in normal form."""
 
@@ -83,27 +102,11 @@ class ToyOracle(ChemModels):
         for i, t in enumerate(self.templates):
             self._by_product.setdefault(t.product, []).append(t)
             self._by_reactant.setdefault(min(t.reactants, key=uses, default=None), []).append(i)
-        # the last retro call's tables: the calls on its suggestions that follow build none
-        self._tables: Dict[frozenset, _Table] = {}
+        # the store holds the index, not the oracle, so a dropped oracle frees it at once
+        self._tables = lru_cache(STORED_TABLES)(partial(_build, self.templates, self._by_reactant))
 
     def _table(self, molecules: Iterable[str]) -> _Table:
-        pool = frozenset(molecules)  # a table depends only on its pool
-        return self._tables.get(pool) or self._build(pool)
-
-    def _build(self, pool: frozenset) -> _Table:
-        candidates = list(self._by_reactant.get(None, ()))
-        for m in pool:
-            candidates += self._by_reactant.get(m, ())
-        templates = self.templates
-        applicable = [templates[i] for i in sorted(candidates)
-                      if pool.issuperset(templates[i].reactants)]
-        total = sum(t.weight for t in applicable)
-        by_product: Dict[str, float] = {}
-        for t in applicable:
-            by_product[t.product] = by_product.get(t.product, 0.0) + t.weight
-        # each product's summed weight divided once: a sum of quotients can round above 1
-        return _Table(applicable, dict(sorted(((p, w / total) for p, w in by_product.items()),
-                                              key=lambda item: (-item[1], item[0]))))
+        return self._tables(frozenset(molecules))  # a table depends only on its pool
 
     # --- forward role -------------------------------------------------------
 
@@ -123,14 +126,11 @@ class ToyOracle(ChemModels):
     def retro_predict(self, target: str, beams: int) -> List[PrecursorSet]:
         """Each template's precursors for `target`, by the forward score of its reaction."""
         target = self.normalizer.normalize(target)
-        tables: Dict[frozenset, _Table] = {}
         suggestions = []
         for t in self._by_product.get(target, ()):
             candidate = PrecursorSet(t.reactants + t.reagents, frozenset(t.reagents))
-            pool = frozenset(candidate.molecules)
-            table = tables[pool] = tables.get(pool) or self._table(pool)
-            suggestions.append((table.likelihoods.get(target, 0.0), candidate))
-        self._tables = tables
+            suggestions.append((self._table(candidate.molecules).likelihoods.get(target, 0.0),
+                                candidate))
         suggestions.sort(key=lambda item: (-item[0], item[1].key()))
         return [candidate for _, candidate in suggestions[:beams]]
 

@@ -1,9 +1,15 @@
+import gc
 import json
+import random
 import re
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from retroroute import toy
 from retroroute.errors import MalformedModelResponse, NotCanonicalizable
 from retroroute.models import UNRECOGNIZED, ForwardPrediction, PrecursorSet, ReactionClass
 from retroroute.smiles import ToyNormalizer
@@ -209,8 +215,8 @@ def test_indexed_lookups_equal_full_scan(entries, pool, product, products, other
         (r.molecules, r.reagents, oracle.score_reaction(r, product)) for r in retro
     ] == reference.retro(product, n)
 
-    # in the order evaluation and expansion call them: on the tables retro kept, and
-    # again once a retro call for another target has replaced them
+    # in the order evaluation and expansion call them: on the tables retro stored, and
+    # again after a retro call for another target
     for _ in range(2):
         for r in retro:
             forward = oracle.forward_predict(r, topk=n)
@@ -235,17 +241,24 @@ def test_indexed_lookups_equal_full_scan(entries, pool, product, products, other
         assert cls == (ReactionClass.parse(expected) if expected else UNRECOGNIZED)
 
 
+def build_log(monkeypatch):
+    """The pools whose forward tables the oracles made from now on build, in order."""
+    pools = []
+    build = toy._build
+    monkeypatch.setattr(toy, "_build", lambda *args: pools.append(args[-1]) or build(*args))
+    return pools
+
+
 def test_retro_tables_serve_the_calls_that_follow(monkeypatch):
     """A retro call builds one forward table per distinct precursor pool it ranks; the
-    score, forward and classify calls on its suggestions read them and build none."""
+    score, forward and classify calls on its suggestions read them and build none, and
+    any other pool's table, once built, serves every later call on that pool."""
+    pools = build_log(monkeypatch)
     oracle = ToyOracle(make_templates(TOY_TEMPLATES + [
         # the pool of CN <- {C, N} again, and that pool with a reagent
         {"lhs": ["N", "C"], "rhs": "CN", "weight": 0.2, "class": "6.1.1"},
         {"lhs": ["C", "N"], "rhs": "CN", "weight": 0.4, "class": "7.1.1", "reagents": ["O"]},
     ]))
-    pools = []
-    build = oracle._build
-    monkeypatch.setattr(oracle, "_build", lambda pool: pools.append(pool) or build(pool))
 
     suggested = oracle.retro_predict("CN", beams=10)
     assert len(suggested) == 4
@@ -256,10 +269,82 @@ def test_retro_tables_serve_the_calls_that_follow(monkeypatch):
         oracle.classify(f"{p.joined()}>>CN")
     assert len(pools) == 3
 
-    # any other pool builds its table on each call, and keeps none
+    # any other pool builds its table on its first call, and repeated calls build nothing more
     for _ in range(2):
         oracle.forward_predict(ps("CN", "O"), topk=3)
-    assert len(pools) == 5
-    oracle.retro_predict("CNOS", beams=10)  # its one pool, {CNO, S}
-    oracle.classify(f"{suggested[0].joined()}>>CN")
-    assert len(pools) == 7
+        oracle.retro_predict("CNOS", beams=10)  # its one pool, {CNO, S}
+        oracle.classify(f"{suggested[0].joined()}>>CN")
+        oracle.retro_predict("CN", beams=10)
+    assert sorted(map(sorted, pools[3:])) == [["CN", "O"], ["CNO", "S"]]
+
+
+def test_table_store_drops_the_least_recently_used_pool_past_its_bound(monkeypatch):
+    monkeypatch.setattr(toy, "STORED_TABLES", 2)
+    pools = build_log(monkeypatch)
+    oracle = ToyOracle(make_templates(TOY_TEMPLATES))
+    a, b, c = ps("C", "N"), ps("CN", "O"), ps("O", "S")
+    for p in (a, b, a, c):  # a is used again after b, so c's table drops b's
+        oracle.forward_predict(p, topk=3)
+    assert pools == [frozenset(p.molecules) for p in (a, b, c)]
+    for p in (a, c, b, c):  # b is rebuilt and drops a; the newest, c, is not rebuilt
+        oracle.forward_predict(p, topk=3)
+    assert pools == [frozenset(p.molecules) for p in (a, b, c, b)]
+
+
+def test_one_oracle_shared_by_threads_answers_as_a_fresh_one(monkeypatch):
+    """Threads that share an oracle whose store keeps fewer tables than they use get
+    the answers a fresh oracle gives a single thread, and raise nothing."""
+    monkeypatch.setattr(toy, "STORED_TABLES", 4)
+    calls = []
+    for e in TOY_TEMPLATES:
+        pool = ps(*e["lhs"])
+        calls += [("retro_predict", e["rhs"], 10), ("score_reaction", pool, e["rhs"]),
+                  ("forward_predict", pool, 3), ("classify", f"{pool.joined()}>>{e['rhs']}")]
+    fresh = ToyOracle(make_templates(TOY_TEMPLATES))
+    expected = [getattr(fresh, name)(*args) for name, *args in calls]
+    shared = ToyOracle(make_templates(TOY_TEMPLATES))
+    start = threading.Barrier(8)
+    faults = []
+
+    def work(t):
+        start.wait()
+        try:
+            for r in range(400):
+                for i in random.Random(t * 1000 + r).sample(range(len(calls)), len(calls)):
+                    name, *args = calls[i]
+                    answer = getattr(shared, name)(*args)
+                    if answer != expected[i]:
+                        faults.append((calls[i], answer, expected[i]))
+        except Exception as exc:
+            faults.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the store's calls too
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert faults == []
+
+
+def test_a_dropped_oracle_frees_its_tables_at_once():
+    """The store refers to the oracle's index, not to the oracle, so no reference cycle
+    keeps a dropped oracle and its tables alive until the cyclic collector runs."""
+    oracle = ToyOracle(make_templates(TOY_TEMPLATES))
+    for e in TOY_TEMPLATES:
+        for p in oracle.retro_predict(e["rhs"], beams=10):
+            oracle.forward_predict(p, topk=3)
+    refs = [weakref.ref(oracle), weakref.ref(oracle._tables)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del oracle
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
