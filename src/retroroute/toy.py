@@ -20,7 +20,7 @@ from .errors import ConfigError, MalformedModelResponse, MalformedReaction, NotC
 from .models import ChemModels, ForwardPrediction, PrecursorSet, ReactionClass, UNRECOGNIZED
 from .smiles import ToyNormalizer, split_reaction
 
-# forward tables an oracle keeps (about 720 B each, 2.9 MB in all); least recently used go first
+# forward tables an oracle keeps, least recently used out first: tables, not bytes (~720 B on the bench chemistry)
 STORED_TABLES = 1 << 12
 
 
