@@ -584,6 +584,39 @@ def test_cli_import_loads_neither_numpy_nor_requests():
     assert result.returncode == 0, result.stderr
 
 
+def test_plan_logs_a_skipped_stock_line(toy_manifest, stock_file, tmp_path):
+    # `main` configures logging: level WARNING, one "LEVEL logger: message" line each
+    stock_file.write_text(stock_file.read_text("utf-8") + "C!\n", "utf-8")
+    result = run_python("-m", "retroroute.cli", "plan", "CNOS", "--models", str(toy_manifest),
+                        "--stock", str(stock_file), "--out", str(tmp_path / "routes.json"))
+    assert result.returncode == EXIT_OK, result.stderr
+    assert result.stderr == (
+        f"WARNING retroroute.stock: {stock_file}:5: skipping unnormalizable entry 'C!'\n"
+        f"WARNING retroroute.stock: {stock_file}: rejected 1 unnormalizable entries\n"
+    )
+
+
+def test_verbose_mock_serve_logs_each_http_request(templates_file):
+    # the HTTP server's request lines are the package's only DEBUG records
+    command = [sys.executable, "-u", "-m", "retroroute.cli", "-v", "mock-serve",
+               str(templates_file), "--transport", "http", "--port", "0"]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}) as server:
+        try:
+            # "serving N templates on http://127.0.0.1:PORT/"
+            port = int(server.stdout.readline().rstrip("/\n").rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                body = b'{"id":"1","op":"classify","inputs":["C.N>>CN"],"params":{}}\n'
+                sock.sendall(b"POST / HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+                             b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+                reply = b"".join(iter(lambda: sock.recv(65536), b""))
+        finally:
+            server.terminate()
+        _, stderr = server.communicate(timeout=30)
+    assert reply.startswith(b"HTTP/1.1 200 ") and b'"id":"1","ok":true' in reply
+    assert stderr.startswith('DEBUG retroroute.wire: http: "POST / HTTP/1.1" 200 -\n'), stderr
+
+
 def test_expansion_loads_neither_graph_nor_search(templates_file):
     # what a molecule expands to is worked out without a graph, so it can be stored
     code = (

@@ -146,6 +146,22 @@ def test_precursor_set_dedups_and_orders():
     assert p.joined() == "C.N"
 
 
+def test_precursor_set_is_an_immutable_value():
+    p = PrecursorSet(("N", "C", "O", "N", "C"), frozenset({"O", "X"}))
+    assert p.molecules == ("N", "C", "O") and p.reagents == frozenset({"O"})
+    q = PrecursorSet(molecules=("N", "C", "O"), reagents=frozenset({"O"}))
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    assert p != PrecursorSet(("N", "C", "O")) and p != PrecursorSet(("C", "N", "O"), {"O"})
+    assert repr(q) == "PrecursorSet(molecules=('N', 'C', 'O'), reagents=frozenset({'O'}))"
+    assert repr(PrecursorSet(("C",))) == "PrecursorSet(molecules=('C',), reagents=frozenset())"
+    for field in ("molecules", "reagents", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, field, ())
+    assert p.molecules == ("N", "C", "O")
+    normal = PrecursorSet(("N", "C~O"), frozenset({"C~O"}))
+    assert normal.normalized(ToyNormalizer()) is normal
+
+
 @pytest.mark.parametrize("kind", [list, tuple, set, frozenset])
 @pytest.mark.parametrize("reagents", [(), ("O",), ("O", "X"), ("X",)])
 def test_precursor_set_reagents_are_a_frozenset_of_its_molecules(kind, reagents):

@@ -1221,6 +1221,30 @@ class TestTokenSubstitution:
             client.close()
 
 
+@pytest.mark.parametrize("fields", [
+    {"transport": "grpc"}, {"transport": 5}, {"transport": "toy"},
+    {"transport": "toy", "templates_path": ""}, {"transport": "subprocess", "command": None},
+    {"command": []}, {"transport": "http"}, {"transport": "http", "endpoint": ""},
+    {"timeout": 0}, {"timeout": -1.0}, {"timeout": math.inf}, {"timeout": math.nan},
+    {"timeout": "60"}, {"timeout": True}, {"timeout": None},
+    {"retries": -1}, {"retries": 1.0}, {"retries": True}, {"retries": "2"}, {"retries": None},
+    {"templates_path": 5}, {"token_dict_path": ["t.tsv"]}, {"command": "python3 -m x"},
+    {"command": ["python3", 1]}, {"endpoint": 5},
+], ids=lambda fields: "-".join(f"{k}={v!r}" for k, v in fields.items()))
+def test_manifest_refuses_bad_fields(fields):
+    # built directly, as a library caller may, a manifest checks what `load` would
+    with pytest.raises(ConfigError):
+        ModelManifest(**{"transport": "subprocess", "command": ["python3"], **fields})
+
+
+def test_manifest_fields_and_defaults():
+    manifest = ModelManifest("subprocess", command=("python3", "-m", "x"))
+    assert (manifest.transport, manifest.command) == ("subprocess", ("python3", "-m", "x"))
+    assert (manifest.templates_path, manifest.endpoint, manifest.token_dict_path) == (None,) * 3
+    assert (manifest.timeout, manifest.retries) == (60.0, 2)
+    assert ModelManifest("http", endpoint="http://h/", timeout=1, retries=0).timeout == 1
+
+
 def test_build_models_toy(toy_manifest):
     models = build_models(ModelManifest.load(toy_manifest))
     assert isinstance(models, ToyOracle)
