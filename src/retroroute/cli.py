@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import logging
 import os
 import reprlib
 import sys
@@ -30,8 +29,6 @@ from .wire import build_models, serve_http, serve_stdio
 if TYPE_CHECKING:
     from .graph import HyperGraph
     from .search import Pathway
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -325,10 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # the model child logs only the HTTP server's DEBUG lines, so without -v it never
+    # loads logging; every other command may warn
+    if args.verbose or args.func is not cmd_mock_serve:
+        import logging
+        logging.basicConfig(
+            level=logging.DEBUG if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
     try:
         return args.func(args)
     except EmptyEvaluation as exc:

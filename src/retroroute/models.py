@@ -10,32 +10,28 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import ConfigError, NotCanonicalizable, expect, read_json, read_lines
 from .smiles import Normalizer, split_units
 
 
-@dataclass(frozen=True)
-class PrecursorSet:
+class PrecursorSet(namedtuple("PrecursorSet", "molecules reagents")):
     """Ordered, deduplicated molecules of one suggested disconnection.
 
     `reagents` lists the molecules flagged as not contributing atoms to the
     product (solvents, catalysts); they are a subset of `molecules`.
     """
 
-    molecules: Tuple[str, ...]
-    reagents: frozenset = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.molecules)) != len(self.molecules):
-            object.__setattr__(
-                self, "molecules", tuple(dict.fromkeys(self.molecules))
-            )
-        if type(self.reagents) is not frozenset or self.reagents:
-            object.__setattr__(self, "reagents", frozenset(self.reagents) & set(self.molecules))
+    def __new__(cls, molecules: Tuple[str, ...], reagents: frozenset = frozenset()):
+        if len(set(molecules)) != len(molecules):
+            molecules = tuple(dict.fromkeys(molecules))
+        if type(reagents) is not frozenset or reagents:
+            reagents = frozenset(reagents) & set(molecules)
+        return tuple.__new__(cls, (molecules, reagents))
 
     def normalized(self, normalizer: Normalizer) -> "PrecursorSet":
         """Each molecule normalized, reagent flags kept; raises NotCanonicalizable."""
@@ -158,19 +154,17 @@ class TokenSubstitution:
         return ".".join(self.token_to_smiles.get(u, u) for u in split_units(s))
 
 
-@dataclass
-class ModelManifest:
-    """How to reach the models."""
+class ModelManifest(namedtuple(
+    "ModelManifest", "transport templates_path command endpoint token_dict_path timeout retries",
+    defaults=(None, None, None, None, 60.0, 2),
+)):
+    """How to reach the models: the "toy" transport reads `templates_path`, "subprocess"
+    starts `command` (a list of strings) and "http" posts to `endpoint`."""
 
-    transport: str  # "toy" | "subprocess" | "http"
-    templates_path: Optional[str] = None
-    command: Optional[Sequence[str]] = None
-    endpoint: Optional[str] = None
-    token_dict_path: Optional[str] = None
-    timeout: float = 60.0
-    retries: int = 2
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.transport not in ("toy", "subprocess", "http"):
             raise ConfigError(f"unknown transport {self.transport!r}")
         for key in ("templates_path", "token_dict_path", "endpoint", "command"):
@@ -186,10 +180,11 @@ class ModelManifest:
             raise ConfigError(f"timeout must be a positive number of seconds: {self.timeout!r}")
         if expect(self.retries, int, "manifest retries") < 0:
             raise ConfigError(f"retries must be a non-negative integer: {self.retries!r}")
+        return self
 
     @classmethod
     def load(cls, path: str | Path) -> "ModelManifest":
-        data = read_json(path, dict, cls.__dataclass_fields__)
+        data = read_json(path, dict, cls._fields)
         expect(data.get("transport"), str, f"{path}: transport")
         base = Path(path).parent
         for key in ("templates_path", "token_dict_path"):

@@ -9,9 +9,8 @@ that downstream splitting keeps them as a single unit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import (
     IndexOutOfRange,
@@ -42,15 +41,13 @@ _TOKENS_RE = re.compile(rf"(?:(?={TOKEN_PATTERN})\1)+")
 _SPACE_RE = re.compile(r"\s")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     start: int
     end: int
 
 
-@dataclass(frozen=True)
-class TokenStream:
+class TokenStream(NamedTuple):
     """Lossless token sequence: joining the texts reproduces the input."""
 
     tokens: Tuple[Token, ...]

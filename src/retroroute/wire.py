@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import logging
 import math
 import os
 import select
@@ -33,8 +32,6 @@ from .models import (
     ReactionClass,
     TokenSubstitution,
 )
-
-logger = logging.getLogger(__name__)
 
 # largest HTTP request body serve_http reads; a longer one is refused unread
 MAX_REQUEST_BYTES = 8 * 1024 * 1024
@@ -250,7 +247,8 @@ def serve_http(models: ChemModels, host: str, port: int) -> "ThreadingHTTPServer
             self.wfile.write(payload)
 
         def log_message(self, fmt, *args):
-            logger.debug("http: " + fmt, *args)
+            import logging  # here, as in _reply_in: the stdio model child never loads it
+            logging.getLogger(__name__).debug("http: " + fmt, *args)
 
     return ThreadingHTTPServer((host, port), Handler)
 
@@ -266,7 +264,8 @@ def _reply_in(lines: Iterable[bytes], req_id: str) -> Optional[str]:
         try:
             msg = decode_response(line)
         except MalformedModelResponse:
-            logger.warning("dropping malformed response line: %r", line)
+            import logging  # here, so that the stdio model child never loads it
+            logging.getLogger(__name__).warning("dropping malformed response line: %r", line)
             continue
         if msg["id"] == req_id:
             return line

@@ -567,21 +567,49 @@ def run_python(*args):
     )
 
 
+# what the stdio model child (mock-serve) needs none of: the planner, the subprocess module
+# (only the client of a subprocess manifest starts a child), the HTTP modules, and the
+# start-up cost of dataclasses (with inspect) and logging
+CHILD_NEEDS_NONE = (
+    "({f'retroroute.{m}' for m in ('expand', 'graph', 'search', 'stock', 'metrics')}"
+    " | {'subprocess', 'http.client', 'http.server', 'dataclasses', 'inspect', 'logging'})"
+)
+
+
 def test_cli_import_loads_neither_numpy_nor_requests():
-    # the stdio model child (mock-serve) imports the CLI and uses none of these, nor the
-    # subprocess module, which only the client of a subprocess manifest needs
     code = (
         "import sys\n"
         "at_start = set(sys.modules)\n"
         "import retroroute.cli\n"
-        "planner = {f'retroroute.{m}' for m in ('expand', 'graph', 'search', 'stock', 'metrics')}\n"
-        "loaded = sorted((planner | {'subprocess'}) & (set(sys.modules) - at_start))\n"
+        f"loaded = sorted({CHILD_NEEDS_NONE} & (set(sys.modules) - at_start))\n"
         "import retroroute.metrics, retroroute.wire\n"
         "banned = {'numpy', 'requests', 'http.client', 'http.server'}\n"
         "sys.exit(loaded + sorted(banned & set(sys.modules)) or 0)\n"
     )
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
+
+
+def test_stdio_model_child_loads_only_what_it_serves_with(templates_file):
+    # the child as a subprocess manifest starts it, answering the one request on its stdin
+    code = (
+        "import runpy, sys\n"
+        "at_start = set(sys.modules)\n"
+        "sys.argv = ['retroroute', 'mock-serve', sys.argv[1]]\n"
+        "try:\n"
+        "    runpy.run_module('retroroute.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        f"loaded = sorted({CHILD_NEEDS_NONE} & (set(sys.modules) - at_start))\n"
+        "sys.exit(loaded or 0)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(templates_file)], env={**os.environ, "PYTHONPATH": SRC},
+        input='{"id":"1","op":"classify","inputs":["C.N>>CN"],"params":{}}\n',
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith('{"id":"1","ok":true,'), result.stdout
 
 
 def test_plan_logs_a_skipped_stock_line(toy_manifest, stock_file, tmp_path):
