@@ -247,7 +247,7 @@ def serve_http(models: ChemModels, host: str, port: int) -> "ThreadingHTTPServer
             self.wfile.write(payload)
 
         def log_message(self, fmt, *args):
-            import logging  # here, as in _reply_in: the stdio model child never loads it
+            import logging  # here, so that the stdio model child never loads it
             logging.getLogger(__name__).debug("http: " + fmt, *args)
 
     return ThreadingHTTPServer((host, port), Handler)
