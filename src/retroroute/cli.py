@@ -111,7 +111,7 @@ def route_to_json(graph: HyperGraph, p: Pathway) -> dict:
 def cmd_plan(args: argparse.Namespace) -> int:
     # imported here so that the mock-serve model child never loads them
     from .expand import ExpansionConfig
-    from .search import HeavyTokenScorer, SearchConfig, beam_search
+    from .search import SearchConfig, beam_search
     from .stock import load_stocks
 
     file_config = load_config_file(args.config)
@@ -121,7 +121,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
         raise ConfigError("at least one stock file is required (--stock)")
     normalizer = ToyNormalizer()
     stock = load_stocks(stock_paths, normalizer)
-    scorer = HeavyTokenScorer()
     # each setting under its flag's destination, which is also its key in metadata.config
     names = ("beams", "max_steps", "retro_beams", "theta_hi", "gap", "forward_topk")
     try:
@@ -139,10 +138,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     trace: Optional[List[dict]] = [] if args.trace else None
     with contextlib.closing(build_models(manifest)) as models:
         try:
-            outcome = beam_search(
-                args.target, cfg, models, stock, normalizer=normalizer, scorer=scorer,
-                trace=trace,
-            )
+            outcome = beam_search(args.target, cfg, models, stock, normalizer, trace=trace)
         except NotCanonicalizable as exc:
             raise ConfigError(f"target is not canonicalizable: {exc}") from exc
 

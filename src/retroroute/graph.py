@@ -9,11 +9,17 @@ route is loop-free (an intermediate may still feed several steps).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import CycleRejected, parse_json
 from .models import ReactionClass
+
+
+_INT = {int}
+_NUMBER = {int, float}  # a bool is not a number here
+_SMALLEST, _LARGEST = -sys.float_info.max, sys.float_info.max  # NaN lies in no range
 
 
 @dataclass(slots=True)
@@ -29,8 +35,8 @@ class MoleculeNode:
     deferrals: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.simplicity <= 1.0:
-            raise ValueError(f"simplicity {self.simplicity} outside [0,1]")
+        if type(self.simplicity) not in _NUMBER or not 0.0 <= self.simplicity <= 1.0:
+            raise ValueError(f"simplicity {self.simplicity!r} is not a number in [0,1]")
 
 
 class ReactionArc(NamedTuple):
@@ -45,10 +51,6 @@ class ReactionArc(NamedTuple):
     arc_score: float
 
 
-_INT = {int}
-_NUMBER = {int, float}  # a bool is not a number here
-
-
 class HyperGraph:
     def __init__(self) -> None:
         self.nodes: Dict[int, MoleculeNode] = {}
@@ -59,13 +61,14 @@ class HyperGraph:
 
     # --- nodes --------------------------------------------------------------
 
-    def get_or_insert_node(self, smiles: str, **attrs) -> int:
+    def get_or_insert_node(self, smiles: str, in_stock: bool = False, simplicity: float = 1.0,
+                           expandable: bool = True) -> int:
         """Return the node for a canonical string, creating it once."""
         existing = self.index.get(smiles)
         if existing is not None:
             return existing
         node_id = len(self.nodes)  # nothing removes nodes, so ids stay dense
-        self.nodes[node_id] = MoleculeNode(id=node_id, smiles=smiles, **attrs)
+        self.nodes[node_id] = MoleculeNode(node_id, smiles, in_stock, simplicity, False, expandable)
         self.index[smiles] = node_id
         self.arcs_by_product[node_id] = []
         if self.root is None:
@@ -144,9 +147,9 @@ class HyperGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "HyperGraph":
-        """Replay a snapshot in one pass with the checks of `attach_arc`. Ids must
-        be dense and in order, so a repeated smiles fails as a non-dense node id, and
-        a node's in_stock, expanded and expandable flags, when given, must be booleans."""
+        """Replay a snapshot in one pass with the checks of `attach_arc`. Ids must be dense
+        and in order (a repeated smiles fails as a non-dense node id), a node's flags, when
+        given, booleans, and an arc's likelihood and score finite numbers."""
         g = cls()
         nodes, index, by_product = g.nodes, g.index, g.arcs_by_product
         try:
@@ -188,8 +191,9 @@ class HyperGraph:
                     raise ValueError(f"arc {arc_id}: product and precursors must be node ids")
                 if reagents and not reagents.issubset(precursors):
                     raise ValueError(f"arc {arc_id}: reagents must be among its precursors")
-                if type(likelihood) not in _NUMBER or type(score) not in _NUMBER:
-                    raise ValueError(f"arc {arc_id}: likelihood and score must be numbers")
+                if (type(likelihood) not in _NUMBER or type(score) not in _NUMBER or not (
+                        _SMALLEST <= likelihood <= _LARGEST and _SMALLEST <= score <= _LARGEST)):
+                    raise ValueError(f"arc {arc_id}: likelihood and score must be finite numbers")
                 try:
                     reaction_class = ReactionClass.parse(entry["class"])
                 except ValueError as exc:

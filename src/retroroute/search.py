@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CycleRejected, ModelError, ScorerUnavailable
@@ -29,6 +30,8 @@ SC_MAX = 5.0
 PRODUCT_SIMPLICITY_FLOOR = 0.01
 # atom-token count at which the surrogate complexity reaches SC_MAX
 SATURATING_ATOMS = 40
+# complexities a HeavyTokenScorer remembers, least recently used out first
+STORED_SCORES = 1 << 14
 
 OPEN = "open"
 SOLVED = "solved"
@@ -50,19 +53,25 @@ class ComplexityScorer:
         raise NotImplementedError
 
 
+def _heavy_token_sc(smiles: str) -> float:
+    try:
+        n = atom_count(smiles)
+    except Exception as exc:
+        raise ScorerUnavailable(f"cannot score {smiles!r}: {exc}") from exc
+    return min(SC_MAX, max(SC_MIN, 1.0 + 4.0 * n / SATURATING_ATOMS))
+
+
 class HeavyTokenScorer(ComplexityScorer):
     """Deterministic surrogate: complexity grows with the atom-token count.
 
     Preserves the pull toward simpler precursors without a learned model;
-    a trained scorer can be plugged in through the same interface.
+    a trained scorer can be plugged in through the same interface. Each
+    instance remembers its last `STORED_SCORES` answers (not refusals).
     """
 
-    def sc(self, smiles: str) -> float:
-        try:
-            n = atom_count(smiles)
-        except Exception as exc:
-            raise ScorerUnavailable(f"cannot score {smiles!r}: {exc}") from exc
-        return min(SC_MAX, max(SC_MIN, 1.0 + 4.0 * n / SATURATING_ATOMS))
+    def __init__(self) -> None:
+        # the memo wraps a module-level function, so it holds no reference to the scorer
+        self.sc = lru_cache(STORED_SCORES)(_heavy_token_sc)
 
 
 def simplicity(smiles: str, scorer: ComplexityScorer) -> float:
@@ -102,9 +111,7 @@ def _molecule(g: HyperGraph, smiles: str, scorer: ComplexityScorer, stock) -> in
     except ScorerUnavailable as exc:
         logger.warning("simplicity scorer failed for %r: %s", smiles, exc)
         s, expandable = 0.0, False
-    return g.get_or_insert_node(
-        smiles, in_stock=stock.contains(smiles), simplicity=s, expandable=expandable
-    )
+    return g.get_or_insert_node(smiles, stock.contains(smiles), s, expandable)
 
 
 def expand_node(
@@ -138,19 +145,16 @@ def expand_node(
     if trace is not None:
         trace.extend(map(dict, records))
 
-    attached: List[int] = []
+    attached, nodes = [], g.nodes
     for candidate, likelihood, reaction_class in representatives:
-        precursor_ids = [_molecule(g, m, scorer, stock) for m in candidate.molecules]
-        reagent_ids = {g.index[m] for m in candidate.reagents}
-        reactant_simplicities = [
-            g.nodes[pid].simplicity for pid in precursor_ids if pid not in reagent_ids
-        ]
-        score = arc_score(likelihood, reactant_simplicities, node.simplicity)
+        molecules, reagents = candidate  # molecules are distinct, so an id names one
+        precursor_ids = [_molecule(g, m, scorer, stock) for m in molecules]
+        reagent_ids = reagents and {i for m, i in zip(molecules, precursor_ids) if m in reagents}
+        score = arc_score(likelihood, [nodes[i].simplicity for i in precursor_ids
+                                       if i not in reagent_ids], node.simplicity)
         try:
-            arc_id = g.attach_arc(
-                product=node_id, precursors=precursor_ids, reagents=reagent_ids,
-                forward_likelihood=likelihood, reaction_class=reaction_class, arc_score=score,
-            )
+            arc_id = g.attach_arc(node_id, precursor_ids, likelihood, reaction_class, score,
+                                  reagent_ids)
         except CycleRejected:
             node.cycle_rejections += 1
             if trace is not None:
@@ -238,14 +242,16 @@ def beam_search(
     models: ChemModels,
     stock,
     normalizer: Normalizer,
-    scorer: ComplexityScorer = HeavyTokenScorer(),
+    scorer: Optional[ComplexityScorer] = None,
     trace: Optional[List[dict]] = None,
 ) -> SearchOutcome:
     """Plan routes for a target; returns all terminated pathways, best first.
 
-    An empty result is a valid "no route found" outcome, not an error.
+    An empty result is "no route found", not an error; no `scorer` means a fresh HeavyTokenScorer.
     """
     target_norm = normalizer.normalize(target)
+    if scorer is None:
+        scorer = HeavyTokenScorer()
 
     g = HyperGraph()
     nodes = g.nodes

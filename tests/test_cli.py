@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import os
 import socket
 import subprocess
@@ -478,13 +479,27 @@ class TestBadConfigValues:
         # a node flag is a boolean: "no" would otherwise draw the node as in stock
         (lambda s: s["nodes"][1].update(in_stock="no"), "node 1"),
         (lambda s: s["nodes"][1].update(expanded=[]), "node 1"),
+        # a simplicity is a number, not a bool read as 1 or 0
+        (lambda s: s["nodes"][1].update(simplicity=True), None),
+        (lambda s: s["nodes"][1].update(simplicity=False), None),
+        # a likelihood or score is finite: DOT would draw L=inf, and an integer too large
+        # for a float would crash the rendering
+        (lambda s: s["arcs"][0].update(likelihood=math.nan), "arc 0"),
+        (lambda s: s["arcs"][0].update(likelihood=math.inf), "arc 0"),
+        (lambda s: s["arcs"][0].update(likelihood=-math.inf), "arc 0"),
+        (lambda s: s["arcs"][0].update(likelihood=10 ** 400), "arc 0"),
+        (lambda s: s["arcs"][0].update(score=math.nan), "arc 0"),
+        (lambda s: s["arcs"][0].update(score=math.inf), "arc 0"),
+        (lambda s: s["arcs"][0].update(score=-math.inf), "arc 0"),
     ], ids=["precursors-int", "simplicity-string", "class-int", "list", "root-string",
             "root-unknown", "likelihood-string", "score-string", "likelihood-bool",
             "smiles-int", "precursors-bool", "product-bool", "superclass-12",
             "class-arabic-indic", "class-superscript", "root-bool",
             "reagents-not-precursors", "product-unknown", "precursor-unknown",
             "precursor-negative", "likelihood-missing", "smiles-missing", "in_stock-string",
-            "expanded-list"])
+            "expanded-list", "simplicity-true", "simplicity-false", "likelihood-nan",
+            "likelihood-inf", "likelihood-minus-inf", "likelihood-huge-int", "score-nan",
+            "score-inf", "score-minus-inf"])
     def test_wrong_shaped_snapshot(self, corrupt, names, tmp_path, capsys):
         snapshot = {
             "root": 0,

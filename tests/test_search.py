@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import weakref
 from collections import Counter
 from types import SimpleNamespace
 
@@ -29,7 +30,7 @@ from retroroute.search import (
     simplicity,
     terminate_check,
 )
-from retroroute.smiles import ToyNormalizer
+from retroroute.smiles import ToyNormalizer, atom_count
 from retroroute.toy import ToyOracle
 from retroroute.wire import build_models
 
@@ -49,6 +50,14 @@ SHARED_INTERMEDIATE_TEMPLATES = [
     {"lhs": ["CC", "F"], "rhs": "OO", "weight": 1.0, "class": "2.2.1"},
     {"lhs": ["I"], "rhs": "CC", "weight": 1.0, "class": "3.1.1"},
 ]
+
+
+def counted(calls, name, inner):
+    """`inner`, counting each call in `calls[name]`."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return inner(*args, **kwargs)
+    return wrapper
 
 
 class TestSimplicity:
@@ -85,6 +94,49 @@ class TestHeavyTokenScorer:
     def test_unscorable_raises(self):
         with pytest.raises(ScorerUnavailable):
             HeavyTokenScorer().sc("C !")
+
+    @pytest.mark.parametrize("stored", [None, 64])
+    def test_remembered_scores_equal_fresh_ones(self, stored, monkeypatch):
+        """Over many molecules, repeated in random order, and with a memo that overflows."""
+        if stored is not None:
+            monkeypatch.setattr(search, "STORED_SCORES", stored)
+        rng = random.Random(28)
+        tokens = ["C", "N", "O", "S", "Cl", "Br", "c", "n", "[M1]", "[NH4+]", "(", ")", "=",
+                  "#", "1", "2", "%10", "."]
+        pool = ["".join(rng.choices(tokens, k=rng.randint(1, 70))) for _ in range(400)]
+        scorer = HeavyTokenScorer()
+        for m in rng.choices(pool, k=4000):
+            expected = min(5.0, max(1.0, 1.0 + 4.0 * atom_count(m) / 40))
+            assert scorer.sc(m) == HeavyTokenScorer().sc(m) == expected, m
+        info = scorer.sc.cache_info()
+        assert info.hits > 0 and info.currsize == min(len(set(pool)), search.STORED_SCORES)
+
+    def test_refusal_is_not_remembered(self):
+        scorer = HeavyTokenScorer()
+        for _ in range(3):
+            with pytest.raises(ScorerUnavailable, match="cannot score 'C !'"):
+                scorer.sc("C !")
+        assert scorer.sc.cache_info().currsize == 0
+
+    def test_scorers_share_nothing(self):
+        first, second = HeavyTokenScorer(), HeavyTokenScorer()
+        assert first.sc("CCO") == second.sc("CCO")
+        assert first.sc.cache_info().misses == second.sc.cache_info().misses == 1
+        # the memo holds no reference to its scorer, which is freed with its last name
+        memo, ref = first.sc, weakref.ref(first)
+        del first
+        assert ref() is None and memo("CCO") == second.sc("CCO")
+
+    def test_least_recently_used_score_goes_first(self, monkeypatch):
+        monkeypatch.setattr(search, "STORED_SCORES", 2)
+        computed = []
+        count = search.atom_count
+        monkeypatch.setattr(search, "atom_count", lambda m: computed.append(m) or count(m))
+        scorer = HeavyTokenScorer()
+        for m in ["C", "CC", "C", "CCC", "C", "CC"]:
+            scorer.sc(m)
+        # the third molecule drops "CC", used longer ago than "C"
+        assert computed == ["C", "CC", "CCC", "CC"]
 
 
 class TestArcScore:
@@ -303,20 +355,13 @@ class TestBeamSearch:
     def test_profiling_hooks_see_every_call(self, toy_oracle, toy_stock, monkeypatch):
         """A profiler may wrap these names; the engine must reach each through them."""
         calls = Counter()
-
-        def counted(name, inner):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return inner(*args, **kwargs)
-            return wrapper
-
         for owner, name in [(search, "expand_node"), (search, "simplicity"),
                             (search, "fork_pathway"), (search, "terminate_check"),
                             (expand, "filter_candidate"), (expand, "cluster_candidates"),
                             (HyperGraph, "attach_arc")]:
-            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+            monkeypatch.setattr(owner, name, counted(calls, name, getattr(owner, name)))
 
-        stock = SimpleNamespace(contains=counted("stock.contains", toy_stock.contains))
+        stock = SimpleNamespace(contains=counted(calls, "stock.contains", toy_stock.contains))
         outcome = self.run(toy_oracle, stock)
         assert outcome.solved and all(calls[name] > 0 for name in (
             "expand_node", "fork_pathway", "terminate_check", "filter_candidate",
@@ -413,9 +458,9 @@ class TestSessionIndependence:
     normalizer = ToyNormalizer()
 
     @classmethod
-    def plan(cls, target, models, stock):
+    def plan(cls, target, models, stock, scorer=None):
         trace = []
-        outcome = beam_search(target, SearchConfig(), models, stock, cls.normalizer, trace=trace)
+        outcome = beam_search(target, SearchConfig(), models, stock, cls.normalizer, scorer, trace)
         routes = [route_to_json(outcome.graph, p) for p in outcome.pathways]
         return json.dumps([routes, outcome.graph.to_json(), trace], sort_keys=True)
 
@@ -458,6 +503,38 @@ class TestSessionIndependence:
                 assert planned == [(t, fresh[t]) for t in order]
             cyclic += any('"cycle_rejected"' in record for record in fresh.values())
         assert cyclic >= 10, f"only {cyclic} of 30 instances reject a cycle"
+
+    @pytest.mark.parametrize("refused", [(), ("[M1]", "[M4]")])
+    def test_one_scorer_for_every_target(self, refused, monkeypatch):
+        """One models object and one scorer plan every target as fresh ones do, and
+        still score each node and look it up in stock once, and attach each arc once."""
+        count = search.atom_count
+
+        def atom_count(m):  # a distinct simplicity per molecule, and refusals
+            if m in refused:
+                raise ValueError(f"refused {m}")
+            return count(m) + 5 * int(m[2:-1])
+
+        calls = Counter()
+        monkeypatch.setattr(search, "atom_count", atom_count)
+        monkeypatch.setattr(search, "simplicity", counted(calls, "simplicity", search.simplicity))
+        monkeypatch.setattr(HyperGraph, "attach_arc",
+                            counted(calls, "attach", HyperGraph.attach_arc))
+        unexpandable = 0
+        for templates, stock, shuffled, fresh in self.instances(10):
+            models, scorer = ToyOracle(templates), HeavyTokenScorer()
+            counted_stock = SimpleNamespace(contains=counted(calls, "stock", stock.contains))
+            for target in shuffled + shuffled[::-1]:
+                calls.clear()
+                planned = self.plan(target, models, counted_stock, scorer)
+                assert planned == fresh[target]
+                _, graph, trace = json.loads(planned)
+                rejected = sum(r["outcome"] == "cycle_rejected" for r in trace)
+                assert calls["simplicity"] == calls["stock"] == len(graph["nodes"])
+                assert calls["attach"] == len(graph["arcs"]) + rejected
+                unexpandable += sum(not n["expandable"] for n in graph["nodes"])
+            assert scorer.sc.cache_info().hits > 0
+        assert bool(unexpandable) == bool(refused)
 
     def test_one_mock_serve_child(self, tmp_path):
         cyclic = [instance for instance in self.instances(30)
