@@ -148,64 +148,66 @@ class HyperGraph:
     @classmethod
     def from_json(cls, data: dict) -> "HyperGraph":
         """Replay a snapshot in one pass with the checks of `attach_arc`. Ids must be dense
-        and in order (a repeated smiles fails as a non-dense node id), a node's flags, when
-        given, booleans, and an arc's likelihood and score finite numbers."""
+        ints in order (a repeated smiles fails as a non-dense node id), a node's flags, when
+        given, booleans, an arc's reagents a list, and its likelihood and score finite numbers."""
         g = cls()
-        nodes, index, by_product = g.nodes, g.index, g.arcs_by_product
+        nodes, index, by_product, arcs = g.nodes, g.index, g.arcs_by_product, g.arcs
         try:
             node_entries, root, arc_entries = data["nodes"], data["root"], data["arcs"]
         except KeyError as exc:
             raise ValueError(f"snapshot has no {exc} key") from exc
+        if type(node_entries) is not list or type(arc_entries) is not list:
+            raise ValueError("snapshot nodes and arcs must be lists")
         try:
             for node_id, entry in enumerate(node_entries):
                 smiles = entry["smiles"]
                 if type(smiles) is not str:
-                    raise ValueError(f"node {node_id}: smiles {smiles!r} is not a string")
-                if entry["id"] != node_id or index.setdefault(smiles, node_id) != node_id:
-                    raise ValueError("node ids must be dense and ordered in snapshots")
-                in_stock = entry.get("in_stock", False)
+                    raise ValueError(f"smiles {smiles!r} is not a string")
+                if ((i := entry["id"]) != node_id or type(i) is not int
+                        or index.setdefault(smiles, node_id) != node_id):
+                    raise ValueError("id must be its list position, an int, and smiles unique")
+                in_stock, simplicity = entry.get("in_stock", False), entry.get("simplicity", 1.0)
                 expanded, expandable = entry.get("expanded", False), entry.get("expandable", True)
                 if not (type(in_stock) is type(expanded) is type(expandable) is bool):
-                    raise ValueError(f"node {node_id}: in_stock, expanded and expandable must be "
-                                     "booleans")
-                nodes[node_id] = MoleculeNode(
-                    node_id, smiles, in_stock, entry.get("simplicity", 1.0), expanded, expandable,
-                )
+                    raise ValueError("in_stock, expanded and expandable must be booleans")
+                nodes[node_id] = MoleculeNode(node_id, smiles, in_stock, simplicity, expanded, expandable)
                 by_product[node_id] = []
         except KeyError as exc:
             raise ValueError(f"node {node_id}: missing key {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"node {node_id}: {exc}") from exc
         if root is not None and (type(root) is not int or root not in nodes):
             raise ValueError(f"root {root!r} is not a node id")
         g.root = root
-        arcs = g.arcs
         try:
             for arc_id, entry in enumerate(arc_entries):
                 product, precursors = entry["product"], tuple(entry["precursors"])
                 likelihood, score = entry["likelihood"], entry["score"]
-                reagents = frozenset(entry.get("reagents", ()))
-                if entry["id"] != arc_id:
-                    raise ValueError("arc ids must be dense and ordered in snapshots")
+                reagents = entry.get("reagents", [])
+                if (i := entry["id"]) != arc_id or type(i) is not int:
+                    raise ValueError("id must be its list position, an int")
                 if not precursors:
                     raise ValueError("precursor set must be non-empty")
                 if type(product) is not int or not _INT.issuperset(map(type, precursors)):
-                    raise ValueError(f"arc {arc_id}: product and precursors must be node ids")
+                    raise ValueError("product and precursors must be node ids")
+                if type(reagents) is not list:
+                    raise ValueError("reagents must be a list")
+                reagents = frozenset(reagents)
                 if reagents and not reagents.issubset(precursors):
-                    raise ValueError(f"arc {arc_id}: reagents must be among its precursors")
+                    raise ValueError("reagents must be among its precursors")
                 if (type(likelihood) not in _NUMBER or type(score) not in _NUMBER or not (
                         _SMALLEST <= likelihood <= _LARGEST and _SMALLEST <= score <= _LARGEST)):
-                    raise ValueError(f"arc {arc_id}: likelihood and score must be finite numbers")
-                try:
-                    reaction_class = ReactionClass.parse(entry["class"])
-                except ValueError as exc:
-                    raise ValueError(f"arc {arc_id}: {exc}") from exc
+                    raise ValueError("likelihood and score must be finite numbers")
+                reaction_class = ReactionClass.parse(entry["class"])
                 if g.would_create_cycle(product, precursors):
                     raise g._cycle_error(product, precursors)
-                arcs[arc_id] = ReactionArc(
-                    arc_id, product, precursors, reagents, likelihood, reaction_class, score,
-                )
+                arcs[arc_id] = ReactionArc(arc_id, product, precursors, reagents, likelihood,
+                                           reaction_class, score)
                 by_product[product].append(arc_id)
         except KeyError as exc:
             raise ValueError(f"arc {arc_id}: missing key or unknown node id {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"arc {arc_id}: {exc}") from exc
         return g
 
     def dumps(self) -> str:

@@ -4,23 +4,22 @@ Four metrics: round-trip accuracy (suggestions whose forward top-1 recovers
 the target), coverage (targets with at least one such suggestion), class
 diversity (mean distinct superclasses among a target's valid suggestions)
 and the Jensen-Shannon divergence of the per-superclass forward-likelihood
-distributions, plus the syntactically-invalid rate.
+distributions, plus the syntactically-invalid rate. The report and the public
+helpers read one tally (`_tally`), which walks the records once.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, count
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import AllEmpty, EmptyEvaluation, ModelError, NotCanonicalizable
 from .models import ChemModels, PrecursorSet, ReactionClass, UNRECOGNIZED
 from .smiles import Normalizer
-
-logger = logging.getLogger(__name__)
 
 N_SUPERCLASSES = 12
 LIKELIHOOD_THRESHOLD = 0.5
@@ -53,8 +52,7 @@ class EvalRecord(NamedTuple):
         return {**self._asdict(), "suggestions": [s.to_json() for s in self.suggestions]}
 
 
-@dataclass(frozen=True)
-class ClassLikelihoodDistribution:
+class ClassLikelihoodDistribution(NamedTuple):
     """Histogram of forward likelihoods in (0.5, 1.0] for one superclass."""
 
     superclass: int
@@ -84,7 +82,7 @@ class MetricsReport:
     histograms: List[ClassLikelihoodDistribution]
 
     def to_json(self) -> dict:
-        return {**vars(self), "histograms": [dict(vars(h)) for h in self.histograms]}
+        return {**vars(self), "histograms": [h._asdict() for h in self.histograms]}
 
 
 # --- record generation ------------------------------------------------------
@@ -98,25 +96,23 @@ def evaluate_target(
     try:
         target_norm = normalizer.normalize(target)
     except NotCanonicalizable as exc:
-        return EvalRecord(target=target, suggestions=(), error=str(exc))
+        return EvalRecord(target, (), str(exc))
     try:
         suggested = models.retro_predict(target_norm, beams)
     except ModelError as exc:
-        return EvalRecord(target=target_norm, suggestions=(), error=str(exc))
+        return EvalRecord(target_norm, (), str(exc))
 
     suggestions: List[Suggestion] = []
     for precursors in suggested:
         try:
             candidate = precursors.normalized(normalizer)
         except NotCanonicalizable:
-            suggestions.append(Suggestion(precursors, syntactically_valid=False, valid=False))
+            suggestions.append(Suggestion(precursors, False, False))
             continue
         try:
             forward = models.forward_predict(candidate, 2)
         except ModelError as exc:
-            suggestions.append(
-                Suggestion(candidate, True, False, error=str(exc))
-            )
+            suggestions.append(Suggestion(candidate, True, False, None, None, str(exc)))
             continue
         top1 = forward[0] if forward else None
         valid = top1 is not None and normalizer.spells(top1.product, target_norm)
@@ -125,41 +121,88 @@ def evaluate_target(
             cls = models.classify(f"{candidate.joined()}>>{target_norm}")
         except ModelError:
             cls = UNRECOGNIZED
-        suggestions.append(
-            Suggestion(
-                candidate,
-                syntactically_valid=True,
-                valid=valid,
-                forward_likelihood=likelihood,
-                reaction_class=cls,
-            )
-        )
-    return EvalRecord(target=target_norm, suggestions=tuple(suggestions))
-
-
-def _counted(records: Sequence[EvalRecord]) -> List[Suggestion]:
-    """Suggestions that enter metric denominators (model errors excluded); none is an EmptyEvaluation."""
-    counted = [s for r in records if r.error is None for s in r.suggestions if s.error is None]
-    if not counted:
-        raise EmptyEvaluation("no usable suggestions were generated")
-    return counted
+        suggestions.append(Suggestion(candidate, True, valid, likelihood, cls))
+    return EvalRecord(target_norm, tuple(suggestions))
 
 
 # --- the four metrics + invalid rate ---------------------------------------
 
+class _Tally(NamedTuple):
+    """What the report reads of its records; each field is the `MetricsReport` field of its name."""
+
+    round_trip_pct: float
+    coverage_pct: float
+    class_diversity: float
+    class_diversity_defined: bool
+    invalid_smiles_pct: float
+    n_targets: int
+    n_suggestions: int
+    n_excluded_targets: int
+    n_excluded_suggestions: int
+    histograms: List[ClassLikelihoodDistribution]
+
+
+def _tally(records: Sequence[EvalRecord], bins: int = DEFAULT_BINS) -> _Tally:
+    """The report's counts from one walk over the records: an errored record excludes its target,
+    an errored suggestion enters no denominator, and none counted is an EmptyEvaluation. Each
+    valid likelihood above 0.5 is binned once, in its superclass's histogram."""
+    edges = histogram_edges(bins)
+    counts: Dict[int, List[int]] = {}  # superclass -> its bin counts, once it has one
+    samples = [0] * N_SUPERCLASSES
+    counted = valid = invalid = usable = covered = excluded = diversity_sum = diverse_targets = 0
+    for r in records:
+        if r.error is not None:
+            continue
+        usable += 1
+        any_valid = False
+        classes = set()
+        for s in r.suggestions:
+            if s.error is not None:
+                excluded += 1
+                continue
+            counted += 1
+            invalid += not s.syntactically_valid
+            if not s.valid:
+                continue
+            valid += 1
+            any_valid = True
+            if s.reaction_class is None:
+                continue
+            c = s.reaction_class.superclass
+            classes.add(c)
+            v = s.forward_likelihood
+            if v is not None and v > LIKELIHOOD_THRESHOLD:
+                samples[c] += 1
+                if v <= 1.0:  # `np.histogram`'s rule over edges from 0.5: the last bin is closed
+                    h = counts.get(c) or counts.setdefault(c, [0] * bins)
+                    h[bisect_right(edges, v, 0, bins) - 1] += 1
+        covered += any_valid
+        if classes:
+            diversity_sum += len(classes)
+            diverse_targets += 1
+    if not counted:
+        raise EmptyEvaluation("no usable suggestions were generated")
+    empty = (0,) * bins
+    return _Tally(
+        100.0 * valid / counted,
+        100.0 * covered / usable,
+        diversity_sum / diverse_targets if diverse_targets else 0.0,
+        diverse_targets > 0,
+        100.0 * invalid / counted,
+        usable,
+        counted,
+        len(records) - usable,
+        excluded,
+        [ClassLikelihoodDistribution(c, tuple(counts.get(c, empty)), n) for c, n in enumerate(samples)],
+    )
+
+
 def round_trip(records: Sequence[EvalRecord]) -> float:
-    counted = _counted(records)
-    return 100.0 * sum(1 for s in counted if s.valid) / len(counted)
+    return _tally(records).round_trip_pct
 
 
 def coverage(records: Sequence[EvalRecord]) -> float:
-    targets = [r for r in records if r.error is None]
-    if not targets:
-        raise EmptyEvaluation("no targets to evaluate")
-    covered = sum(
-        1 for r in targets if any(s.valid for s in r.suggestions if s.error is None)
-    )
-    return 100.0 * covered / len(targets)
+    return _tally(records).coverage_pct
 
 
 def class_diversity(records: Sequence[EvalRecord]) -> Tuple[float, bool]:
@@ -168,60 +211,25 @@ def class_diversity(records: Sequence[EvalRecord]) -> Tuple[float, bool]:
     Returns (value, defined); (0.0, False) when no target has a valid
     suggestion.
     """
-    per_target = []
-    for r in records:
-        if r.error is not None:
-            continue
-        classes = {
-            s.reaction_class.superclass
-            for s in r.suggestions
-            if s.error is None and s.valid and s.reaction_class is not None
-        }
-        if classes:
-            per_target.append(len(classes))
-    if not per_target:
-        return 0.0, False
-    return sum(per_target) / len(per_target), True
+    t = _tally(records)
+    return t.class_diversity, t.class_diversity_defined
 
 
 def invalid_rate(records: Sequence[EvalRecord]) -> float:
-    counted = _counted(records)
-    return 100.0 * sum(1 for s in counted if not s.syntactically_valid) / len(counted)
+    return _tally(records).invalid_smiles_pct
 
 
-def histogram_edges(bins: int) -> List[float]:
+@lru_cache(maxsize=8)
+def histogram_edges(bins: int) -> Tuple[float, ...]:
     """`bins` equal bins over [0.5, 1.0], the edges `np.linspace` would give."""
     step = (1.0 - LIKELIHOOD_THRESHOLD) / bins
-    return [i * step + LIKELIHOOD_THRESHOLD for i in range(bins)] + [1.0]
+    return (*(i * step + LIKELIHOOD_THRESHOLD for i in range(bins)), 1.0)
 
 
-def histogram_counts(values: Sequence[float], edges: Sequence[float]) -> List[int]:
-    """Counts per bin as `np.histogram` gives them: the last bin is closed."""
-    counts = [0] * (len(edges) - 1)
-    for v in values:
-        if edges[0] <= v <= edges[-1]:
-            counts[min(bisect_right(edges, v), len(counts)) - 1] += 1
-    return counts
-
-
-def build_distributions(
-    records: Sequence[EvalRecord], bins: int = DEFAULT_BINS
-) -> List[ClassLikelihoodDistribution]:
+def build_distributions(records: Sequence[EvalRecord],
+                        bins: int = DEFAULT_BINS) -> List[ClassLikelihoodDistribution]:
     """Per-superclass histograms of valid-suggestion likelihoods above 0.5."""
-    edges = histogram_edges(bins)
-    samples: Dict[int, List[float]] = {i: [] for i in range(N_SUPERCLASSES)}
-    for s in _counted(records):
-        if (
-            s.valid
-            and s.forward_likelihood is not None
-            and s.forward_likelihood > LIKELIHOOD_THRESHOLD
-            and s.reaction_class is not None
-        ):
-            samples[s.reaction_class.superclass].append(s.forward_likelihood)
-    return [
-        ClassLikelihoodDistribution(c, tuple(histogram_counts(values, edges)), len(values))
-        for c, values in samples.items()
-    ]
+    return _tally(records, bins).histograms
 
 
 def _entropy(p: Sequence[float], base: Optional[float]) -> float:
@@ -289,35 +297,18 @@ def evaluate(
     a ValueError before the first model call."""
     check_settings(beams, bins, log_base)
     records = [evaluate_target(t, models, normalizer, beams) for t in targets]
-    counted = _counted(records)
-    cd, cd_defined = class_diversity(records)
-    histograms = build_distributions(records, bins)
+    tally = _tally(records, bins)
     try:
-        jsd_value, inv, participating = jsd(
-            histograms, include_unrecognized=include_unrecognized, base=log_base
-        )
-        jsd_defined = True
+        jsd_value, inv, participating = jsd(tally.histograms, include_unrecognized, log_base)
     except AllEmpty:
         jsd_value, inv, participating = None, None, []
-        jsd_defined = False
-    n_excluded_targets = sum(1 for r in records if r.error is not None)
-    n_excluded_suggestions = sum(len(r.suggestions) for r in records if r.error is None) - len(counted)
     report = MetricsReport(
-        round_trip_pct=round_trip(records),
-        coverage_pct=coverage(records),
-        class_diversity=cd,
-        class_diversity_defined=cd_defined,
+        **tally._asdict(),
         jsd=jsd_value,
         inv_jsd=None if inv is None or math.isinf(inv) else inv,
-        jsd_defined=jsd_defined,
-        invalid_smiles_pct=invalid_rate(records),
-        n_targets=len(records) - n_excluded_targets,
-        n_suggestions=len(counted),
-        n_excluded_targets=n_excluded_targets,
-        n_excluded_suggestions=n_excluded_suggestions,
+        jsd_defined=jsd_value is not None,
         participating_classes=participating,
         bins=bins,
         log_base="e" if log_base is None else str(log_base),
-        histograms=histograms,
     )
     return report, records

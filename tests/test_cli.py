@@ -452,7 +452,7 @@ class TestBadConfigValues:
 
     @pytest.mark.parametrize("corrupt, names", [
         (lambda s: s["arcs"][0].update(precursors=5), None),
-        (lambda s: s["nodes"][0].update(simplicity="x"), None),
+        (lambda s: s["nodes"][0].update(simplicity="x"), "node 0"),
         (lambda s: s["arcs"][0].update({"class": 5}), "arc 0"),
         (lambda s: [s], None),
         (lambda s: s.update(root="x"), None),
@@ -480,8 +480,8 @@ class TestBadConfigValues:
         (lambda s: s["nodes"][1].update(in_stock="no"), "node 1"),
         (lambda s: s["nodes"][1].update(expanded=[]), "node 1"),
         # a simplicity is a number, not a bool read as 1 or 0
-        (lambda s: s["nodes"][1].update(simplicity=True), None),
-        (lambda s: s["nodes"][1].update(simplicity=False), None),
+        (lambda s: s["nodes"][1].update(simplicity=True), "node 1"),
+        (lambda s: s["nodes"][1].update(simplicity=False), "node 1"),
         # a likelihood or score is finite: DOT would draw L=inf, and an integer too large
         # for a float would crash the rendering
         (lambda s: s["arcs"][0].update(likelihood=math.nan), "arc 0"),

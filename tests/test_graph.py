@@ -298,3 +298,41 @@ class TestSnapshotReplay:
             snapshot["nodes"][later]["smiles"] = snapshot["nodes"][earlier]["smiles"]
             with pytest.raises(ValueError):
                 HyperGraph.from_json(snapshot)
+
+    @pytest.mark.parametrize("value", [True, False, 1.5, -0.1, "x", None],
+                             ids=["true", "false", "above-one", "below-zero", "string", "null"])
+    def test_bad_simplicity_names_its_node(self, value):
+        snapshot = random_snapshot(random.Random(7))
+        snapshot["nodes"][5]["simplicity"] = value
+        with pytest.raises(ValueError, match=r"^node 5: simplicity .* is not a number in \[0,1\]$"):
+            HyperGraph.from_json(snapshot)
+
+    # each value where the snapshot's rules want another type; the root may be null
+    @pytest.mark.parametrize("corrupt, error", [
+        (lambda s: s["nodes"][0].update(id=False), "node 0: "),
+        (lambda s: s["nodes"][1].update(id=True), "node 1: "),
+        (lambda s: s["nodes"][2].update(id=2.0), "node 2: "),
+        (lambda s: s["arcs"][0].update(id=False), "arc 0: "),
+        (lambda s: s["arcs"][1].update(id=True), "arc 1: "),
+        (lambda s: s["arcs"][3].update(reagents=""), "arc 3: "),
+        (lambda s: s["arcs"][3].update(reagents={}), "arc 3: "),
+        (lambda s: s["arcs"][3].update(reagents=True), "arc 3: "),
+        (lambda s: s["arcs"][3].update(reagents=None), "arc 3: "),
+        (lambda s: s.update(arcs=""), "snapshot "),
+        (lambda s: s.update(arcs={}), "snapshot "),
+        (lambda s: s.update(nodes=""), "snapshot "),
+        (lambda s: s.update(nodes={}), "snapshot "),
+        (lambda s: s.update(root=None), None),
+    ], ids=["node-id-false", "node-id-true", "node-id-float", "arc-id-false", "arc-id-true",
+            "reagents-string", "reagents-object", "reagents-bool", "reagents-null",
+            "arcs-string", "arcs-object", "nodes-string", "nodes-object", "root-null"])
+    def test_wrong_type_refused(self, corrupt, error):
+        snapshot = random_snapshot(random.Random(8))
+        corrupt(snapshot)
+        text = json.dumps(snapshot)
+        if error is None:
+            assert HyperGraph.loads(text).root is None
+            return
+        with pytest.raises(ValueError, match=f"^{error}") as caught:
+            HyperGraph.loads(text)
+        assert "\n" not in str(caught.value)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from retroroute import metrics
 from retroroute.errors import AllEmpty, EmptyEvaluation, ModelUnavailable
 from retroroute.metrics import (
     ClassLikelihoodDistribution,
@@ -15,7 +16,6 @@ from retroroute.metrics import (
     coverage,
     evaluate,
     evaluate_target,
-    histogram_counts,
     histogram_edges,
     invalid_rate,
     jsd,
@@ -191,6 +191,65 @@ class TestPlantedFixture:
             coverage([rec("E", error="down")])
 
 
+# records of every unusual shape: an excluded target, a model error, a syntactically invalid
+# suggestion, a valid one with no class or no likelihood, and sets whose JSD is undefined
+UNUSUAL = {
+    "planted": PLANTED,
+    "classless": PLANTED + [
+        rec("F", Suggestion(PrecursorSet(("C", "O")), True, True, 0.9, None)),
+        rec("G", sug(likelihood=None), sug(cls="6.1.1", likelihood=1.0)),
+    ],
+    "jsd-undefined": [
+        rec("A", sug(likelihood=0.4), sug(cls="0.0.0", likelihood=0.9), sug(error="timeout")),
+        rec("B", sug(valid=False, likelihood=0.9), sug(syntactic=False)),
+        rec("C", error="retro model down"),
+    ],
+    "nothing-valid": [rec("A", sug(valid=False), sug(syntactic=False))],
+}
+
+
+def evaluate_records(records, monkeypatch, **settings):
+    """`evaluate` over the records' targets, with each record standing in for its model calls."""
+    by_target = {r.target: r for r in records}
+    monkeypatch.setattr(metrics, "evaluate_target", lambda target, *_: by_target[target])
+    return evaluate(list(by_target), None, ToyNormalizer(), **settings)
+
+
+class TestReportMatchesHelpers:
+    """The report and the public helpers read one tally, so they cannot drift apart."""
+
+    @pytest.mark.parametrize("name", UNUSUAL)
+    def test_report_equals_helpers(self, name, monkeypatch):
+        records = UNUSUAL[name]
+        report, got = evaluate_records(records, monkeypatch, bins=20)
+        assert got == records
+        assert (report.round_trip_pct, report.coverage_pct, report.invalid_smiles_pct) == (
+            round_trip(records), coverage(records), invalid_rate(records))
+        assert (report.class_diversity, report.class_diversity_defined) == class_diversity(records)
+        assert report.histograms == build_distributions(records, 20)
+        try:
+            value, _, classes = jsd(build_distributions(records, 20))
+        except AllEmpty:
+            value, classes = None, []
+        assert (report.jsd, report.jsd_defined, report.participating_classes) == (
+            value, value is not None, classes)
+        usable = [r for r in records if r.error is None]
+        errors = [s.error is not None for r in usable for s in r.suggestions]
+        assert (report.n_targets, report.n_excluded_targets) == (
+            len(usable), len(records) - len(usable))
+        assert (report.n_suggestions, report.n_excluded_suggestions) == (
+            errors.count(False), errors.count(True))
+
+    @pytest.mark.parametrize("records", [[], [rec("E", error="down")], [rec("A", sug(error="x"))]],
+                             ids=["no-targets", "target-excluded", "suggestion-excluded"])
+    def test_empty_evaluation_raises_first(self, records, monkeypatch):
+        with pytest.raises(EmptyEvaluation, match="^no usable suggestions were generated$"):
+            evaluate_records(records, monkeypatch)
+        for helper in (round_trip, coverage, class_diversity, invalid_rate, build_distributions):
+            with pytest.raises(EmptyEvaluation):
+                helper(records)
+
+
 class TestDistributions:
     def test_threshold_and_binning(self):
         records = [rec("A",
@@ -226,16 +285,20 @@ class TestDistributions:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 200), st.data())
     def test_counts_equal_numpy_histogram(self, bins, data):
+        """A class's counts are `np.histogram`'s over its likelihoods above 0.5; its count
+        holds each of them, a likelihood above 1.0 too."""
         edges = histogram_edges(bins)  # equal to numpy's, as the test above shows
         near_edges = st.sampled_from(edges).flatmap(
             lambda e: st.sampled_from([e, math.nextafter(e, 0.0), math.nextafter(e, 2.0)])
         )
         drawn = data.draw(st.lists(st.floats(0.4, 1.2) | near_edges, max_size=50))
         # every edge, exactly 1.0, and values on both sides of the range
-        values = drawn + edges + [1.0, 0.4, math.nextafter(0.5, 0.0),
+        values = drawn + list(edges) + [1.0, 0.4, math.nextafter(0.5, 0.0),
                                   math.nextafter(1.0, 2.0), 1.2]
-        expected, _ = np.histogram(values, bins=np.linspace(0.5, 1.0, bins + 1))
-        assert histogram_counts(values, edges) == expected.tolist()
+        d = build_distributions([rec("A", *(sug(likelihood=v) for v in values))], bins)[1]
+        above = [v for v in values if v > 0.5]
+        expected, _ = np.histogram(above, bins=np.linspace(0.5, 1.0, bins + 1))
+        assert list(d.counts) == expected.tolist() and d.count == len(above)
 
 
 def dist(superclass, counts):
