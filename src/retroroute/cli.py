@@ -96,7 +96,7 @@ def route_to_json(graph: HyperGraph, p: Pathway) -> dict:
                 "precursors": [nodes[n].smiles for n in arc.precursors if n not in arc.reagents],
                 "reagents": sorted(nodes[n].smiles for n in arc.reagents),
                 "likelihood": arc.forward_likelihood,
-                "class": arc.reaction_class.code,
+                "class": arc.class_code,
                 "arc_score": arc.arc_score,
             }
         )

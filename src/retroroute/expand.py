@@ -172,7 +172,7 @@ def expansion(smiles: str, cfg: ExpansionConfig, models: ChemModels, normalizer:
     """What `smiles` expands to, up to attach; a failed retro call raises `ModelError`.
 
     An expansion is its trace records (see `record`) and its cluster
-    representatives, best first, as (candidate, likelihood, reaction class).
+    representatives, best first, as (candidate, likelihood, reaction class code).
     It reads no graph, so an expansion that met no model failure is stored
     with `models` and given to the next caller that asks for the same
     molecule; a caller copies the records before it hands them on.
@@ -215,7 +215,7 @@ def expansion(smiles: str, cfg: ExpansionConfig, models: ChemModels, normalizer:
     clusters.sort(key=lambda c: (-c.representative.likelihood, c.representative.candidate.joined()))
     stored = (
         tuple(records),
-        tuple((c.representative.candidate, c.representative.likelihood, c.reaction_class)
+        tuple((c.representative.candidate, c.representative.likelihood, c.reaction_class.code)
               for c in clusters),
     )
     if all(v.outcome != "model_error" for v in verdicts) and all(c.classified for c in clusters):

@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import CycleRejected, parse_json
-from .models import ReactionClass
+from .models import canonical_code
 
 
 _INT = {int}
@@ -47,7 +47,7 @@ class ReactionArc(NamedTuple):
     precursors: Tuple[int, ...]
     reagents: FrozenSet[int]
     forward_likelihood: float
-    reaction_class: ReactionClass
+    class_code: str  # canonical, as `ReactionClass.code` writes it
     arc_score: float
 
 
@@ -77,20 +77,27 @@ class HyperGraph:
 
     # --- arcs ---------------------------------------------------------------
 
-    def would_create_cycle(self, product: int, precursors: Iterable[int]) -> bool:
+    def would_create_cycle(self, product: int, precursors: Sequence[int]) -> bool:
         """True iff some precursor's synthesis already depends on the product.
 
         Depth-first walk in the product -> precursor direction from the
         precursors; each node is visited once, so the cost is bounded by the
         subgraph the precursors can reach (nothing, for unexpanded ones).
         """
+        by_product = self.arcs_by_product
+        if product not in precursors:  # looked up in the order the walk pops them
+            for p in reversed(precursors):
+                if by_product[p]:
+                    break
+            else:  # no precursor has arcs, so the walk would reach nothing more
+                return False
         stack = list(precursors)
         seen = set(stack)
         while stack:
             node_id = stack.pop()
             if node_id == product:
                 return True
-            for arc_id in self.arcs_by_product[node_id]:
+            for arc_id in by_product[node_id]:
                 for p in self.arcs[arc_id].precursors:
                     if p not in seen:
                         seen.add(p)
@@ -101,15 +108,8 @@ class HyperGraph:
         smiles = [self.nodes[p].smiles for p in precursors]
         return CycleRejected(f"arc {self.nodes[product].smiles!r} <- {smiles} closes a cycle")
 
-    def attach_arc(
-        self,
-        product: int,
-        precursors: Iterable[int],
-        forward_likelihood: float,
-        reaction_class: ReactionClass,
-        arc_score: float,
-        reagents: Iterable[int] = (),
-    ) -> int:
+    def attach_arc(self, product: int, precursors: Iterable[int], forward_likelihood: float,
+                   class_code: str, arc_score: float, reagents: Iterable[int] = ()) -> int:
         """Attach a reaction arc, or raise CycleRejected.
 
         The caller treats a rejected arc as a terminated pathway branch.
@@ -120,10 +120,8 @@ class HyperGraph:
         if self.would_create_cycle(product, precursors):
             raise self._cycle_error(product, precursors)
         arc_id = len(self.arcs)  # nothing removes arcs, so ids stay dense
-        self.arcs[arc_id] = ReactionArc(
-            arc_id, product, precursors, frozenset(reagents),
-            forward_likelihood, reaction_class, arc_score,
-        )
+        self.arcs[arc_id] = ReactionArc(arc_id, product, precursors, frozenset(reagents),
+                                        forward_likelihood, class_code, arc_score)
         self.arcs_by_product[product].append(arc_id)
         return arc_id
 
@@ -140,7 +138,7 @@ class HyperGraph:
             "arcs": [
                 {"id": a.id, "product": a.product, "precursors": list(a.precursors),
                  "reagents": sorted(a.reagents), "likelihood": a.forward_likelihood,
-                 "class": a.reaction_class.code, "score": a.arc_score}
+                 "class": a.class_code, "score": a.arc_score}
                 for a in self.arcs.values()
             ],
         }
@@ -149,7 +147,8 @@ class HyperGraph:
     def from_json(cls, data: dict) -> "HyperGraph":
         """Replay a snapshot in one pass with the checks of `attach_arc`. Ids must be dense
         ints in order (a repeated smiles fails as a non-dense node id), a node's flags, when
-        given, booleans, an arc's reagents a list, and its likelihood and score finite numbers."""
+        given, booleans, an arc's reagents a list of node ids, its likelihood and score finite
+        numbers, and its class a reaction class code (kept in canonical form)."""
         g = cls()
         nodes, index, by_product, arcs = g.nodes, g.index, g.arcs_by_product, g.arcs
         try:
@@ -190,19 +189,19 @@ class HyperGraph:
                     raise ValueError("precursor set must be non-empty")
                 if type(product) is not int or not _INT.issuperset(map(type, precursors)):
                     raise ValueError("product and precursors must be node ids")
-                if type(reagents) is not list:
-                    raise ValueError("reagents must be a list")
+                if type(reagents) is not list or reagents and not _INT.issuperset(map(type, reagents)):
+                    raise ValueError("reagents must be a list of node ids")
                 reagents = frozenset(reagents)
                 if reagents and not reagents.issubset(precursors):
                     raise ValueError("reagents must be among its precursors")
                 if (type(likelihood) not in _NUMBER or type(score) not in _NUMBER or not (
                         _SMALLEST <= likelihood <= _LARGEST and _SMALLEST <= score <= _LARGEST)):
                     raise ValueError("likelihood and score must be finite numbers")
-                reaction_class = ReactionClass.parse(entry["class"])
+                class_code = canonical_code(entry["class"])
                 if g.would_create_cycle(product, precursors):
                     raise g._cycle_error(product, precursors)
                 arcs[arc_id] = ReactionArc(arc_id, product, precursors, reagents, likelihood,
-                                           reaction_class, score)
+                                           class_code, score)
                 by_product[product].append(arc_id)
         except KeyError as exc:
             raise ValueError(f"arc {arc_id}: missing key or unknown node id {exc}") from exc
@@ -239,11 +238,8 @@ class HyperGraph:
             lines.append(f'  n{node_id} [{shape_attrs}];')
         for arc in arcs:
             junction = f"a{arc.id}"
-            label = f"{arc.reaction_class.code}\\nL={arc.forward_likelihood:.3f}"
-            lines.append(
-                f'  {junction} [label="{label}", shape=square, '
-                f"width=0.15, fontsize=8];"
-            )
+            lines.append(f'  {junction} [label="{arc.class_code}\\nL={arc.forward_likelihood:.3f}", '
+                         "shape=square, width=0.15, fontsize=8];")
             lines.append(f"  {junction} -> n{arc.product};")
             for p in arc.precursors:
                 style = "dashed" if p in arc.reagents else "solid"

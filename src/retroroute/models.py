@@ -90,6 +90,15 @@ class ReactionClass(namedtuple("ReactionClass", "superclass category named_react
 
 
 UNRECOGNIZED = ReactionClass(0, 0, 0, "unrecognized")
+# superclass 0..11, no leading zeros, and too few digits for int() to refuse
+_CANONICAL_CODE_RE = re.compile(r"(?:1[01]|[0-9])(?:\.(?:0|[1-9][0-9]{0,17})){2}")
+
+
+def canonical_code(code) -> str:
+    """`ReactionClass.parse(code).code`, which a canonical code already is; the same refusals."""
+    if type(code) is str and _CANONICAL_CODE_RE.fullmatch(code):
+        return code
+    return ReactionClass.parse(code).code
 
 
 class ChemModels:

@@ -146,14 +146,14 @@ def expand_node(
         trace.extend(map(dict, records))
 
     attached, nodes = [], g.nodes
-    for candidate, likelihood, reaction_class in representatives:
+    for candidate, likelihood, class_code in representatives:
         molecules, reagents = candidate  # molecules are distinct, so an id names one
         precursor_ids = [_molecule(g, m, scorer, stock) for m in molecules]
         reagent_ids = reagents and {i for m, i in zip(molecules, precursor_ids) if m in reagents}
         score = arc_score(likelihood, [nodes[i].simplicity for i in precursor_ids
                                        if i not in reagent_ids], node.simplicity)
         try:
-            arc_id = g.attach_arc(node_id, precursor_ids, likelihood, reaction_class, score,
+            arc_id = g.attach_arc(node_id, precursor_ids, likelihood, class_code, score,
                                   reagent_ids)
         except CycleRejected:
             node.cycle_rejections += 1

@@ -228,10 +228,10 @@ def test_criterion_5_acyclicity_over_10k_attach_operations():
         arcs_before = len(g.arcs)
         if expected:
             with pytest.raises(CycleRejected):
-                g.attach_arc(product, precursors, 1.0, cls, 1.0)
+                g.attach_arc(product, precursors, 1.0, cls.code, 1.0)
             assert len(g.arcs) == arcs_before
         else:
-            arc_id = g.attach_arc(product, precursors, 1.0, cls, 1.0)
+            arc_id = g.attach_arc(product, precursors, 1.0, cls.code, 1.0)
             attached = g.arcs[arc_id]
             assert (attached.product, attached.precursors) == (product, tuple(precursors))
             assert len(g.arcs) == arcs_before + 1

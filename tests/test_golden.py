@@ -82,6 +82,24 @@ def invocations(root: Path):
     yield plan("plan-unparsable", "C !", *toy)
     export = root / "export.dot"
     yield "export", ["export", str(root / "plan-CNOS" / "graph.json"), "--out", str(export)], [export]
+    # a hand-written snapshot: class codes not in canonical form (written back canonical)
+    # and an arc with a reagent (drawn dashed)
+    snapshot = root / "hand-graph.json"
+    snapshot.write_text(json.dumps({"root": 0, "nodes": [
+        {"id": i, "smiles": s, "in_stock": i > 1, "expanded": i < 2}
+        for i, s in enumerate(("CNOS", "CNO", "S", "CN", "O", "N"))
+    ], "arcs": [
+        {"id": 0, "product": 0, "precursors": [1, 2], "likelihood": 0.9, "class": "01.2.3",
+         "score": 1.2},
+        {"id": 1, "product": 1, "precursors": [3, 4, 5], "reagents": [5], "likelihood": 0.8,
+         "class": "1.02.03", "score": 1.1},
+        {"id": 2, "product": 0, "precursors": [3, 2], "likelihood": 0.7, "class": "011.1.0",
+         "score": 0.5},
+        {"id": 3, "product": 1, "precursors": [3, 4], "likelihood": 0.6, "class": "0.0.0",
+         "score": 0.4},
+    ]}), "utf-8")
+    export = root / "export-hand.dot"
+    yield "export-hand", ["export", str(snapshot), "--out", str(export)], [export]
 
     for seed in CHEMISTRY_SEEDS:
         rng = random.Random(seed)

@@ -1,12 +1,17 @@
 import json
 import random
+import re
 
 import pytest
 
 from retroroute.errors import CycleRejected
 from retroroute.graph import HyperGraph
 from retroroute.models import ReactionClass
+from retroroute.search import SearchConfig, beam_search
+from retroroute.smiles import ToyNormalizer
+from retroroute.toy import ToyOracle
 
+from conftest import STOCK_MOLECULES, TOY_TEMPLATES, make_stock, make_templates, random_chemistry
 from reference import (
     reference_add_arc,
     reference_closes_cycle,
@@ -23,7 +28,7 @@ def arc(g, product, precursors, likelihood=1.0, score=1.0, reagents=()):
         precursors=precursors,
         reagents=reagents,
         forward_likelihood=likelihood,
-        reaction_class=CLS,
+        class_code=CLS.code,
         arc_score=score,
     )
 
@@ -86,10 +91,16 @@ class TestCycles:
         assert raw_adjacency(g) == {c: {a}}
 
     def test_self_loop_rejected(self):
-        g = HyperGraph()
-        c = g.get_or_insert_node("CO")
-        with pytest.raises(CycleRejected):
-            arc(g, c, [c])
+        # 0 <- {0} and 0 <- {1, 0} while no node has arcs: the product among its own
+        # precursors is the whole cycle, which attaching and loading must both refuse
+        for precursors in ([0], [1, 0]):
+            g = HyperGraph()
+            assert [g.get_or_insert_node(s) for s in ("CO", "C")] == [0, 1]
+            with pytest.raises(CycleRejected):
+                arc(g, 0, precursors)
+            assert g.arcs == {}
+            with pytest.raises(CycleRejected):
+                HyperGraph.loads(TestSerialization.snapshot(["CO", "C"], [(0, precursors)]))
 
     def test_would_create_cycle_is_pure(self):
         g = HyperGraph()
@@ -336,3 +347,59 @@ class TestSnapshotReplay:
         with pytest.raises(ValueError, match=f"^{error}") as caught:
             HyperGraph.loads(text)
         assert "\n" not in str(caught.value)
+
+    # a code in canonical form is kept; any other is written as `ReactionClass.parse` writes it,
+    # or refused with its message (a superclass above 11, leading zeros, too few parts, a
+    # non-ASCII digit, a category of more digits than int() converts, no string at all)
+    @pytest.mark.parametrize("code", [
+        "01.2.3", "1.02.3", "011.1.1", "11.0.0", "0.0.0", "12.0.0", "1.2", "\u0661.2.3",
+        "1." + "1" * 5000 + ".1", 1.5, ["1"], None,
+    ], ids=["zero-superclass", "zero-category", "zero-eleven", "eleven", "unrecognized",
+            "twelve", "two-parts", "arabic-digit", "huge-category", "float", "list", "null"])
+    def test_class_code_written_canonical(self, code):
+        snapshot = random_snapshot(random.Random(9))
+        snapshot["arcs"][2]["class"] = code
+        try:
+            expected = ReactionClass.parse(code).code
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^arc 2: {re.escape(str(exc))}$"):
+                HyperGraph.from_json(snapshot)
+            return
+        g = HyperGraph.from_json(snapshot)
+        assert g.arcs[2].class_code == expected
+        assert json.loads(g.dumps())["arcs"][2]["class"] == expected
+        assert f'a2 [label="{expected}\\n' in g.to_dot()
+
+    # a bool or float reagent would pass as the precursor it equals, and be written back as given
+    @pytest.mark.parametrize("reagents", [[True], [1.0], [1, True], ["1"], [[1]]],
+                             ids=["true", "float", "int-and-true", "string", "list"])
+    def test_reagent_entries_must_be_node_ids(self, reagents):
+        snapshot = json.loads(TestSerialization.snapshot(["CO", "C", "N"], [(0, [1, 2])]))
+        snapshot["arcs"][0]["reagents"] = reagents
+        with pytest.raises(ValueError, match="^arc 0: reagents must be a list of node ids$"):
+            HyperGraph.from_json(snapshot)
+        snapshot["arcs"][0]["reagents"] = [1]
+        assert HyperGraph.from_json(snapshot).arcs[0].reagents == {1}
+
+
+def test_planner_snapshot_loads_without_parsing_a_class(monkeypatch):
+    """A snapshot the planner wrote holds canonical codes only, so no class is parsed."""
+    chemistries = [(make_templates(TOY_TEMPLATES), ["CNOS"], STOCK_MOLECULES)]
+    for seed in (33, 34):  # templates with reagents, plans that reject cycles
+        rng = random.Random(seed)
+        molecules, templates = random_chemistry(rng, n_molecules=8, n_templates=10)
+        chemistries.append((templates, molecules, rng.sample(molecules, 3)))
+    snapshots = []
+    for templates, targets, stock in chemistries:
+        oracle, stock = ToyOracle(templates), make_stock(stock)
+        snapshots += [beam_search(t, SearchConfig(), oracle, stock, ToyNormalizer()).graph.dumps()
+                      for t in targets]
+    assert sum(len(HyperGraph.loads(text).arcs) for text in snapshots) > 20
+    calls = []
+    parse = ReactionClass.parse
+    monkeypatch.setattr(ReactionClass, "parse", lambda *args: calls.append(args) or parse(*args))
+    assert [HyperGraph.loads(text).dumps() for text in snapshots] == snapshots
+    assert calls == []
+    # the counter sees a code that is not canonical
+    HyperGraph.loads(snapshots[0].replace('"class": "', '"class": "0', 1))
+    assert len(calls) == 1

@@ -166,8 +166,8 @@ def build_plain_graph():
                         ("CN", True), ("O", True)]:
         ids[s] = g.get_or_insert_node(s, in_stock=in_stock, simplicity=0.5)
     cls = ReactionClass.parse("1.1.1")
-    a1 = g.attach_arc(ids["CNOS"], [ids["CNO"], ids["S"]], 0.9, cls, 1.2)
-    a2 = g.attach_arc(ids["CNO"], [ids["CN"], ids["O"]], 0.8, cls, 1.1)
+    a1 = g.attach_arc(ids["CNOS"], [ids["CNO"], ids["S"]], 0.9, cls.code, 1.2)
+    a2 = g.attach_arc(ids["CNO"], [ids["CN"], ids["O"]], 0.8, cls.code, 1.1)
     return g, ids, (a1, a2)
 
 
@@ -234,7 +234,7 @@ class TestTerminateAndFork:
         g, ids, _ = build_plain_graph()
         cls = ReactionClass.parse("2.1.1")
         w = g.get_or_insert_node("P", simplicity=0.5)
-        a = g.attach_arc(ids["CNO"], [ids["CN"], w], 0.7, cls, 1.0, reagents={w})
+        a = g.attach_arc(ids["CNO"], [ids["CN"], w], 0.7, cls.code, 1.0, reagents={w})
         p = Pathway((), frozenset({ids["CNO"]}), 1.0, 0)
         assert fork_pathway(g, p, a).frontier == frozenset()
 
