@@ -51,29 +51,27 @@ DEFAULTS: Dict[str, Any] = {
 
 
 def resolve(name: str, flag_value: Any, file_config: Dict[str, Any]) -> Any:
-    """flags > environment > config file > defaults.
-
-    An environment value is parsed from its string; a config file value must
-    have its default's type (an int will do for a float) and is converted to it.
-    """
+    """flags > environment > config file > defaults. An environment value is parsed from its
+    string, and a config file value (of its default's kind) is converted to its default's type."""
     if flag_value is not None:
         return flag_value
     default = DEFAULTS[name]
     env = os.environ.get(ENV_PREFIX + name.upper())
     if env is not None:
         return type(default)(env)
-    if name in file_config:
-        return type(default)(expect(file_config[name], type(default), f"config: {name}"))
-    return default
+    return type(default)(file_config[name]) if name in file_config else default
 
 
 def load_config_file(path: Optional[str]) -> Dict[str, Any]:
+    """A config file's settings, each of its default's kind (see `errors.expect`: an int will do
+    for a float), `stock` a list of file names and `models` one; any other key is a ConfigError."""
     if not path:
         return {}
-    data = read_json(path, dict, {*DEFAULTS, "stock", "models"})
-    for key, kind in (("stock", [str]), ("models", str)):
-        if key in data:
-            expect(data[key], kind, f"config {path}: {key}")
+    kinds = {name: type(default) for name, default in DEFAULTS.items()}
+    kinds.update(stock=[str], models=str)
+    data = read_json(path, dict, kinds)
+    for key, value in data.items():
+        expect(value, kinds[key], f"config {path}: {key}")
     return data
 
 
@@ -251,7 +249,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
     try:
         graph = HyperGraph.loads(read_text(args.graph))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"cannot load graph snapshot {args.graph}: {exc}") from exc
     dot = graph.to_dot()
     if args.out:

@@ -1,6 +1,5 @@
 """Exception hierarchy shared across the package, and the reader and writer of files."""
 
-import itertools
 import json
 import re
 import reprlib
@@ -87,20 +86,28 @@ class ConfigError(RetroRouteError):
 
 # --- input and output files -------------------------------------------------
 
-_WORDS = {dict: "a JSON object", list: "a list", str: "a string", int: "an integer", float: "a number"}
-_STR = itertools.repeat(str)
+# The one rule for every value read from outside (files, wire lines, snapshots): each JSON kind by
+# the type that names it, the types json.loads gives it (a bool is no int or number), its name.
+KINDS = {kind: (frozenset(types), name) for kind, types, name in (
+    (dict, {dict}, "a JSON object"), (list, {list}, "a list"), (str, {str}, "a string"),
+    (int, {int}, "an integer"), (float, {int, float}, "a number"), (bool, {bool}, "a boolean"))}
 
 
-def expect(value, kind, where: str):
-    """`value` if it is a `kind`: dict, list, str, int, float (any number but a
-    bool) or [str] (a list of strings). Otherwise a ConfigError naming `where`."""
-    if type(value) is kind or (kind is float and type(value) is int):
+def expect(value, kind, where: str, error=ConfigError):
+    """`value` if it is of `kind`, a key of `KINDS`, or of `[kind]`, a list or tuple of such
+    values (tested in C, by issuperset over map); otherwise the `error` of `refusal`."""
+    t = type(value)
+    if t is kind or (t in KINDS[kind][0] if type(kind) is not list else
+                     (t is list or t is tuple) and KINDS[kind[0]][0].issuperset(map(type, value))):
         return value
-    # all(map(...)) runs in C: a generator over the items would slow load_templates
-    if type(kind) is list and type(value) in (list, tuple) and all(map(isinstance, value, _STR)):
-        return value
-    words = "a list of strings" if type(kind) is list else _WORDS[kind]
-    raise ConfigError(f"{where}: expected {words}, got {reprlib.repr(value)}")
+    raise refusal(value, kind, where, error)
+
+
+def refusal(value, kind, where: str, error=ConfigError) -> Exception:
+    """An `error` naming `where`: `value` is not of `kind`, a list kind named by its item kind's
+    name without the article ("a list of strings")."""
+    words = f"a list of {KINDS[kind[0]][1].split(' ', 1)[1]}s" if type(kind) is list else KINDS[kind][1]
+    return error(f"{where}: expected {words}, got {reprlib.repr(value)}")
 
 
 def read_text(path) -> str:

@@ -9,16 +9,14 @@ route is loop-free (an intermediate may still feed several steps).
 from __future__ import annotations
 
 import json
+import reprlib
 import sys
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .errors import CycleRejected, parse_json
+from .errors import KINDS, CycleRejected, expect, parse_json, refusal
 from .models import canonical_code
 
-
-_INT = {int}
-_NUMBER = {int, float}  # a bool is not a number here
 _SMALLEST, _LARGEST = -sys.float_info.max, sys.float_info.max  # NaN lies in no range
 
 
@@ -33,10 +31,6 @@ class MoleculeNode:
     # bookkeeping for termination diagnostics
     cycle_rejections: int = 0
     deferrals: int = 0
-
-    def __post_init__(self):
-        if type(self.simplicity) not in _NUMBER or not 0.0 <= self.simplicity <= 1.0:
-            raise ValueError(f"simplicity {self.simplicity!r} is not a number in [0,1]")
 
 
 class ReactionArc(NamedTuple):
@@ -145,63 +139,69 @@ class HyperGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "HyperGraph":
-        """Replay a snapshot in one pass with the checks of `attach_arc`. Ids must be dense
-        ints in order (a repeated smiles fails as a non-dense node id), a node's flags, when
-        given, booleans, an arc's reagents a list of node ids, its likelihood and score finite
-        numbers, and its class a reaction class code (kept in canonical form)."""
+        """Replay a snapshot in one pass with the checks of `attach_arc` and the README's rules."""
         g = cls()
         nodes, index, by_product, arcs = g.nodes, g.index, g.arcs_by_product, g.arcs
-        try:
-            node_entries, root, arc_entries = data["nodes"], data["root"], data["arcs"]
-        except KeyError as exc:
-            raise ValueError(f"snapshot has no {exc} key") from exc
-        if type(node_entries) is not list or type(arc_entries) is not list:
-            raise ValueError("snapshot nodes and arcs must be lists")
+        # each value of its `errors.KINDS` kind, tested inline (a call per field would slow the
+        # load): a kind of one type by identity, which is quicker than a set lookup
+        (an_object,), (a_list,), (a_string,), (an_integer,), (a_boolean,) = (
+            KINDS[kind][0] for kind in (dict, list, str, int, bool))
+        integers, numbers = KINDS[int][0], KINDS[float][0]
+        expect(data, dict, "snapshot", ValueError)
+        if missing := {"nodes", "root", "arcs"}.difference(data):
+            raise ValueError(f"snapshot has no {sorted(missing)[0]!r} key")
+        node_entries = expect(data["nodes"], list, "snapshot nodes", ValueError)
+        root, arc_entries = data["root"], expect(data["arcs"], list, "snapshot arcs", ValueError)
         try:
             for node_id, entry in enumerate(node_entries):
-                smiles = entry["smiles"]
-                if type(smiles) is not str:
-                    raise ValueError(f"smiles {smiles!r} is not a string")
-                if ((i := entry["id"]) != node_id or type(i) is not int
+                if type(entry) is not an_object:
+                    raise refusal(entry, dict, "entry", ValueError)
+                if type(smiles := entry["smiles"]) is not a_string:
+                    raise refusal(smiles, str, "smiles", ValueError)
+                if ((i := entry["id"]) != node_id or type(i) is not an_integer
                         or index.setdefault(smiles, node_id) != node_id):
                     raise ValueError("id must be its list position, an int, and smiles unique")
                 in_stock, simplicity = entry.get("in_stock", False), entry.get("simplicity", 1.0)
                 expanded, expandable = entry.get("expanded", False), entry.get("expandable", True)
-                if not (type(in_stock) is type(expanded) is type(expandable) is bool):
+                if not (type(in_stock) is type(expanded) is type(expandable) is a_boolean):
                     raise ValueError("in_stock, expanded and expandable must be booleans")
+                if type(simplicity) not in numbers or not 0.0 <= simplicity <= 1.0:
+                    raise ValueError(f"simplicity {reprlib.repr(simplicity)} is not a number in [0,1]")
                 nodes[node_id] = MoleculeNode(node_id, smiles, in_stock, simplicity, expanded, expandable)
                 by_product[node_id] = []
         except KeyError as exc:
             raise ValueError(f"node {node_id}: missing key {exc}") from exc
         except ValueError as exc:
             raise ValueError(f"node {node_id}: {exc}") from exc
-        if root is not None and (type(root) is not int or root not in nodes):
-            raise ValueError(f"root {root!r} is not a node id")
+        if root is not None and (type(root) is not an_integer or root not in nodes):
+            raise ValueError(f"root {reprlib.repr(root)} is not a node id")
         g.root = root
         try:
             for arc_id, entry in enumerate(arc_entries):
-                product, precursors = entry["product"], tuple(entry["precursors"])
-                likelihood, score = entry["likelihood"], entry["score"]
-                reagents = entry.get("reagents", [])
-                if (i := entry["id"]) != arc_id or type(i) is not int:
+                if type(entry) is not an_object:
+                    raise refusal(entry, dict, "entry", ValueError)
+                product, precursors = entry["product"], entry["precursors"]
+                likelihood, score, reagents = entry["likelihood"], entry["score"], entry.get("reagents", [])
+                if (i := entry["id"]) != arc_id or type(i) is not an_integer:
                     raise ValueError("id must be its list position, an int")
-                if not precursors:
-                    raise ValueError("precursor set must be non-empty")
-                if type(product) is not int or not _INT.issuperset(map(type, precursors)):
-                    raise ValueError("product and precursors must be node ids")
-                if type(reagents) is not list or reagents and not _INT.issuperset(map(type, reagents)):
+                if (type(product) is not an_integer or type(precursors) is not a_list
+                        or not integers.issuperset(map(type, precursors))):
+                    raise ValueError("product must be a node id, and precursors a list of node ids")
+                if not (n := len(precursors)) or (precursors[0] == precursors[1] if n == 2
+                                                 else n > 2 and len(set(precursors)) < n):  # a pair: no set
+                    raise ValueError("precursors must be non-empty and distinct")
+                if type(reagents) is not a_list or reagents and not integers.issuperset(map(type, reagents)):
                     raise ValueError("reagents must be a list of node ids")
-                reagents = frozenset(reagents)
+                precursors, reagents = tuple(precursors), frozenset(reagents)
                 if reagents and not reagents.issubset(precursors):
                     raise ValueError("reagents must be among its precursors")
-                if (type(likelihood) not in _NUMBER or type(score) not in _NUMBER or not (
+                if (type(likelihood) not in numbers or type(score) not in numbers or not (
                         _SMALLEST <= likelihood <= _LARGEST and _SMALLEST <= score <= _LARGEST)):
                     raise ValueError("likelihood and score must be finite numbers")
-                class_code = canonical_code(entry["class"])
                 if g.would_create_cycle(product, precursors):
                     raise g._cycle_error(product, precursors)
                 arcs[arc_id] = ReactionArc(arc_id, product, precursors, reagents, likelihood,
-                                           class_code, score)
+                                           canonical_code(entry["class"]), score)
                 by_product[product].append(arc_id)
         except KeyError as exc:
             raise ValueError(f"arc {arc_id}: missing key or unknown node id {exc}") from exc

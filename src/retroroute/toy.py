@@ -46,6 +46,7 @@ def parse_templates(entries: Sequence, source: str) -> List[Template]:
     templates = []
     for i, entry in enumerate(entries):
         try:
+            expect(entry, dict, "entry")
             weight = float(expect(entry["weight"], float, "weight"))
             if not 0 < weight < math.inf:
                 raise ConfigError(f"weight must be positive and finite: {weight}")
@@ -53,7 +54,7 @@ def parse_templates(entries: Sequence, source: str) -> List[Template]:
                 tuple(map(norm, expect(entry["lhs"], [str], "lhs"))),
                 norm(expect(entry["rhs"], str, "rhs")),
                 weight,
-                ReactionClass.parse(entry["class"], entry.get("label", "")),
+                ReactionClass.parse(entry["class"], expect(entry.get("label", ""), str, "label")),
                 tuple(map(norm, expect(entry.get("reagents", ()), [str], "reagents"))),
             )
             if not t.reactants + t.reagents:  # its suggestion would be empty

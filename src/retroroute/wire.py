@@ -22,6 +22,7 @@ from .errors import (
     ModelTimeout,
     ModelUnavailable,
     RetroRouteError,
+    expect,
     parse_json,
 )
 from .models import (
@@ -46,18 +47,22 @@ RETRY_BACKOFF = 0.5
 _encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
+def _field(value: Any, kind: Any, field: str) -> Any:
+    """`errors.expect`, refusing with a MalformedModelResponse (quicker than a keyword partial)."""
+    return expect(value, kind, field, MalformedModelResponse)
+
+
 def encode_request(req_id: str, op: str, inputs: List[Any], params: Dict[str, Any]) -> str:
     return _encode({"id": req_id, "op": op, "inputs": inputs, "params": params})
 
 
 def decode_request(line: str) -> Dict[str, Any]:
-    msg = parse_json(line, "bad request line", MalformedModelResponse)
-    if not isinstance(msg, dict) or not isinstance(msg.get("op"), str) or msg["op"] not in ANSWERS:
-        raise MalformedModelResponse(f"bad request message: {line!r}")
+    msg = _field(parse_json(line, "bad request line", MalformedModelResponse), dict, "request")
+    if _field(msg.get("op"), str, "request op") not in ANSWERS:
+        raise MalformedModelResponse(f"request op: unknown op {msg['op']!r}")
+    _field(msg.get("id"), str, "request id")
     msg.setdefault("inputs", [])
     msg.setdefault("params", {})
-    if not isinstance(msg.get("id"), str):
-        raise MalformedModelResponse(f"request id must be a string: {line!r}")
     return msg
 
 
@@ -69,8 +74,8 @@ def encode_response(req_id: str, ok: bool, result: Any = None, error: Optional[s
 
 
 def decode_response(line: str) -> Dict[str, Any]:
-    msg = parse_json(line, "bad response line", MalformedModelResponse)
-    if not isinstance(msg, dict) or "id" not in msg or "ok" not in msg:
+    msg = _field(parse_json(line, "bad response line", MalformedModelResponse), dict, "response")
+    if "id" not in msg or "ok" not in msg:
         raise MalformedModelResponse(f"bad response message: {line!r}")
     return msg
 
@@ -79,34 +84,28 @@ def decode_response(line: str) -> Dict[str, Any]:
 #
 # The rules below read the fields of a request (server side) and of a reply
 # (client side) alike; each refuses what breaks it with a MalformedModelResponse.
-
-def _strings(value: Any, field: str) -> List[str]:
-    """`value` if it is a list of strings; anything else, a string too, is refused."""
-    if type(value) is not list or not all(isinstance(m, str) for m in value):
-        raise MalformedModelResponse(f"{field} must be a list of strings: {value!r}")
-    return value
-
+# Each field's type is read by `errors.expect`; only the range checks are here.
 
 def _precursors(molecules: Any, holder: Dict[str, Any], field: str) -> PrecursorSet:
     """The precursor set of a non-empty list of `molecules`, flagging the list of strings
     `holder["reagents"]` (none when absent); `holder` is a request's params or a suggestion."""
-    if not _strings(molecules, field):
+    if not _field(molecules, [str], field):
         raise MalformedModelResponse(f"{field} must be a non-empty list: []")
-    reagents = _strings(holder.get("reagents", []), "reagents")
+    reagents = _field(holder.get("reagents", []), [str], "reagents")
     return PrecursorSet(tuple(molecules), frozenset(reagents))
 
 
 def _count(params: Dict[str, Any], key: str, default: int) -> int:
     """`params[key]`, or `default` when it is absent; anything but a positive integer is refused."""
-    value = params.get(key, default)
-    if type(value) is not int or value < 1:  # bools and floats too
+    value = _field(params.get(key, default), int, key)
+    if value < 1:
         raise MalformedModelResponse(f"{key} must be a positive integer: {value!r}")
     return value
 
 
 def _unit(value: Any, field: str) -> float:
-    """`value` if it is a number in [0, 1], as a likelihood or a score is; NaN and bools are not."""
-    if type(value) not in (int, float) or not 0 <= value <= 1:
+    """`value` if it is a number in [0, 1], as a likelihood or a score is; NaN is not."""
+    if not 0 <= _field(value, float, field) <= 1:
         raise MalformedModelResponse(f"{field} must be a number in [0, 1]: {value!r}")
     return float(value)
 
@@ -114,7 +113,7 @@ def _unit(value: Any, field: str) -> float:
 def _objects(result: Any, params: Dict[str, Any], key: str, default: int) -> List[dict]:
     """`result` if it is a list of at most as many objects as the request's `params[key]`."""
     most = _count(params, key, default)
-    if type(result) is not list or len(result) > most or not all(type(e) is dict for e in result):
+    if len(_field(result, [dict], "result")) > most:
         raise MalformedModelResponse(f"result must be a list of at most {most} objects: {result!r}")
     return result
 
@@ -125,27 +124,21 @@ def _read_retro(result: Any, params: Dict[str, Any]) -> List[PrecursorSet]:
 
 
 def _read_forward(result: Any, params: Dict[str, Any]) -> List[ForwardPrediction]:
-    products = []
-    for entry in _objects(result, params, "topk", 3):
-        product = entry.get("product")
-        if type(product) is not str:
-            raise MalformedModelResponse(f"product must be a string: {product!r}")
-        products.append(ForwardPrediction(product, _unit(entry.get("likelihood"), "likelihood")))
-    return products
+    return [ForwardPrediction(_field(entry.get("product"), str, "product"),
+                              _unit(entry.get("likelihood"), "likelihood"))
+            for entry in _objects(result, params, "topk", 3)]
 
 
 def _read_score(result: Any, params: Dict[str, Any]) -> float:
-    if type(result) is not list or len(result) != 1:
+    if len(_field(result, list, "result")) != 1:
         raise MalformedModelResponse(f"result must be a list of one score: {result!r}")
     return _unit(result[0], "score")
 
 
 def _read_class(result: Any, params: Dict[str, Any]) -> ReactionClass:
-    label = result.get("label", "") if type(result) is dict else None
-    if type(label) is not str:
-        raise MalformedModelResponse(f"result must be an object with a string label: {result!r}")
-    fields = [result.get(key) for key in ReactionClass._fields[:3]]
-    if not all(type(f) is int and f >= 0 for f in fields):  # bools too
+    label = _field(_field(result, dict, "result").get("label", ""), str, "label")
+    fields = [_field(result.get(key), int, key) for key in ReactionClass._fields[:3]]
+    if min(fields) < 0:
         raise MalformedModelResponse(f"class fields must be non-negative integers: {fields!r}")
     try:
         return ReactionClass(*fields, label)
@@ -159,7 +152,8 @@ ANSWERS: Dict[str, Tuple[int, Callable[[ChemModels, List[Any], Dict[str, Any]], 
                          Callable[[Any, Dict[str, Any]], Any]]] = {
     "retro": (1, lambda models, inputs, params: [
         {"precursors": list(p.molecules), "reagents": sorted(p.reagents)}
-        for p in models.retro_predict(inputs[0], _count(params, "beams", 10))
+        for p in models.retro_predict(_field(inputs[0], str, "inputs[0]"),
+                                      _count(params, "beams", 10))
     ], _read_retro),
     "forward": (1, lambda models, inputs, params: [
         {"product": f.product, "likelihood": f.likelihood}
@@ -167,10 +161,11 @@ ANSWERS: Dict[str, Tuple[int, Callable[[ChemModels, List[Any], Dict[str, Any]], 
                                         _count(params, "topk", 3))
     ], _read_forward),
     "score": (2, lambda models, inputs, params: [
-        models.score_reaction(_precursors(inputs[0], params, "inputs[0]"), inputs[1])
+        models.score_reaction(_precursors(inputs[0], params, "inputs[0]"),
+                              _field(inputs[1], str, "inputs[1]"))
     ], _read_score),
-    "classify": (1, lambda models, inputs, params: models.classify(inputs[0])._asdict(),
-                 _read_class),
+    "classify": (1, lambda models, inputs, params: models.classify(
+        _field(inputs[0], str, "inputs[0]"))._asdict(), _read_class),
 }
 
 
@@ -182,11 +177,9 @@ def handle_request(models: ChemModels, msg: Dict[str, Any]) -> str:
     op, inputs, params = msg["op"], msg["inputs"], msg["params"]
     n, answer, _ = ANSWERS[op]
     try:
-        if not isinstance(inputs, list) or len(inputs) != n:
+        if len(_field(inputs, list, "inputs")) != n:
             raise MalformedModelResponse(f"inputs must be a list of {n} for {op}: {inputs!r}")
-        if not isinstance(params, dict):
-            raise MalformedModelResponse(f"params must be an object: {params!r}")
-        result = answer(models, inputs, params)
+        result = answer(models, inputs, _field(params, dict, "params"))
     except (RetroRouteError, ArithmeticError, AttributeError, LookupError, TypeError,
             ValueError) as exc:
         return encode_response(msg["id"], ok=False, error=f"{type(exc).__name__}: {exc}")
@@ -198,7 +191,7 @@ def answer_line(models: ChemModels, line: str) -> str:
     try:
         msg = decode_request(line)
     except MalformedModelResponse as exc:
-        return encode_response("?", ok=False, error=str(exc))
+        return encode_response("?", ok=False, error=f"{type(exc).__name__}: {exc}")
     return handle_request(models, msg)
 
 

@@ -396,6 +396,19 @@ class TestBadConfigValues:
         err = self.assert_config_error(main(args), capsys)
         assert f"{templates_file.name}: template #1: " in err
 
+    # a label that is no string loaded in-process, while a wire client refused it and left the
+    # reaction unclassified: both the toy manifest and the model child now refuse it at load
+    @pytest.mark.parametrize("command", ["plan", "mock-serve"])
+    @pytest.mark.parametrize("entry, error", [
+        ({**TOY_TEMPLATES[0], "label": 5}, "template #1: label: expected a string, got 5"),
+        (5, "template #1: entry: expected a JSON object, got 5"),
+    ], ids=["label-int", "entry-int"])
+    def test_template_entry_names_its_rule(self, entry, error, command, templates_file,
+                                           plan_args, capsys):
+        templates_file.write_text(json.dumps([TOY_TEMPLATES[1], entry]), "utf-8")
+        args = plan_args() if command == "plan" else ["mock-serve", str(templates_file)]
+        assert self.assert_config_error(main(args), capsys).endswith(f": {error}\n")
+
     @pytest.mark.parametrize("reader, content", [
         ("stock", LATIN_1), ("targets", LATIN_1), ("config", LATIN_1), ("manifest", LATIN_1),
         ("templates", LATIN_1), ("mock-serve", LATIN_1), ("token_dict", LATIN_1),

@@ -334,12 +334,25 @@ class TestSnapshotReplay:
         (lambda s: s.update(nodes=""), "snapshot "),
         (lambda s: s.update(nodes={}), "snapshot "),
         (lambda s: s.update(root=None), None),
+        # each refusal names its node or arc and the rule broken, never a Python type error
+        (lambda s: s["arcs"][3].update(precursors=True),
+         "arc 3: product must be a node id, and precursors a list of node ids$"),
+        (lambda s: s["arcs"][3].update(precursors="12"),
+         "arc 3: product must be a node id, and precursors a list of node ids$"),
+        (lambda s: s.update(arcs=[5]), "arc 0: entry: expected a JSON object, got 5$"),
+        (lambda s: s.update(nodes=[5]), "node 0: entry: expected a JSON object, got 5$"),
+        (lambda s: [1, 2], r"snapshot: expected a JSON object, got \[1, 2\]$"),
+        # a repeated precursor, which the planner never writes, would be drawn twice
+        (lambda s: s["arcs"][3].update(precursors=s["arcs"][3]["precursors"][:1] * 2),
+         "arc 3: precursors must be non-empty and distinct$"),
     ], ids=["node-id-false", "node-id-true", "node-id-float", "arc-id-false", "arc-id-true",
             "reagents-string", "reagents-object", "reagents-bool", "reagents-null",
-            "arcs-string", "arcs-object", "nodes-string", "nodes-object", "root-null"])
+            "arcs-string", "arcs-object", "nodes-string", "nodes-object", "root-null",
+            "precursors-bool", "precursors-string", "arc-not-object", "node-not-object",
+            "snapshot-list", "precursors-repeated"])
     def test_wrong_type_refused(self, corrupt, error):
         snapshot = random_snapshot(random.Random(8))
-        corrupt(snapshot)
+        snapshot = corrupt(snapshot) or snapshot  # a corruption returns a whole new snapshot
         text = json.dumps(snapshot)
         if error is None:
             assert HyperGraph.loads(text).root is None
