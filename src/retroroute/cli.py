@@ -14,13 +14,12 @@ import argparse
 import contextlib
 import json
 import os
-import reprlib
 import sys
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from .errors import ConfigError, EmptyEvaluation, NotCanonicalizable, RetroRouteError, expect, parse_json, read_json, read_lines, read_text, write_text
+from .errors import EXCERPT, ConfigError, EmptyEvaluation, NotCanonicalizable, RetroRouteError, expect, parse_json, read_json, read_lines, read_text, write_text
 from .models import ModelManifest
 from .smiles import ToyNormalizer
 from .toy import ToyOracle, load_templates
@@ -171,7 +170,7 @@ def read_targets(path: str) -> List[str]:
     targets = []
     for lineno, line in read_lines(path):
         if line.startswith("{"):
-            where = f"{path}:{lineno}: bad JSONL test line {reprlib.repr(line)}"
+            where = f"{path}:{lineno}: bad JSONL test line {EXCERPT.repr(line)}"
             try:
                 line = expect(parse_json(line, where)["target"], str, f"{path}:{lineno}: target")
             except KeyError as exc:

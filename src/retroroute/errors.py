@@ -92,6 +92,9 @@ KINDS = {kind: (frozenset(types), name) for kind, types, name in (
     (dict, {dict}, "a JSON object"), (list, {list}, "a list"), (str, {str}, "a string"),
     (int, {int}, "an integer"), (float, {int, float}, "a number"), (bool, {bool}, "a boolean"))}
 
+EXCERPT = reprlib.Repr()  # how a message quotes such a value: as reprlib.repr, but with 3 items
+EXCERPT.maxlist = EXCERPT.maxdict = 3  # of a list or object, not 6 (6 reply objects fill 300 bytes)
+
 
 def expect(value, kind, where: str, error=ConfigError):
     """`value` if it is of `kind`, a key of `KINDS`, or of `[kind]`, a list or tuple of such
@@ -107,7 +110,7 @@ def refusal(value, kind, where: str, error=ConfigError) -> Exception:
     """An `error` naming `where`: `value` is not of `kind`, a list kind named by its item kind's
     name without the article ("a list of strings")."""
     words = f"a list of {KINDS[kind[0]][1].split(' ', 1)[1]}s" if type(kind) is list else KINDS[kind][1]
-    return error(f"{where}: expected {words}, got {reprlib.repr(value)}")
+    return error(f"{where}: expected {words}, got {EXCERPT.repr(value)}")
 
 
 def read_text(path) -> str:

@@ -9,12 +9,11 @@ route is loop-free (an intermediate may still feed several steps).
 from __future__ import annotations
 
 import json
-import reprlib
 import sys
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .errors import KINDS, CycleRejected, expect, parse_json, refusal
+from .errors import EXCERPT, KINDS, CycleRejected, expect, parse_json, refusal
 from .models import canonical_code
 
 _SMALLEST, _LARGEST = -sys.float_info.max, sys.float_info.max  # NaN lies in no range
@@ -166,7 +165,7 @@ class HyperGraph:
                 if not (type(in_stock) is type(expanded) is type(expandable) is a_boolean):
                     raise ValueError("in_stock, expanded and expandable must be booleans")
                 if type(simplicity) not in numbers or not 0.0 <= simplicity <= 1.0:
-                    raise ValueError(f"simplicity {reprlib.repr(simplicity)} is not a number in [0,1]")
+                    raise ValueError(f"simplicity {EXCERPT.repr(simplicity)} is not a number in [0,1]")
                 nodes[node_id] = MoleculeNode(node_id, smiles, in_stock, simplicity, expanded, expandable)
                 by_product[node_id] = []
         except KeyError as exc:
@@ -174,7 +173,7 @@ class HyperGraph:
         except ValueError as exc:
             raise ValueError(f"node {node_id}: {exc}") from exc
         if root is not None and (type(root) is not an_integer or root not in nodes):
-            raise ValueError(f"root {reprlib.repr(root)} is not a node id")
+            raise ValueError(f"root {EXCERPT.repr(root)} is not a node id")
         g.root = root
         try:
             for arc_id, entry in enumerate(arc_entries):
@@ -232,7 +231,10 @@ class HyperGraph:
             if node_id not in used_nodes:
                 continue
             color = "green" if node.in_stock else "black"
-            shape_attrs = f'label="{node.smiles}", shape=ellipse, color={color}'
+            label = node.smiles
+            if "\\" in label or '"' in label:  # DOT's escString: `\` escapes a letter, `"` ends the label
+                label = label.replace("\\", "\\\\").replace('"', '\\"')
+            shape_attrs = f'label="{label}", shape=ellipse, color={color}'
             if node_id == self.root:
                 shape_attrs += ", penwidth=2"
             lines.append(f'  n{node_id} [{shape_attrs}];')

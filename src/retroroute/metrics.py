@@ -4,8 +4,8 @@ Four metrics: round-trip accuracy (suggestions whose forward top-1 recovers
 the target), coverage (targets with at least one such suggestion), class
 diversity (mean distinct superclasses among a target's valid suggestions)
 and the Jensen-Shannon divergence of the per-superclass forward-likelihood
-distributions, plus the syntactically-invalid rate. The report and the public
-helpers read one tally (`_tally`), which walks the records once.
+distributions, plus the syntactically-invalid rate. `_tally` builds the report
+in one walk over the records, and each public helper gives its own field of it.
 """
 
 from __future__ import annotations
@@ -127,27 +127,14 @@ def evaluate_target(
 
 # --- the four metrics + invalid rate ---------------------------------------
 
-class _Tally(NamedTuple):
-    """What the report reads of its records; each field is the `MetricsReport` field of its name."""
-
-    round_trip_pct: float
-    coverage_pct: float
-    class_diversity: float
-    class_diversity_defined: bool
-    invalid_smiles_pct: float
-    n_targets: int
-    n_suggestions: int
-    n_excluded_targets: int
-    n_excluded_suggestions: int
-    histograms: List[ClassLikelihoodDistribution]
-
-
-def _tally(records: Sequence[EvalRecord], bins: int = DEFAULT_BINS) -> _Tally:
-    """The report's counts from one walk over the records: an errored record excludes its target,
+def _tally(records: Sequence[EvalRecord], bins: int, log_base: Optional[float] = None,
+           include_unrecognized: bool = False) -> MetricsReport:
+    """The report of the records, from one walk over them: an errored record excludes its target,
     an errored suggestion enters no denominator, and none counted is an EmptyEvaluation. Each
-    valid likelihood above 0.5 is binned once, in its superclass's histogram."""
+    valid likelihood above 0.5 is binned once, in its superclass's histogram, and the JSD is that
+    of these histograms; when all are empty (`AllEmpty`) it is undefined and no class participates."""
     edges = histogram_edges(bins)
-    counts: Dict[int, List[int]] = {}  # superclass -> its bin counts, once it has one
+    counts = [[0] * bins for _ in range(N_SUPERCLASSES)]  # each superclass's bin counts
     samples = [0] * N_SUPERCLASSES
     counted = valid = invalid = usable = covered = excluded = diversity_sum = diverse_targets = 0
     for r in records:
@@ -174,35 +161,44 @@ def _tally(records: Sequence[EvalRecord], bins: int = DEFAULT_BINS) -> _Tally:
             if v is not None and v > LIKELIHOOD_THRESHOLD:
                 samples[c] += 1
                 if v <= 1.0:  # `np.histogram`'s rule over edges from 0.5: the last bin is closed
-                    h = counts.get(c) or counts.setdefault(c, [0] * bins)
-                    h[bisect_right(edges, v, 0, bins) - 1] += 1
+                    counts[c][bisect_right(edges, v, 0, bins) - 1] += 1
         covered += any_valid
         if classes:
             diversity_sum += len(classes)
             diverse_targets += 1
     if not counted:
         raise EmptyEvaluation("no usable suggestions were generated")
-    empty = (0,) * bins
-    return _Tally(
-        100.0 * valid / counted,
-        100.0 * covered / usable,
-        diversity_sum / diverse_targets if diverse_targets else 0.0,
-        diverse_targets > 0,
-        100.0 * invalid / counted,
-        usable,
-        counted,
-        len(records) - usable,
-        excluded,
-        [ClassLikelihoodDistribution(c, tuple(counts.get(c, empty)), n) for c, n in enumerate(samples)],
+    histograms = [ClassLikelihoodDistribution(c, tuple(counts[c]), n) for c, n in enumerate(samples)]
+    try:
+        value, inverse, participating = jsd(histograms, include_unrecognized, log_base)
+    except AllEmpty:
+        value, inverse, participating = None, math.inf, []
+    return MetricsReport(
+        round_trip_pct=100.0 * valid / counted,
+        coverage_pct=100.0 * covered / usable,
+        class_diversity=diversity_sum / diverse_targets if diverse_targets else 0.0,
+        class_diversity_defined=diverse_targets > 0,
+        jsd=value,
+        inv_jsd=None if inverse == math.inf else inverse,
+        jsd_defined=value is not None,
+        invalid_smiles_pct=100.0 * invalid / counted,
+        n_targets=usable,
+        n_suggestions=counted,
+        n_excluded_targets=len(records) - usable,
+        n_excluded_suggestions=excluded,
+        participating_classes=participating,
+        bins=bins,
+        log_base="e" if log_base is None else str(log_base),
+        histograms=histograms,
     )
 
 
 def round_trip(records: Sequence[EvalRecord]) -> float:
-    return _tally(records).round_trip_pct
+    return _tally(records, DEFAULT_BINS).round_trip_pct
 
 
 def coverage(records: Sequence[EvalRecord]) -> float:
-    return _tally(records).coverage_pct
+    return _tally(records, DEFAULT_BINS).coverage_pct
 
 
 def class_diversity(records: Sequence[EvalRecord]) -> Tuple[float, bool]:
@@ -211,12 +207,12 @@ def class_diversity(records: Sequence[EvalRecord]) -> Tuple[float, bool]:
     Returns (value, defined); (0.0, False) when no target has a valid
     suggestion.
     """
-    t = _tally(records)
+    t = _tally(records, DEFAULT_BINS)
     return t.class_diversity, t.class_diversity_defined
 
 
 def invalid_rate(records: Sequence[EvalRecord]) -> float:
-    return _tally(records).invalid_smiles_pct
+    return _tally(records, DEFAULT_BINS).invalid_smiles_pct
 
 
 @lru_cache(maxsize=8)
@@ -297,18 +293,4 @@ def evaluate(
     a ValueError before the first model call."""
     check_settings(beams, bins, log_base)
     records = [evaluate_target(t, models, normalizer, beams) for t in targets]
-    tally = _tally(records, bins)
-    try:
-        jsd_value, inv, participating = jsd(tally.histograms, include_unrecognized, log_base)
-    except AllEmpty:
-        jsd_value, inv, participating = None, None, []
-    report = MetricsReport(
-        **tally._asdict(),
-        jsd=jsd_value,
-        inv_jsd=None if inv is None or math.isinf(inv) else inv,
-        jsd_defined=jsd_value is not None,
-        participating_classes=participating,
-        bins=bins,
-        log_base="e" if log_base is None else str(log_base),
-    )
-    return report, records
+    return _tally(records, bins, log_base, include_unrecognized), records

@@ -17,6 +17,7 @@ import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
+    EXCERPT,
     ConfigError,
     MalformedModelResponse,
     ModelTimeout,
@@ -59,7 +60,7 @@ def encode_request(req_id: str, op: str, inputs: List[Any], params: Dict[str, An
 def decode_request(line: str) -> Dict[str, Any]:
     msg = _field(parse_json(line, "bad request line", MalformedModelResponse), dict, "request")
     if _field(msg.get("op"), str, "request op") not in ANSWERS:
-        raise MalformedModelResponse(f"request op: unknown op {msg['op']!r}")
+        raise MalformedModelResponse(f"request op: unknown op {EXCERPT.repr(msg['op'])}")
     _field(msg.get("id"), str, "request id")
     msg.setdefault("inputs", [])
     msg.setdefault("params", {})
@@ -76,7 +77,7 @@ def encode_response(req_id: str, ok: bool, result: Any = None, error: Optional[s
 def decode_response(line: str) -> Dict[str, Any]:
     msg = _field(parse_json(line, "bad response line", MalformedModelResponse), dict, "response")
     if "id" not in msg or "ok" not in msg:
-        raise MalformedModelResponse(f"bad response message: {line!r}")
+        raise MalformedModelResponse(f"bad response message: {EXCERPT.repr(line)}")
     return msg
 
 
@@ -99,14 +100,14 @@ def _count(params: Dict[str, Any], key: str, default: int) -> int:
     """`params[key]`, or `default` when it is absent; anything but a positive integer is refused."""
     value = _field(params.get(key, default), int, key)
     if value < 1:
-        raise MalformedModelResponse(f"{key} must be a positive integer: {value!r}")
+        raise MalformedModelResponse(f"{key} must be a positive integer: {EXCERPT.repr(value)}")
     return value
 
 
 def _unit(value: Any, field: str) -> float:
     """`value` if it is a number in [0, 1], as a likelihood or a score is; NaN is not."""
     if not 0 <= _field(value, float, field) <= 1:
-        raise MalformedModelResponse(f"{field} must be a number in [0, 1]: {value!r}")
+        raise MalformedModelResponse(f"{field} must be a number in [0, 1]: {EXCERPT.repr(value)}")
     return float(value)
 
 
@@ -114,7 +115,7 @@ def _objects(result: Any, params: Dict[str, Any], key: str, default: int) -> Lis
     """`result` if it is a list of at most as many objects as the request's `params[key]`."""
     most = _count(params, key, default)
     if len(_field(result, [dict], "result")) > most:
-        raise MalformedModelResponse(f"result must be a list of at most {most} objects: {result!r}")
+        raise MalformedModelResponse(f"result must be a list of at most {most} objects: {EXCERPT.repr(result)}")
     return result
 
 
@@ -131,7 +132,7 @@ def _read_forward(result: Any, params: Dict[str, Any]) -> List[ForwardPrediction
 
 def _read_score(result: Any, params: Dict[str, Any]) -> float:
     if len(_field(result, list, "result")) != 1:
-        raise MalformedModelResponse(f"result must be a list of one score: {result!r}")
+        raise MalformedModelResponse(f"result must be a list of one score: {EXCERPT.repr(result)}")
     return _unit(result[0], "score")
 
 
@@ -139,7 +140,7 @@ def _read_class(result: Any, params: Dict[str, Any]) -> ReactionClass:
     label = _field(_field(result, dict, "result").get("label", ""), str, "label")
     fields = [_field(result.get(key), int, key) for key in ReactionClass._fields[:3]]
     if min(fields) < 0:
-        raise MalformedModelResponse(f"class fields must be non-negative integers: {fields!r}")
+        raise MalformedModelResponse(f"class fields must be non-negative integers: {EXCERPT.repr(fields)}")
     try:
         return ReactionClass(*fields, label)
     except ValueError as exc:  # a superclass over 11
@@ -178,7 +179,7 @@ def handle_request(models: ChemModels, msg: Dict[str, Any]) -> str:
     n, answer, _ = ANSWERS[op]
     try:
         if len(_field(inputs, list, "inputs")) != n:
-            raise MalformedModelResponse(f"inputs must be a list of {n} for {op}: {inputs!r}")
+            raise MalformedModelResponse(f"inputs must be a list of {n} for {op}: {EXCERPT.repr(inputs)}")
         result = answer(models, inputs, _field(params, dict, "params"))
     except (RetroRouteError, ArithmeticError, AttributeError, LookupError, TypeError,
             ValueError) as exc:

@@ -82,6 +82,17 @@ class TestPlan:
         trace_lines = (tmp_path / "trace.jsonl").read_text("utf-8").splitlines()
         assert all("outcome" in json.loads(l) for l in trace_lines)
 
+    def test_dot_out_escapes_a_backslash_in_a_label(self, tmp_path, capsys):
+        # `\N` in a DOT label would be drawn as the node's name
+        (tmp_path / "t.json").write_text(json.dumps(
+            [{"lhs": ["FC=C", "N"], "rhs": "F/C=C\\N", "weight": 1.0, "class": "1.1.1"}]), "utf-8")
+        (tmp_path / "m.json").write_text('{"transport": "toy", "templates_path": "t.json"}', "utf-8")
+        (tmp_path / "s.txt").write_text("FC=C\nN\n", "utf-8")
+        assert main(["plan", "F/C=C\\N", "--models", str(tmp_path / "m.json"),
+                     "--stock", str(tmp_path / "s.txt"), "--out", str(tmp_path / "r.json"),
+                     "--dot-out", str(tmp_path / "g.dot")]) == EXIT_OK
+        assert '  n0 [label="F/C=C\\\\N", ' in (tmp_path / "g.dot").read_text("utf-8")
+
     def test_routes_deterministic_across_runs(self, plan_args, tmp_path, capsys):
         main(plan_args())
         first = json.loads((tmp_path / "routes.json").read_text("utf-8"))
@@ -181,6 +192,16 @@ class TestExport:
                      "--out", str(tmp_path / "out.dot")])
         assert code == EXIT_OK
         assert "digraph" in (tmp_path / "out.dot").read_text("utf-8")
+
+    def test_labels_escaped(self, tmp_path, capsys):
+        # by DOT's escString rules a backslash escapes the next letter and a quote ends the label
+        snapshot = {"root": 0, "nodes": [{"id": 0, "smiles": "F/C=C\\N"}, {"id": 1, "smiles": 'a"b'}],
+                    "arcs": [{"id": 0, "product": 0, "precursors": [1], "class": "1.1.1",
+                              "likelihood": 0.5, "score": 1.0}]}
+        (tmp_path / "snap.json").write_text(json.dumps(snapshot), "utf-8")
+        assert main(["export", str(tmp_path / "snap.json")]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert '  n0 [label="F/C=C\\\\N", ' in out and '  n1 [label="a\\"b", ' in out
 
     def test_bad_snapshot_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

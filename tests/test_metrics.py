@@ -216,7 +216,8 @@ def evaluate_records(records, monkeypatch, **settings):
 
 
 class TestReportMatchesHelpers:
-    """The report and the public helpers read one tally, so they cannot drift apart."""
+    """The report is built once and each public helper gives its field of it, so they cannot
+    drift apart; the report's JSD is that of the helpers' histograms under its settings."""
 
     @pytest.mark.parametrize("name", UNUSUAL)
     def test_report_equals_helpers(self, name, monkeypatch):
@@ -227,18 +228,21 @@ class TestReportMatchesHelpers:
             round_trip(records), coverage(records), invalid_rate(records))
         assert (report.class_diversity, report.class_diversity_defined) == class_diversity(records)
         assert report.histograms == build_distributions(records, 20)
-        try:
-            value, _, classes = jsd(build_distributions(records, 20))
-        except AllEmpty:
-            value, classes = None, []
-        assert (report.jsd, report.jsd_defined, report.participating_classes) == (
-            value, value is not None, classes)
         usable = [r for r in records if r.error is None]
         errors = [s.error is not None for r in usable for s in r.suggestions]
         assert (report.n_targets, report.n_excluded_targets) == (
             len(usable), len(records) - len(usable))
         assert (report.n_suggestions, report.n_excluded_suggestions) == (
             errors.count(False), errors.count(True))
+        for log_base, include_unrecognized in [(None, False), (2.0, False), (None, True)]:
+            report, _ = evaluate_records(records, monkeypatch, bins=20, log_base=log_base,
+                                         include_unrecognized=include_unrecognized)
+            try:
+                value, _, classes = jsd(build_distributions(records, 20), include_unrecognized, log_base)
+            except AllEmpty:
+                value, classes = None, []
+            assert (report.jsd, report.jsd_defined, report.participating_classes) == (
+                value, value is not None, classes)
 
     @pytest.mark.parametrize("records", [[], [rec("E", error="down")], [rec("A", sug(error="x"))]],
                              ids=["no-targets", "target-excluded", "suggestion-excluded"])

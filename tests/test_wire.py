@@ -229,6 +229,14 @@ def test_wrong_shaped_inputs_refused(toy_oracle, op, inputs, params, error):
                                  "error": f"MalformedModelResponse: {error}"}
 
 
+def test_oversized_inputs_refused_with_an_excerpt(toy_oracle):
+    reply = answer_line(toy_oracle, encode_request("7", "classify", ["C.N>>CN"] * 1000, {}))
+    assert len(reply.encode("utf-8")) < 300
+    msg = json.loads(reply)
+    assert (msg["id"], msg["ok"]) == ("7", False)
+    assert msg["error"].startswith("MalformedModelResponse: inputs must be a list of 1 for classify: ")
+
+
 def test_serve_stdio_answers_malformed_requests(toy_oracle):
     out = io.StringIO()
     lines = [line for line, _ in MALFORMED_REQUESTS] + [GOOD_REQUEST]
@@ -355,6 +363,17 @@ def test_reply_that_breaks_its_op_row_is_refused(op, reply):
     error = "model error .*: boom" if "ok" in reply else f"bad {op} result: "
     with pytest.raises(MalformedModelResponse, match=error):
         CALLS[op](WireClient(Canned(reply), retries=0))
+
+
+@pytest.mark.parametrize("op, result, refusal", [
+    ("retro", [SUGGESTION] * 40, f"result must be a list of at most {BEAMS} objects: "),
+    ("forward", [{**PRODUCT, "likelihood": 10 ** 4000}], "likelihood must be a number in [0, 1]: "),
+], ids=["forty-suggestions", "likelihood-of-4001-digits"])
+def test_oversized_reply_refused_with_an_excerpt(op, result, refusal):
+    with pytest.raises(MalformedModelResponse) as info:
+        CALLS[op](WireClient(Canned({"result": result}), retries=0))
+    message = str(info.value)
+    assert message.startswith(f"bad {op} result: {refusal}") and len(message) < 300
 
 
 def test_reply_keys_the_op_row_does_not_name_are_ignored():
