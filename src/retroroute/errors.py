@@ -92,7 +92,12 @@ KINDS = {kind: (frozenset(types), name) for kind, types, name in (
     (dict, {dict}, "a JSON object"), (list, {list}, "a list"), (str, {str}, "a string"),
     (int, {int}, "an integer"), (float, {int, float}, "a number"), (bool, {bool}, "a boolean"))}
 
-EXCERPT = reprlib.Repr()  # how a message quotes such a value: as reprlib.repr, but with 3 items
+class _Excerpt(reprlib.Repr):
+    def repr(self, x) -> str:  # cut at 200 characters, however deep the value nests
+        return text if len(text := super().repr(x)) <= 200 else text[:197] + "..."
+
+
+EXCERPT = _Excerpt()  # how a message quotes such a value: as reprlib.repr, but with 3 items
 EXCERPT.maxlist = EXCERPT.maxdict = 3  # of a list or object, not 6 (6 reply objects fill 300 bytes)
 
 

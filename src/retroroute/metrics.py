@@ -4,8 +4,8 @@ Four metrics: round-trip accuracy (suggestions whose forward top-1 recovers
 the target), coverage (targets with at least one such suggestion), class
 diversity (mean distinct superclasses among a target's valid suggestions)
 and the Jensen-Shannon divergence of the per-superclass forward-likelihood
-distributions, plus the syntactically-invalid rate. `_tally` builds the report
-in one walk over the records, and each public helper gives its own field of it.
+distributions, plus the syntactically-invalid rate. `tally` builds the report
+in one walk over the records; it is the one way to get it from records.
 """
 
 from __future__ import annotations
@@ -127,12 +127,14 @@ def evaluate_target(
 
 # --- the four metrics + invalid rate ---------------------------------------
 
-def _tally(records: Sequence[EvalRecord], bins: int, log_base: Optional[float] = None,
-           include_unrecognized: bool = False) -> MetricsReport:
+def tally(records: Sequence[EvalRecord], bins: int = DEFAULT_BINS, log_base: Optional[float] = None,
+          include_unrecognized: bool = False) -> MetricsReport:
     """The report of the records, from one walk over them: an errored record excludes its target,
     an errored suggestion enters no denominator, and none counted is an EmptyEvaluation. Each
     valid likelihood above 0.5 is binned once, in its superclass's histogram, and the JSD is that
-    of these histograms; when all are empty (`AllEmpty`) it is undefined and no class participates."""
+    of these histograms; when all are empty (`AllEmpty`) it is undefined and no class participates.
+    Bad bins or log base are `check_settings`'s ValueError."""
+    check_settings(1, bins, log_base)
     edges = histogram_edges(bins)
     counts = [[0] * bins for _ in range(N_SUPERCLASSES)]  # each superclass's bin counts
     samples = [0] * N_SUPERCLASSES
@@ -193,39 +195,11 @@ def _tally(records: Sequence[EvalRecord], bins: int, log_base: Optional[float] =
     )
 
 
-def round_trip(records: Sequence[EvalRecord]) -> float:
-    return _tally(records, DEFAULT_BINS).round_trip_pct
-
-
-def coverage(records: Sequence[EvalRecord]) -> float:
-    return _tally(records, DEFAULT_BINS).coverage_pct
-
-
-def class_diversity(records: Sequence[EvalRecord]) -> Tuple[float, bool]:
-    """Mean distinct superclasses among valid suggestions per covered target.
-
-    Returns (value, defined); (0.0, False) when no target has a valid
-    suggestion.
-    """
-    t = _tally(records, DEFAULT_BINS)
-    return t.class_diversity, t.class_diversity_defined
-
-
-def invalid_rate(records: Sequence[EvalRecord]) -> float:
-    return _tally(records, DEFAULT_BINS).invalid_smiles_pct
-
-
 @lru_cache(maxsize=8)
 def histogram_edges(bins: int) -> Tuple[float, ...]:
     """`bins` equal bins over [0.5, 1.0], the edges `np.linspace` would give."""
     step = (1.0 - LIKELIHOOD_THRESHOLD) / bins
     return (*(i * step + LIKELIHOOD_THRESHOLD for i in range(bins)), 1.0)
-
-
-def build_distributions(records: Sequence[EvalRecord],
-                        bins: int = DEFAULT_BINS) -> List[ClassLikelihoodDistribution]:
-    """Per-superclass histograms of valid-suggestion likelihoods above 0.5."""
-    return _tally(records, bins).histograms
 
 
 def _entropy(p: Sequence[float], base: Optional[float]) -> float:
@@ -293,4 +267,4 @@ def evaluate(
     a ValueError before the first model call."""
     check_settings(beams, bins, log_base)
     records = [evaluate_target(t, models, normalizer, beams) for t in targets]
-    return _tally(records, bins, log_base, include_unrecognized), records
+    return tally(records, bins, log_base, include_unrecognized), records

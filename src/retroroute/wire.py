@@ -259,7 +259,7 @@ def _reply_in(lines: Iterable[bytes], req_id: str) -> Optional[str]:
             msg = decode_response(line)
         except MalformedModelResponse:
             import logging  # here, so that the stdio model child never loads it
-            logging.getLogger(__name__).warning("dropping malformed response line: %r", line)
+            logging.getLogger(__name__).warning("dropping malformed response line: %s", EXCERPT.repr(line))
             continue
         if msg["id"] == req_id:
             return line
@@ -269,11 +269,11 @@ def _reply_in(lines: Iterable[bytes], req_id: str) -> Optional[str]:
 class SubprocessTransport:
     """Speaks the protocol to a child process over stdin/stdout.
 
-    One request is in flight at a time: the caller writes its line, then
-    reads the child's output until the reply with its id. A line with
-    another id (a late reply to a timed-out call) is dropped. A child that
-    has exited or closed its output is closed and replaced on the next
-    call. Calls must not overlap; `WireClient` makes them one at a time.
+    One request is in flight at a time: the caller writes its line, then reads the child's output
+    until the reply with its id. A line with another id (a late reply to a timed-out call) is
+    dropped. A child that has exited or closed its output is closed and replaced on the next call,
+    unless it failed before its first reply: a ConfigError, which no retry mends (see `_ended`).
+    Calls must not overlap; `WireClient` makes them one at a time.
     """
 
     def __init__(self, command: Sequence[str]):
@@ -281,6 +281,7 @@ class SubprocessTransport:
         self._proc = None  # the child (a subprocess.Popen) while one runs
         self._poller = select.poll()
         self._buf = b""  # the child's output after its last complete line
+        self._first = None  # the id of the child's first request
 
     def call(self, line: str, req_id: str, timeout: float) -> str:
         deadline = time.monotonic() + timeout
@@ -296,7 +297,7 @@ class SubprocessTransport:
                 raise ModelUnavailable(f"cannot start {self.command}: {exc}") from exc
             self._poller = select.poll()
             self._poller.register(proc.stdout, select.POLLIN)
-            self._buf = b""
+            self._buf, self._first = b"", req_id
         try:
             proc.stdin.write(line.encode("utf-8") + b"\n")
             proc.stdin.flush()
@@ -313,15 +314,25 @@ class SubprocessTransport:
             except OSError:
                 data = b""
             if not data:
-                self.close()
-                raise ModelUnavailable(
-                    f"model process {self.command} closed its output before answering {req_id}"
-                )
+                raise self._ended(req_id)
             *lines, self._buf = (self._buf + data).split(b"\n")
             # lines after the reply can only answer older requests: dropped too
             reply = _reply_in(lines, req_id)
             if reply is not None:
                 return reply
+
+    def _ended(self, req_id: str) -> Exception:
+        """Close the child whose output ended while `req_id` waited: a ConfigError if that was its
+        first request and it exits by itself in 0.25 s with a status above 0, else ModelUnavailable."""
+        import subprocess
+        try:
+            status = self._proc.wait(timeout=0.25) if req_id == self._first else 0
+        except subprocess.TimeoutExpired:  # it closed its output but runs on
+            status = 0
+        self.close()
+        if status > 0:
+            return ConfigError(f"model process {self.command} exited with status {status} before its first reply")
+        return ModelUnavailable(f"model process {self.command} closed its output before answering {req_id}")
 
     def close(self) -> None:
         """Stop the child, if one runs, and close its pipes."""

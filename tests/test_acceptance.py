@@ -20,12 +20,8 @@ from retroroute.graph import HyperGraph
 from retroroute.metrics import (
     EvalRecord,
     Suggestion,
-    build_distributions,
-    class_diversity,
-    coverage,
-    invalid_rate,
     jsd,
-    round_trip,
+    tally,
 )
 from retroroute.models import PrecursorSet, ReactionClass
 from retroroute.search import (
@@ -285,13 +281,15 @@ def test_criterion_6_metrics_match_independent_recomputation():
             covered += 1
             diversities.append(len(valid_classes))
 
-    assert round_trip(records) == 100.0 * n_valid / n_sugg
-    assert coverage(records) == 100.0 * covered / 20
-    assert class_diversity(records) == (sum(diversities) / len(diversities), True)
-    assert invalid_rate(records) == 100.0 * n_invalid / n_sugg
+    report = tally(records)
+    assert report.round_trip_pct == 100.0 * n_valid / n_sugg
+    assert report.coverage_pct == 100.0 * covered / 20
+    assert (report.class_diversity, report.class_diversity_defined) == (
+        sum(diversities) / len(diversities), True)
+    assert report.invalid_smiles_pct == 100.0 * n_invalid / n_sugg
 
     # JSD against a brute-force mean-KL evaluation of the same histograms
-    dists = build_distributions(records)
+    dists = report.histograms
     value, inverse, participating = jsd(dists)
     probs = [[c / d.count for c in d.counts] for d in dists
              if d.count > 0 and d.superclass != 0]

@@ -32,6 +32,11 @@ LATIN_1 = "CN\u00e9\n".encode("latin-1")
 NESTED = b"[" * 100_000
 
 
+def nested(depth):
+    """`depth` levels of 3-item lists of 30-character strings (8 kB as `repr` gives 5 levels)."""
+    return "x" * 30 if depth == 0 else [nested(depth - 1)] * 3
+
+
 @pytest.fixture
 def plan_args(toy_manifest, stock_file, tmp_path):
     def _args(target="CNOS", *extra):
@@ -525,6 +530,8 @@ class TestBadConfigValues:
         (lambda s: s["arcs"][0].update(score=math.nan), "arc 0"),
         (lambda s: s["arcs"][0].update(score=math.inf), "arc 0"),
         (lambda s: s["arcs"][0].update(score=-math.inf), "arc 0"),
+        # five levels of 3-item lists of 30-character strings, quoted in 200 characters
+        (lambda s: s.update(root=nested(5)), None),
     ], ids=["precursors-int", "simplicity-string", "class-int", "list", "root-string",
             "root-unknown", "likelihood-string", "score-string", "likelihood-bool",
             "smiles-int", "precursors-bool", "product-bool", "superclass-12",
@@ -533,18 +540,19 @@ class TestBadConfigValues:
             "precursor-negative", "likelihood-missing", "smiles-missing", "in_stock-string",
             "expanded-list", "simplicity-true", "simplicity-false", "likelihood-nan",
             "likelihood-inf", "likelihood-minus-inf", "likelihood-huge-int", "score-nan",
-            "score-inf", "score-minus-inf"])
-    def test_wrong_shaped_snapshot(self, corrupt, names, tmp_path, capsys):
+            "score-inf", "score-minus-inf", "root-nested"])
+    def test_wrong_shaped_snapshot(self, corrupt, names, tmp_path, capsys, monkeypatch):
         snapshot = {
             "root": 0,
             "nodes": [{"id": 0, "smiles": "CN"}, {"id": 1, "smiles": "C"}],
             "arcs": [{"id": 0, "product": 0, "precursors": [1], "likelihood": 0.9,
                       "class": "1.1.1", "score": 0.5}],
         }
-        path = tmp_path / "graph.json"
-        path.write_text(json.dumps(corrupt(snapshot) or snapshot), "utf-8")
-        err = self.assert_config_error(main(["export", str(path)]), capsys)
+        monkeypatch.chdir(tmp_path)  # the message names the file as given: a short name
+        (tmp_path / "graph.json").write_text(json.dumps(corrupt(snapshot) or snapshot), "utf-8")
+        err = self.assert_config_error(main(["export", "graph.json"]), capsys)
         assert names is None or f"graph.json: {names}: " in err
+        assert len(err.encode()) < 300  # it quotes no more of the snapshot than an excerpt
 
     @pytest.mark.parametrize("key", ["root", "nodes", "arcs"])
     def test_snapshot_without_a_top_level_key(self, key, tmp_path, capsys):
@@ -749,3 +757,19 @@ def test_plan_and_eval_close_their_model_child(cli_runs, templates_file, tmp_pat
         result = run_python("-X", "dev", "-m", "retroroute.cli", *args)
         assert result.returncode == EXIT_OK, result.stderr
         assert "ResourceWarning" not in result.stderr, result.stderr
+
+
+def test_plan_and_eval_refuse_a_model_child_that_dies_at_load(cli_runs, tmp_path, capfd):
+    # the child refuses its template file (a label that is no string) and exits 2 before its
+    # first reply: one start, no retry or deferral, and exit 2 with the transport's error line
+    templates = tmp_path / "label-templates.json"
+    templates.write_text(json.dumps([{**TOY_TEMPLATES[0], "label": 5}]), "utf-8")
+    manifest = tmp_path / "subprocess.json"
+    command = [sys.executable, "-m", "retroroute.cli", "mock-serve", str(templates)]
+    manifest.write_text(json.dumps({"transport": "subprocess", "command": command}), "utf-8")
+    for args in cli_runs(manifest):
+        assert main(args) == EXIT_CONFIG
+        err = capfd.readouterr().err
+        assert err.count("label: expected a string, got 5") == 1, err
+        assert err.endswith("exited with status 2 before its first reply\n"), err
+        assert "WARNING" not in err and "Traceback" not in err

@@ -5,24 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retroroute import metrics
 from retroroute.errors import AllEmpty, EmptyEvaluation, ModelUnavailable
 from retroroute.metrics import (
     ClassLikelihoodDistribution,
     EvalRecord,
     Suggestion,
-    build_distributions,
-    class_diversity,
-    coverage,
     evaluate,
     evaluate_target,
     histogram_edges,
-    invalid_rate,
     jsd,
-    round_trip,
+    tally,
 )
 from retroroute.models import PrecursorSet, ReactionClass
-from retroroute.smiles import ToyNormalizer
 from retroroute.toy import ToyOracle
 
 from conftest import TOY_TEMPLATES, make_templates
@@ -140,19 +134,19 @@ PLANTED = [
 class TestPlantedFixture:
     def test_round_trip(self):
         # counted suggestions: 3 + 2 + 1 + 1 = 7, of which 4 valid
-        assert round_trip(PLANTED) == pytest.approx(100.0 * 4 / 7)
+        assert tally(PLANTED).round_trip_pct == pytest.approx(100.0 * 4 / 7)
 
     def test_coverage(self):
         # 4 usable targets, A/B/D covered
-        assert coverage(PLANTED) == pytest.approx(75.0)
+        assert tally(PLANTED).coverage_pct == pytest.approx(75.0)
 
     def test_class_diversity(self):
         # A has {1,2}, B {1}, D {5} -> mean (2+1+1)/3
-        value, defined = class_diversity(PLANTED)
-        assert defined and value == pytest.approx(4 / 3)
+        report = tally(PLANTED)
+        assert report.class_diversity_defined and report.class_diversity == pytest.approx(4 / 3)
 
     def test_invalid_rate(self):
-        assert invalid_rate(PLANTED) == pytest.approx(100.0 / 7)
+        assert tally(PLANTED).invalid_smiles_pct == pytest.approx(100.0 / 7)
 
     def test_against_single_pass_recomputation(self):
         n_sugg = n_valid = n_invalid = 0
@@ -177,18 +171,27 @@ class TestPlantedFixture:
             if any_valid:
                 covered += 1
                 diversities.append(len(target_valid_classes))
-        assert round_trip(PLANTED) == pytest.approx(100 * n_valid / n_sugg)
-        assert coverage(PLANTED) == pytest.approx(100 * covered / usable_targets)
-        assert class_diversity(PLANTED)[0] == pytest.approx(
-            sum(diversities) / len(diversities)
-        )
-        assert invalid_rate(PLANTED) == pytest.approx(100 * n_invalid / n_sugg)
+        report = tally(PLANTED)
+        assert report.round_trip_pct == pytest.approx(100 * n_valid / n_sugg)
+        assert report.coverage_pct == pytest.approx(100 * covered / usable_targets)
+        assert report.class_diversity == pytest.approx(sum(diversities) / len(diversities))
+        assert report.invalid_smiles_pct == pytest.approx(100 * n_invalid / n_sugg)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyEvaluation):
-            round_trip([])
+            tally([])
         with pytest.raises(EmptyEvaluation):
-            coverage([rec("E", error="down")])
+            tally([rec("E", error="down")])
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"bins": 0}, "bins must be at least 1"), ({"bins": -1}, "bins must be at least 1"),
+        ({"log_base": 1.0}, "log base must be finite"),
+    ], ids=["bins-0", "bins-negative", "log-base-1"])
+    def test_bad_settings_refused(self, settings, message):
+        # check_settings's rule, before any record is read
+        for records in (PLANTED, []):
+            with pytest.raises(ValueError, match=message):
+                tally(records, **settings)
 
 
 # records of every unusual shape: an excluded target, a model error, a syntactically invalid
@@ -208,26 +211,18 @@ UNUSUAL = {
 }
 
 
-def evaluate_records(records, monkeypatch, **settings):
-    """`evaluate` over the records' targets, with each record standing in for its model calls."""
-    by_target = {r.target: r for r in records}
-    monkeypatch.setattr(metrics, "evaluate_target", lambda target, *_: by_target[target])
-    return evaluate(list(by_target), None, ToyNormalizer(), **settings)
-
-
 class TestReportMatchesHelpers:
-    """The report is built once and each public helper gives its field of it, so they cannot
-    drift apart; the report's JSD is that of the helpers' histograms under its settings."""
+    """The report is built once, by `tally`: its rates do not depend on the bins, its histograms
+    not on the JSD settings, and its JSD is that of its histograms under its settings."""
 
     @pytest.mark.parametrize("name", UNUSUAL)
-    def test_report_equals_helpers(self, name, monkeypatch):
+    def test_report_equals_helpers(self, name):
         records = UNUSUAL[name]
-        report, got = evaluate_records(records, monkeypatch, bins=20)
-        assert got == records
-        assert (report.round_trip_pct, report.coverage_pct, report.invalid_smiles_pct) == (
-            round_trip(records), coverage(records), invalid_rate(records))
-        assert (report.class_diversity, report.class_diversity_defined) == class_diversity(records)
-        assert report.histograms == build_distributions(records, 20)
+        report, default = tally(records, 20), tally(records)
+        rates = ("round_trip_pct", "coverage_pct", "invalid_smiles_pct", "class_diversity",
+                 "class_diversity_defined")
+        assert [getattr(report, f) for f in rates] == [getattr(default, f) for f in rates]
+        assert len(report.histograms[1].counts) == 20
         usable = [r for r in records if r.error is None]
         errors = [s.error is not None for r in usable for s in r.suggestions]
         assert (report.n_targets, report.n_excluded_targets) == (
@@ -235,23 +230,21 @@ class TestReportMatchesHelpers:
         assert (report.n_suggestions, report.n_excluded_suggestions) == (
             errors.count(False), errors.count(True))
         for log_base, include_unrecognized in [(None, False), (2.0, False), (None, True)]:
-            report, _ = evaluate_records(records, monkeypatch, bins=20, log_base=log_base,
-                                         include_unrecognized=include_unrecognized)
+            other = tally(records, 20, log_base, include_unrecognized)
+            assert other.histograms == report.histograms
             try:
-                value, _, classes = jsd(build_distributions(records, 20), include_unrecognized, log_base)
+                value, _, classes = jsd(report.histograms, include_unrecognized, log_base)
             except AllEmpty:
                 value, classes = None, []
-            assert (report.jsd, report.jsd_defined, report.participating_classes) == (
+            assert (other.jsd, other.jsd_defined, other.participating_classes) == (
                 value, value is not None, classes)
 
     @pytest.mark.parametrize("records", [[], [rec("E", error="down")], [rec("A", sug(error="x"))]],
                              ids=["no-targets", "target-excluded", "suggestion-excluded"])
-    def test_empty_evaluation_raises_first(self, records, monkeypatch):
-        with pytest.raises(EmptyEvaluation, match="^no usable suggestions were generated$"):
-            evaluate_records(records, monkeypatch)
-        for helper in (round_trip, coverage, class_diversity, invalid_rate, build_distributions):
-            with pytest.raises(EmptyEvaluation):
-                helper(records)
+    def test_empty_evaluation_raises_first(self, records):
+        for settings in ({}, {"bins": 20, "log_base": 2.0, "include_unrecognized": True}):
+            with pytest.raises(EmptyEvaluation, match="^no usable suggestions were generated$"):
+                tally(records, **settings)
 
 
 class TestDistributions:
@@ -262,8 +255,7 @@ class TestDistributions:
                        sug(cls="1.1.1", likelihood=0.5),   # at threshold: excluded
                        sug(cls="1.1.1", likelihood=0.4),   # below: excluded
                        sug(valid=False, cls="1.1.1", likelihood=0.9))]
-        dists = build_distributions(records, bins=50)
-        d1 = dists[1]
+        d1 = tally(records, bins=50).histograms[1]
         assert d1.count == 2
         assert sum(d1.counts) == 2
         assert len(d1.counts) == 50
@@ -272,13 +264,13 @@ class TestDistributions:
 
     def test_likelihood_one_included(self):
         records = [rec("A", sug(cls="2.1.1", likelihood=1.0))]
-        dists = build_distributions(records, bins=50)
+        dists = tally(records, bins=50).histograms
         assert dists[2].count == 1 and dists[2].counts[-1] == 1
 
     def test_probabilities_normalized(self):
         records = [rec("A", *(sug(cls="3.1.1", likelihood=0.6 + 0.01 * i)
                               for i in range(10)))]
-        d = build_distributions(records)[3]
+        d = tally(records).histograms[3]
         assert sum(c / d.count for c in d.counts) == pytest.approx(1.0)
 
     def test_edges_equal_linspace_bit_for_bit(self):
@@ -299,7 +291,7 @@ class TestDistributions:
         # every edge, exactly 1.0, and values on both sides of the range
         values = drawn + list(edges) + [1.0, 0.4, math.nextafter(0.5, 0.0),
                                   math.nextafter(1.0, 2.0), 1.2]
-        d = build_distributions([rec("A", *(sug(likelihood=v) for v in values))], bins)[1]
+        d = tally([rec("A", *(sug(likelihood=v) for v in values))], bins).histograms[1]
         above = [v for v in values if v > 0.5]
         expected, _ = np.histogram(above, bins=np.linspace(0.5, 1.0, bins + 1))
         assert list(d.counts) == expected.tolist() and d.count == len(above)
@@ -416,6 +408,7 @@ class TestEvaluateOrchestration:
         assert report.invalid_smiles_pct == 0.0
         assert report.class_diversity_defined
         assert report.jsd_defined
+        assert report == tally(records)
         payload = report.to_json()
         assert payload["bins"] == 50 and payload["log_base"] == "e"
         assert len(payload["histograms"]) == 12

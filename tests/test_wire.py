@@ -527,6 +527,33 @@ class TestSubprocessClient:
             client.close()
         assert time.monotonic() - start < 1.0
 
+    def test_child_that_fails_before_its_first_reply_is_a_config_error(self, started):
+        # the child exits 3 before it answers anything, as a model server that refuses its
+        # own configuration does: no retry can mend that, so the client starts it once
+        client = WireClient(SubprocessTransport(fake_child("sys.exit(3)\n")), timeout=10, retries=2)
+        start = time.monotonic()
+        try:
+            with pytest.raises(ConfigError, match=r"exited with status 3 before its first reply$"):
+                client.classify("C.N>>CN")
+        finally:
+            client.close()
+        assert time.monotonic() - start < 2.0
+        assert len(started) == 1 and started[0].returncode == 3
+        assert started[0].stdin.closed and started[0].stdout.closed
+
+    def test_child_that_fails_after_a_reply_is_unavailable(self, started):
+        # the same exit after a reply, on reading the next request, is an outage
+        transport = SubprocessTransport(fake_child(
+            "reply(sys.stdin.readline()); sys.stdin.readline(); sys.exit(3)\n"
+        ))
+        try:
+            assert decode_response(self.call(transport, "1"))["id"] == "1"
+            with pytest.raises(ModelUnavailable, match="closed its output before answering 2$"):
+                self.call(transport, "2")
+        finally:
+            transport.close()
+        assert len(started) == 1 and started[0].returncode is not None
+
     def test_call_after_reader_exit_does_not_wait(self, started):
         # each child closes its output but stays alive: the call that finds the
         # output closed fails at once and closes the child, the next starts anew
@@ -1172,7 +1199,7 @@ class TestHttpTransport:
         assert len(handler.connections) == 2
 
     def test_malformed_line_before_the_reply_is_dropped(self, caplog):
-        with http_server(echo_handler(200, before="not json\n")) as url:
+        with http_server(echo_handler(200, before="not json\n" + "y" * 5000 + "\n")) as url:
             transport = HttpTransport(url)
             try:
                 with caplog.at_level(logging.WARNING, logger="retroroute.wire"):
@@ -1180,6 +1207,9 @@ class TestHttpTransport:
             finally:
                 transport.close()
         assert "dropping malformed response line: 'not json'" in caplog.text
+        # each dropped line is logged as an excerpt, a 5000-character one too
+        logged = [r.getMessage() for r in caplog.records]
+        assert len(logged) == 2 and all(len(m.encode()) < 300 for m in logged)
 
     def test_status_500_is_unavailable(self):
         with http_server(echo_handler(500)) as url:
