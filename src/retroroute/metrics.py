@@ -87,12 +87,7 @@ class MetricsReport:
 
 # --- record generation ------------------------------------------------------
 
-def evaluate_target(
-    target: str,
-    models: ChemModels,
-    normalizer: Normalizer,
-    beams: int,
-) -> EvalRecord:
+def evaluate_target(target: str, models: ChemModels, normalizer: Normalizer, beams: int) -> EvalRecord:
     try:
         target_norm = normalizer.normalize(target)
     except NotCanonicalizable as exc:
@@ -133,8 +128,8 @@ def tally(records: Sequence[EvalRecord], bins: int = DEFAULT_BINS, log_base: Opt
     an errored suggestion enters no denominator, and none counted is an EmptyEvaluation. Each
     valid likelihood above 0.5 is binned once, in its superclass's histogram, and the JSD is that
     of these histograms; when all are empty (`AllEmpty`) it is undefined and no class participates.
-    Bad bins or log base are `check_settings`'s ValueError."""
-    check_settings(1, bins, log_base)
+    Bad bins or log base are `check_bins`'s ValueError."""
+    check_bins(bins, log_base)
     edges = histogram_edges(bins)
     counts = [[0] * bins for _ in range(N_SUPERCLASSES)]  # each superclass's bin counts
     samples = [0] * N_SUPERCLASSES
@@ -209,11 +204,8 @@ def _entropy(p: Sequence[float], base: Optional[float]) -> float:
     return h
 
 
-def jsd(
-    distributions: Sequence[ClassLikelihoodDistribution],
-    include_unrecognized: bool = False,
-    base: Optional[float] = None,
-) -> Tuple[float, float, List[int]]:
+def jsd(distributions: Sequence[ClassLikelihoodDistribution], include_unrecognized: bool = False,
+        base: Optional[float] = None) -> Tuple[float, float, List[int]]:
     """Divergence of the class likelihood distributions and its inverse.
 
     Empty classes are excluded and the uniform weight renormalized over the
@@ -222,11 +214,8 @@ def jsd(
     (jsd, 1/jsd, participating superclasses); 1/jsd is ``inf`` when the
     distributions are identical.
     """
-    participating = [
-        d
-        for d in distributions
-        if d.count > 0 and (include_unrecognized or d.superclass != 0)
-    ]
+    participating = [d for d in distributions
+                     if d.count > 0 and (include_unrecognized or d.superclass != 0)]
     if not participating:
         raise AllEmpty("every class likelihood distribution is empty")
     # only nonzero probabilities: a zero changes no sum and no entropy
@@ -246,12 +235,19 @@ def jsd(
 
 # --- orchestration ----------------------------------------------------------
 
-def check_settings(beams: int, bins: int, log_base: Optional[float]) -> None:
-    """A ValueError unless beams and bins are at least 1 and log_base is None or finite, above 0 and not 1."""
+def check_bins(bins: int, log_base: Optional[float]) -> None:
+    """A ValueError unless bins is at least 1 and log_base is None or finite, above 0 and not 1."""
     if log_base is not None and not (0 < log_base < math.inf and log_base != 1):
         raise ValueError(f"log base must be finite, above 0 and not 1, got {log_base:g}")
-    if beams < 1 or bins < 1:
-        raise ValueError(f"beams and bins must be at least 1, got {beams} and {bins}")
+    if bins < 1:
+        raise ValueError(f"bins must be at least 1, got {bins}")
+
+
+def check_settings(beams: int, bins: int, log_base: Optional[float]) -> None:
+    """`check_bins`, and a ValueError unless beams is at least 1."""
+    check_bins(bins, log_base)
+    if beams < 1:
+        raise ValueError(f"beams must be at least 1, got {beams}")
 
 
 def evaluate(

@@ -272,7 +272,7 @@ class SubprocessTransport:
     One request is in flight at a time: the caller writes its line, then reads the child's output
     until the reply with its id. A line with another id (a late reply to a timed-out call) is
     dropped. A child that has exited or closed its output is closed and replaced on the next call,
-    unless it failed before its first reply: a ConfigError, which no retry mends (see `_ended`).
+    unless it failed before any child had replied: a ConfigError, which no retry mends (see `_ended`).
     Calls must not overlap; `WireClient` makes them one at a time.
     """
 
@@ -281,7 +281,7 @@ class SubprocessTransport:
         self._proc = None  # the child (a subprocess.Popen) while one runs
         self._poller = select.poll()
         self._buf = b""  # the child's output after its last complete line
-        self._first = None  # the id of the child's first request
+        self._answered = False  # whether any child has replied yet
 
     def call(self, line: str, req_id: str, timeout: float) -> str:
         deadline = time.monotonic() + timeout
@@ -297,7 +297,7 @@ class SubprocessTransport:
                 raise ModelUnavailable(f"cannot start {self.command}: {exc}") from exc
             self._poller = select.poll()
             self._poller.register(proc.stdout, select.POLLIN)
-            self._buf, self._first = b"", req_id
+            self._buf = b""
         try:
             proc.stdin.write(line.encode("utf-8") + b"\n")
             proc.stdin.flush()
@@ -319,14 +319,15 @@ class SubprocessTransport:
             # lines after the reply can only answer older requests: dropped too
             reply = _reply_in(lines, req_id)
             if reply is not None:
+                self._answered = True
                 return reply
 
     def _ended(self, req_id: str) -> Exception:
-        """Close the child whose output ended while `req_id` waited: a ConfigError if that was its
-        first request and it exits by itself in 0.25 s with a status above 0, else ModelUnavailable."""
+        """Close the child whose output ended while `req_id` waited: a ConfigError if no child has
+        replied yet and it exits by itself in 0.25 s with a status above 0, else ModelUnavailable."""
         import subprocess
         try:
-            status = self._proc.wait(timeout=0.25) if req_id == self._first else 0
+            status = 0 if self._answered else self._proc.wait(timeout=0.25)
         except subprocess.TimeoutExpired:  # it closed its output but runs on
             status = 0
         self.close()

@@ -541,18 +541,20 @@ class TestBadConfigValues:
             "expanded-list", "simplicity-true", "simplicity-false", "likelihood-nan",
             "likelihood-inf", "likelihood-minus-inf", "likelihood-huge-int", "score-nan",
             "score-inf", "score-minus-inf", "root-nested"])
-    def test_wrong_shaped_snapshot(self, corrupt, names, tmp_path, capsys, monkeypatch):
+    def test_wrong_shaped_snapshot(self, corrupt, names, tmp_path, capsys):
         snapshot = {
             "root": 0,
             "nodes": [{"id": 0, "smiles": "CN"}, {"id": 1, "smiles": "C"}],
             "arcs": [{"id": 0, "product": 0, "precursors": [1], "likelihood": 0.9,
                       "class": "1.1.1", "score": 0.5}],
         }
-        monkeypatch.chdir(tmp_path)  # the message names the file as given: a short name
-        (tmp_path / "graph.json").write_text(json.dumps(corrupt(snapshot) or snapshot), "utf-8")
-        err = self.assert_config_error(main(["export", "graph.json"]), capsys)
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(corrupt(snapshot) or snapshot), "utf-8")
+        err = self.assert_config_error(main(["export", str(path)]), capsys)
         assert names is None or f"graph.json: {names}: " in err
-        assert len(err.encode()) < 300  # it quotes no more of the snapshot than an excerpt
+        # what follows the file name quotes no more of the snapshot than an excerpt
+        _, named, rule = err.partition(f"{path}: ")
+        assert named and len(rule.encode()) < 300, err
 
     @pytest.mark.parametrize("key", ["root", "nodes", "arcs"])
     def test_snapshot_without_a_top_level_key(self, key, tmp_path, capsys):

@@ -184,11 +184,12 @@ class TestPlantedFixture:
             tally([rec("E", error="down")])
 
     @pytest.mark.parametrize("settings, message", [
-        ({"bins": 0}, "bins must be at least 1"), ({"bins": -1}, "bins must be at least 1"),
-        ({"log_base": 1.0}, "log base must be finite"),
+        ({"bins": 0}, r"^bins must be at least 1, got 0$"),
+        ({"bins": -1}, r"^bins must be at least 1, got -1$"),
+        ({"log_base": 1.0}, r"^log base must be finite, above 0 and not 1, got 1$"),
     ], ids=["bins-0", "bins-negative", "log-base-1"])
     def test_bad_settings_refused(self, settings, message):
-        # check_settings's rule, before any record is read
+        # check_bins's rule, before any record is read; the message names no beams
         for records in (PLANTED, []):
             with pytest.raises(ValueError, match=message):
                 tally(records, **settings)
@@ -435,7 +436,8 @@ class TestEvaluateOrchestration:
                 return super().retro_predict(target, beams)
 
         oracle = CountingOracle(make_templates(TOY_TEMPLATES))
-        with pytest.raises(ValueError):
+        name = next(iter(setting)).replace("_", " ")  # the message names only its own setting
+        with pytest.raises(ValueError, match=f"^{name} must be"):
             evaluate(["CN", "CNO"], oracle, normalizer, **setting)
         assert calls == []
 

@@ -554,6 +554,24 @@ class TestSubprocessClient:
             transport.close()
         assert len(started) == 1 and started[0].returncode is not None
 
+    def test_child_that_fails_on_one_input_after_a_reply_is_unavailable(self, started, monkeypatch):
+        # the child answers every input but "X", on which it exits 1. Each retry's new child
+        # fails on "X" as its first request, but a child of this transport has replied: an
+        # outage the caller may defer, not a configuration error
+        monkeypatch.setattr(wire, "RETRY_BACKOFF", 0.01)
+        client = WireClient(SubprocessTransport(fake_child(
+            "for line in sys.stdin:\n"
+            "    if json.loads(line)['inputs'] == ['X']: sys.exit(1)\n"
+            "    reply(line)\n", LABELLED,
+        )), timeout=10, retries=2)
+        try:
+            assert client.classify("ok").label == "ok"
+            with pytest.raises(ModelUnavailable, match="closed its output before answering"):
+                client.classify("X")
+        finally:
+            client.close()
+        assert len(started) == 3 and [p.returncode for p in started] == [1, 1, 1]
+
     def test_call_after_reader_exit_does_not_wait(self, started):
         # each child closes its output but stays alive: the call that finds the
         # output closed fails at once and closes the child, the next starts anew
